@@ -10,20 +10,20 @@ the segment [a,b] in slot k maps to the k-fold dual shift of the node
 (b-a+1, b+a-2).  Transporting the extended-crystal operators through this
 correspondence gives a direct rule on formal sums of nodes with nonnegative
 coefficients, the highest weights: the operator along (i, k) scans a fixed
-ordered list of 2n nodes, reads coefficients off as runs of alternating
+ordered list of 2n nodes, reads their coefficients as runs of alternating
 minus and plus symbols, cancels adjacent (+,-) pairs, and moves one unit of
 coefficient between neighbouring list positions.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .extended import ExtElement, ExtendedCrystal
 from .msegment import Multisegment, MultisegmentCrystal, Segment
 from .parsing import ParseError, Scanner
 from .rootdata import RootLatticeElem, check_rank
-from .signature import leftmost_plus, reduce_signature, rightmost_minus
+from .signature import expand, reduce_runs
 
 
 @dataclass(frozen=True)
@@ -107,10 +107,14 @@ class SignatureNodes:
 
     Position t (counted from 1) holds the node written a_t; odd positions
     emit minus symbols and even positions emit plus symbols.  The scan runs
-    from the last position down to the first.
+    from the last position down to the first; ``position`` inverts ``nodes``.
     """
 
     nodes: tuple[HLNode, ...]
+    position: dict = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "position", {p: t for t, p in enumerate(self.nodes, 1)})
 
     def node_at(self, t: int) -> HLNode:
         return self.nodes[t - 1]
@@ -194,9 +198,9 @@ class AffineModel:
         """Total node count of a slotted multisegment element."""
         counts: dict[HLNode, int] = {}
         for k, m in c.slots:
-            for seg in m:
+            for seg, mult in m.counts():
                 p = self.node_of_segment(seg, k)
-                counts[p] = counts.get(p, 0) + 1
+                counts[p] = counts.get(p, 0) + mult
         return HLWeight.from_counts(counts)
 
     def to_extended(self, lam: HLWeight) -> ExtElement:
@@ -211,12 +215,8 @@ class AffineModel:
 
     def node_weight(self, p: HLNode) -> RootLatticeElem:
         """Root-lattice weight of a node, alternating in sign with its block."""
-        k = self.block_of(p)
-        q = self.dual_shift(p, -k)
-        lo = (q.a - q.i + 3) // 2
-        hi = (q.a + q.i + 1) // 2
-        coeffs = tuple(-1 if lo <= j <= hi else 0 for j in range(1, self.n + 1))
-        v = RootLatticeElem(coeffs)
+        seg, k = self.segment_of_node(p)
+        v = RootLatticeElem(tuple(-1 if seg.a <= j <= seg.b else 0 for j in range(1, self.n + 1)))
         return -v if k % 2 else v
 
     def weight(self, lam: HLWeight) -> RootLatticeElem:
@@ -251,19 +251,18 @@ class AffineModel:
         self._signature_nodes_cache[(i, k)] = sn
         return sn
 
-    def signature(self, lam: HLWeight, i: int, k: int) -> list[tuple[str, int]]:
-        """Signature word of lam along (i, k), tags being list positions.
+    def signature_runs(self, lam: HLWeight, i: int, k: int) -> list[tuple[str, int, int]]:
+        """Signature word of lam along (i, k) as runs, one per list position, last first.
 
-        Scanning from the last position down to the first, a position emits
-        one copy of its sign per unit of coefficient at its node.
+        Position t emits its sign as often as the coefficient of its node.
         """
         sn = self.signature_nodes(i, k)
-        out: list[tuple[str, int]] = []
-        for t in range(len(sn), 0, -1):
-            c = lam.coeff(sn.node_at(t))
-            if c:
-                out.extend([(sn.sign_at(t), t)] * c)
-        return out
+        coeffs = {sn.position[p]: c for p, c in lam.terms if p in sn.position}
+        return [(sn.sign_at(t), coeffs.get(t, 0), t) for t in range(len(sn), 0, -1)]
+
+    def signature(self, lam: HLWeight, i: int, k: int) -> list[tuple[str, int]]:
+        """Signature word of lam along (i, k), one (sign, position) per symbol."""
+        return expand(self.signature_runs(lam, i, k))
 
     def lowering(self, lam: HLWeight, i: int, k: int) -> HLWeight:
         """Move one unit from the leftmost surviving plus to the next position up.
@@ -272,7 +271,7 @@ class AffineModel:
         unit appears at the first position.
         """
         sn = self.signature_nodes(i, k)
-        t = leftmost_plus(reduce_signature(self.signature(lam, i, k)))
+        t = reduce_runs(self.signature_runs(lam, i, k))[3]
         if t is None:
             return lam.add_node(sn.node_at(1))
         out = lam.remove_node(sn.node_at(t))
@@ -287,7 +286,7 @@ class AffineModel:
         a unit appears at the last position.
         """
         sn = self.signature_nodes(i, k)
-        s = rightmost_minus(reduce_signature(self.signature(lam, i, k)))
+        s = reduce_runs(self.signature_runs(lam, i, k))[2]
         if s is None:
             return lam.add_node(sn.node_at(len(sn)))
         out = lam.remove_node(sn.node_at(s))
@@ -335,8 +334,3 @@ def parse_hl_weight(text: str) -> HLWeight:
             break
         sc.expect(",")
     return HLWeight(tuple(terms))
-
-
-def weight_to_json_terms(lam: HLWeight) -> list[dict]:
-    """JSON mirror of the text form: a list of {i, a, c} objects."""
-    return [{"i": p.i, "a": p.a, "c": c} for p, c in lam.terms]

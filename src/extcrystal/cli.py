@@ -11,7 +11,6 @@ import json as jsonlib
 import os
 import re
 import sys
-from collections import Counter
 
 from .affine import (
     AffineModel,
@@ -23,8 +22,8 @@ from .affine import (
 from .extended import format_ext_element, parse_ext_element
 from .msegment import format_multisegment, parse_multisegment
 from .parsing import ParseError
-from .signature import reduce_signature
-from .verify import SweepConfig, base_suite_names, run_suite, suite_size
+from .signature import reduce_runs
+from .verify import SweepConfig, base_suite_names, run_all, run_suite, suite_size
 
 OPS = ("F", "E", "Fstar", "Estar", "Fhl", "Ehl", "shift", "starflip", "gamma", "gammainv", "star")
 
@@ -201,10 +200,9 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         seed=args.seed,
         jobs=_resolve_jobs(args.jobs),
     )
-    names = base_suite_names() if args.suite == "all" else (args.suite,)
+    results = run_all(cfg) if args.suite == "all" else [(args.suite, run_suite(args.suite, cfg))]
     failed = False
-    for name in names:
-        violations = run_suite(name, cfg)
+    for name, violations in results:
         size = suite_size(name, cfg)
         if violations:
             failed = True
@@ -254,12 +252,15 @@ _DEMO_CASES = (
 
 def _reduced_row(model: AffineModel, lam: HLWeight, i: int, k: int) -> str:
     """Surviving signs per scan position, top position first, '.' when empty."""
-    survivors = Counter(t for _sign, t in reduce_signature(model.signature(lam, i, k)))
-    sn = model.signature_nodes(i, k)
+    # a minus is cancelled only from its left and a plus only from its right
+    runs = model.signature_runs(lam, i, k)
     cells = []
-    for t in range(len(sn), 0, -1):
-        count = survivors.get(t, 0)
-        cells.append(sn.sign_at(t) * count if count else ".")
+    for r, (sign, _count, _t) in enumerate(runs):
+        if sign == "-":
+            count = reduce_runs(runs[: r + 1])[0] - reduce_runs(runs[:r])[0]
+        else:
+            count = reduce_runs(runs[r:])[1] - reduce_runs(runs[r + 1 :])[1]
+        cells.append(sign * count if count else ".")
     return " ".join(cells)
 
 

@@ -40,22 +40,6 @@ def iter_multisegments(n: int, max_ht: int) -> Iterator[Multisegment]:
         yield from group
 
 
-def multisegments_by_count(n: int, max_count: int) -> list[Multisegment]:
-    """All multisegments inside rank n with at most max_count segments."""
-    segs = all_segments(n)
-    out: list[Multisegment] = []
-
-    def rec(idx: int, budget: int, acc: list[Segment]) -> None:
-        if idx == len(segs):
-            out.append(Multisegment.from_iterable(acc))
-            return
-        for count in range(budget + 1):
-            rec(idx + 1, budget - count, acc + [segs[idx]] * count)
-
-    rec(0, max_count, [])
-    return out
-
-
 def iter_ext_elements(ext: ExtendedCrystal, window: tuple[int, int], max_ht: int) -> Iterator[ExtElement]:
     """All elements with support inside the window and total height at most max_ht."""
     kmin, kmax = window

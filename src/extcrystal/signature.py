@@ -1,45 +1,44 @@
 """Plus/minus signature words and the cancellation rule every operator shares.
 
-A signature is a list of (sign, tag) pairs where sign is "+" or "-".  The tag
-records which object emitted the symbol, so that after cancellation the
-surviving symbols can be traced back to the segment or lattice node that has
-to be edited.  Cancellation deletes adjacent (+, -) pairs, in that order,
-until none remain; the result is independent of the deletion order and always
-has the shape minuses-then-pluses.
+A signature word is given as runs (sign, count, tag) in scan order, where
+sign is "+" or "-" and count >= 0.  The tag records which object emitted the
+run, so that after cancellation the surviving symbols can be traced back to
+the segment or lattice node that has to be edited.  Cancellation deletes
+adjacent (+, -) pairs, in that order, until none remain; the result is
+independent of the deletion order and always has the shape
+minuses-then-pluses.
 """
 
 from __future__ import annotations
 
 
-def reduce_signature(sig: list) -> list:
-    """Cancel all adjacent (+, -) pairs of a signature word."""
-    stack: list = []
-    for item in sig:
-        if item[0] == "-" and stack and stack[-1][0] == "+":
-            stack.pop()
+def reduce_runs(runs) -> tuple[int, int, object, object]:
+    """Cancel all adjacent (+, -) pairs of a word given as runs.
+
+    Returns (minus, plus, minus_tag, plus_tag): the numbers of surviving
+    minus and plus symbols and the tags of the rightmost surviving minus and
+    the leftmost surviving plus, None where there is none.  A minus cancels
+    the nearest plus on its left; a minus left over is never cancelled.
+    """
+    minus = plus = 0
+    minus_tag = plus_tag = None
+    for sign, count, tag in runs:
+        if sign == "+":
+            if not plus:
+                plus_tag = tag
+            plus += count
+        elif count > plus:
+            minus += count - plus
+            minus_tag = tag
+            plus = 0
         else:
-            stack.append(item)
-    return stack
+            plus -= count
+    return minus, plus, minus_tag, plus_tag if plus else None
 
 
-def count_sign(sig: list, sign: str) -> int:
-    return sum(1 for item in sig if item[0] == sign)
-
-
-def leftmost_plus(sig: list):
-    """Tag of the first "+" symbol, or None."""
-    for item in sig:
-        if item[0] == "+":
-            return item[1]
-    return None
-
-
-def rightmost_minus(sig: list):
-    """Tag of the last "-" symbol, or None."""
-    for item in reversed(sig):
-        if item[0] == "-":
-            return item[1]
-    return None
+def expand(runs) -> list:
+    """The per-symbol word of a run sequence: one (sign, tag) pair per symbol."""
+    return [(sign, tag) for sign, count, tag in runs for _ in range(count)]
 
 
 def signs(sig: list) -> str:

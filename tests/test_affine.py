@@ -313,3 +313,33 @@ def test_translation_intertwines_operators_spot_check():
             for k in (-1, 0):
                 assert M3.to_weight(EXT3.lowering(c, i, k)) == M3.lowering(M3.to_weight(c), i, k)
                 assert M3.to_weight(EXT3.raising(c, i, k)) == M3.raising(M3.to_weight(c), i, k)
+
+
+def test_operators_match_per_symbol_cancellation_on_large_coefficients():
+    from extcrystal.verify import cancel_in_random_order
+
+    model = AffineModel(5)
+    rng = random.Random(89)
+    pool = [p for k in (-1, 0, 1, 2) for p in model.block_nodes(k)]
+    for _ in range(60):
+        lam = HLWeight.from_counts({p: rng.randint(10, 40) for p in rng.sample(pool, rng.randint(1, 8))})
+        for i in range(1, 6):
+            for k in (-1, 0, 1):
+                sn = model.signature_nodes(i, k)
+                left = cancel_in_random_order(model.signature(lam, i, k), rng)
+                minus = [t for sign, t in left if sign == "-"]
+                plus = [t for sign, t in left if sign == "+"]
+                if plus:
+                    want = lam.remove_node(sn.node_at(plus[0]))
+                    if plus[0] < len(sn):
+                        want = want.add_node(sn.node_at(plus[0] + 1))
+                else:
+                    want = lam.add_node(sn.node_at(1))
+                assert model.lowering(lam, i, k) == want
+                if minus:
+                    want = lam.remove_node(sn.node_at(minus[-1]))
+                    if minus[-1] > 1:
+                        want = want.add_node(sn.node_at(minus[-1] - 1))
+                else:
+                    want = lam.add_node(sn.node_at(len(sn)))
+                assert model.raising(lam, i, k) == want

@@ -230,3 +230,12 @@ def test_module_entry_point():
     )
     assert proc.returncode == 0
     assert proc.stdout.strip() == "0:[1]"
+
+
+def test_apply_star_deep_input_round_trips(capsys):
+    # 1200 boxes: far deeper than any recursion limit would allow
+    target = "400*[1,2],400*[2]"
+    code, out, _ = run_cli(capsys, "apply", "star", target, "--n", "2")
+    assert code == 0
+    code, back, _ = run_cli(capsys, "apply", "star", out, "--n", "2")
+    assert (code, back) == (0, target)

@@ -18,6 +18,7 @@ from extcrystal.msegment import (
     right_signature,
 )
 from extcrystal.parsing import ParseError
+from extcrystal.verify import cancel_in_random_order
 
 C3 = MultisegmentCrystal(3)
 
@@ -299,3 +300,39 @@ def test_indices_range():
 def test_height_accumulates_box_count():
     assert C3.height(MIXED) == 5
     assert C3.height(parse_multisegment("2*[1,3]")) == 6
+
+
+def _survivors(word, rng):
+    """Segments of the minus and of the plus symbols that survive a random-order cancellation."""
+    left = cancel_in_random_order(word, rng)
+    return [seg for sign, seg in left if sign == "-"], [seg for sign, seg in left if sign == "+"]
+
+
+def test_operators_match_per_symbol_cancellation_exhaustive():
+    crystal = MultisegmentCrystal(4)
+    rng = random.Random(83)
+    for m in iter_multisegments(4, 6):
+        for i in crystal.indices():
+            # the words by their definition, from the segments in left order
+            plain = [("-" if s.a == i else "+", s) for s in m.segments if s.a in (i, i + 1)]
+            starred = sorted((s for s in m.segments if s.b in (i - 1, i)), key=right_order_key, reverse=True)
+            assert left_signature(m, i) == plain
+            assert right_signature(m, i) == [("+" if s.b == i else "-", s) for s in starred]
+
+            minus, plus = _survivors(left_signature(m, i), rng)
+            assert crystal.epsilon(m, i) == len(minus)
+            want = m.replace_one(plus[0], Segment(i, plus[0].b)) if plus else m.add(Segment(i, i))
+            assert crystal.lowering(m, i) == want
+            if minus:
+                seg = minus[-1]
+                want = m.replace_one(seg, Segment(i + 1, seg.b) if seg.b > i else None)
+            assert crystal.raising(m, i) == (want if minus else None)
+
+            minus, plus = _survivors(right_signature(m, i), rng)
+            assert crystal.epsilon_star(m, i) == len(plus)
+            want = m.replace_one(minus[-1], Segment(minus[-1].a, i)) if minus else m.add(Segment(i, i))
+            assert crystal.star_lowering(m, i) == want
+            if plus:
+                seg = plus[0]
+                want = m.replace_one(seg, Segment(seg.a, i - 1) if seg.a < i else None)
+            assert crystal.star_raising(m, i) == (want if plus else None)
