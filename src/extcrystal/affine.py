@@ -10,9 +10,9 @@ the segment [a,b] in slot k maps to the k-fold dual shift of the node
 (b-a+1, b+a-2).  Transporting the extended-crystal operators through this
 correspondence gives a direct rule on formal sums of nodes with nonnegative
 coefficients, the highest weights: the operator along (i, k) scans a fixed
-ordered list of 2n nodes, reads their coefficients as runs of alternating
-minus and plus symbols, cancels adjacent (+,-) pairs, and moves one unit of
-coefficient between neighbouring list positions.
+ordered list of 2n nodes, reads their coefficients as the alternating counts
+of a signature word (see ``signature``), cancels adjacent (+,-) pairs, and
+moves one unit of coefficient between neighbouring list positions.
 """
 
 from __future__ import annotations
@@ -116,6 +116,21 @@ class SignatureNodes:
     def __post_init__(self) -> None:
         object.__setattr__(self, "position", {p: t for t, p in enumerate(self.nodes, 1)})
 
+    def word(self, lam: HLWeight) -> list[int]:
+        """lam's signature word as alternating counts in scan order.
+
+        Index r holds the coefficient at position 2n+1-r; index 0 is the zero
+        minus before the plus at position 2n that opens the scan.
+        """
+        size = len(self.nodes) + 1
+        counts = [0] * size
+        position = self.position
+        for p, c in lam.terms:
+            t = position.get(p)
+            if t:
+                counts[size - t] = c
+        return counts
+
     def node_at(self, t: int) -> HLNode:
         return self.nodes[t - 1]
 
@@ -182,9 +197,12 @@ class AffineModel:
 
     def node_of_segment(self, seg: Segment, k: int) -> HLNode:
         """Node of the segment [a,b] placed in slot k."""
-        if seg.b > self.n:
-            raise ValueError(f"segment {seg} does not fit inside rank {self.n}")
-        return self.dual_shift(HLNode(seg.b - seg.a + 1, seg.b + seg.a - 2), k)
+        return self._node(seg.a, seg.b, k)
+
+    def _node(self, a: int, b: int, k: int) -> HLNode:
+        if b > self.n:
+            raise ValueError(f"segment {Segment(a, b)} does not fit inside rank {self.n}")
+        return self.dual_shift(HLNode(b - a + 1, b + a - 2), k)
 
     def segment_of_node(self, p: HLNode) -> tuple[Segment, int]:
         """The (segment, slot) pair a node stands for."""
@@ -198,18 +216,18 @@ class AffineModel:
         """Total node count of a slotted multisegment element."""
         counts: dict[HLNode, int] = {}
         for k, m in c.slots:
-            for seg, mult in m.counts():
-                p = self.node_of_segment(seg, k)
+            for a, b, mult in m.entries():
+                p = self._node(a, b, k)
                 counts[p] = counts.get(p, 0) + mult
         return HLWeight.from_counts(counts)
 
     def to_extended(self, lam: HLWeight) -> ExtElement:
         """Inverse of to_weight."""
-        per_slot: dict[int, list[Segment]] = {}
+        per_slot: dict[int, list[tuple[Segment, int]]] = {}
         for p, c in lam.terms:
             seg, k = self.segment_of_node(p)
-            per_slot.setdefault(k, []).extend([seg] * c)
-        return self.ext.element({k: Multisegment.from_iterable(v) for k, v in per_slot.items()})
+            per_slot.setdefault(k, []).append((seg, c))
+        return self.ext.element({k: Multisegment.from_counts(v) for k, v in per_slot.items()})
 
     # -- weights ----------------------------------------------------------
 
@@ -222,9 +240,7 @@ class AffineModel:
     def weight(self, lam: HLWeight) -> RootLatticeElem:
         total = self.crystal.lattice.zero()
         for p, c in lam.terms:
-            w = self.node_weight(p)
-            for _ in range(c):
-                total = total + w
+            total = total + RootLatticeElem(tuple(c * x for x in self.node_weight(p).coeffs))
         return total
 
     def dual_shift_weight(self, lam: HLWeight, k: int = 1) -> HLWeight:
@@ -251,18 +267,10 @@ class AffineModel:
         self._signature_nodes_cache[(i, k)] = sn
         return sn
 
-    def signature_runs(self, lam: HLWeight, i: int, k: int) -> list[tuple[str, int, int]]:
-        """Signature word of lam along (i, k) as runs, one per list position, last first.
-
-        Position t emits its sign as often as the coefficient of its node.
-        """
-        sn = self.signature_nodes(i, k)
-        coeffs = {sn.position[p]: c for p, c in lam.terms if p in sn.position}
-        return [(sn.sign_at(t), coeffs.get(t, 0), t) for t in range(len(sn), 0, -1)]
-
     def signature(self, lam: HLWeight, i: int, k: int) -> list[tuple[str, int]]:
         """Signature word of lam along (i, k), one (sign, position) per symbol."""
-        return expand(self.signature_runs(lam, i, k))
+        sn = self.signature_nodes(i, k)
+        return [(sign, len(sn) + 1 - r) for sign, r in expand(sn.word(lam))]
 
     def lowering(self, lam: HLWeight, i: int, k: int) -> HLWeight:
         """Move one unit from the leftmost surviving plus to the next position up.
@@ -271,9 +279,10 @@ class AffineModel:
         unit appears at the first position.
         """
         sn = self.signature_nodes(i, k)
-        t = reduce_runs(self.signature_runs(lam, i, k))[3]
-        if t is None:
+        r = reduce_runs(sn.word(lam))[3]
+        if r is None:
             return lam.add_node(sn.node_at(1))
+        t = len(sn) + 1 - r
         out = lam.remove_node(sn.node_at(t))
         if t < len(sn):
             out = out.add_node(sn.node_at(t + 1))
@@ -286,9 +295,10 @@ class AffineModel:
         a unit appears at the last position.
         """
         sn = self.signature_nodes(i, k)
-        s = reduce_runs(self.signature_runs(lam, i, k))[2]
-        if s is None:
+        r = reduce_runs(sn.word(lam))[2]
+        if r is None:
             return lam.add_node(sn.node_at(len(sn)))
+        s = len(sn) + 1 - r
         out = lam.remove_node(sn.node_at(s))
         if s > 1:
             out = out.add_node(sn.node_at(s - 1))

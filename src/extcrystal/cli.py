@@ -252,15 +252,16 @@ _DEMO_CASES = (
 
 def _reduced_row(model: AffineModel, lam: HLWeight, i: int, k: int) -> str:
     """Surviving signs per scan position, top position first, '.' when empty."""
-    # a minus is cancelled only from its left and a plus only from its right
-    runs = model.signature_runs(lam, i, k)
+    # a minus is cancelled only from its left and a plus only from its right;
+    # the suffixes keep their place, zeros before them, so each count keeps its sign
+    counts = model.signature_nodes(i, k).word(lam)
     cells = []
-    for r, (sign, _count, _t) in enumerate(runs):
-        if sign == "-":
-            count = reduce_runs(runs[: r + 1])[0] - reduce_runs(runs[:r])[0]
+    for r in range(1, len(counts)):
+        if r % 2 == 0:
+            count = reduce_runs(counts[: r + 1])[0] - reduce_runs(counts[:r])[0]
         else:
-            count = reduce_runs(runs[r:])[1] - reduce_runs(runs[r + 1 :])[1]
-        cells.append(sign * count if count else ".")
+            count = reduce_runs([0] * r + counts[r:])[1] - reduce_runs([0] * (r + 1) + counts[r + 1 :])[1]
+        cells.append(("+" if r % 2 else "-") * count or ".")
     return " ".join(cells)
 
 

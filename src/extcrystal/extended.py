@@ -9,6 +9,11 @@ and raising takes the opposite branches.  The starred operator family couples
 slot k with slot k-1 instead and is driven by the selector
 epsilon*(b_k, i) - epsilon(b_{k-1}, i).
 
+Each operator reads its two slots once and compares their counters directly;
+its result is spliced into the descending slot tuple without re-sorting.  An
+``ExtElement`` built from outside input is sorted and checked for duplicate
+slots instead.
+
 Slot weights alternate in sign with the slot index, so lowering along (i, k)
 moves the total weight by (-1)^(k+1) alpha_i.
 """
@@ -88,10 +93,16 @@ class ExtendedCrystal:
         return c.slot(k, self.crystal.highest)
 
     def _set_slot(self, c: ExtElement, k: int, b) -> ExtElement:
-        slots = [(kk, bb) for kk, bb in c.slots if kk != k]
-        if b != self.crystal.highest:
-            slots.append((k, b))
-        return ExtElement(tuple(slots))
+        """c with slot k holding b, spliced into the descending slots without re-sorting."""
+        slots = c.slots
+        at = 0
+        while at < len(slots) and slots[at][0] > k:
+            at += 1
+        rest = at + 1 if at < len(slots) and slots[at][0] == k else at
+        out = object.__new__(ExtElement)
+        mid = () if b == self.crystal.highest else ((k, b),)
+        object.__setattr__(out, "slots", slots[:at] + mid + slots[rest:])
+        return out
 
     def epsilon(self, c: ExtElement, i: int, k: int) -> int:
         return self.crystal.epsilon(self.slot(c, k), i)
@@ -108,32 +119,40 @@ class ExtendedCrystal:
         return self.epsilon_star(c, i, k) - self.epsilon(c, i, k - 1)
 
     def lowering(self, c: ExtElement, i: int, k: int) -> ExtElement:
-        if self.branch_selector(c, i, k) >= 0:
-            return self._set_slot(c, k, self.crystal.lowering(self.slot(c, k), i))
-        b = self.crystal.star_raising(self.slot(c, k + 1), i)
-        assert b is not None, "negative branch selector guarantees a starred raise"
-        return self._set_slot(c, k + 1, b)
+        cry = self.crystal
+        b, above = self.slot(c, k), self.slot(c, k + 1)
+        if cry.epsilon(b, i) >= cry.epsilon_star(above, i):
+            return self._set_slot(c, k, cry.lowering(b, i))
+        raised = cry.star_raising(above, i)
+        assert raised is not None, "negative branch selector guarantees a starred raise"
+        return self._set_slot(c, k + 1, raised)
 
     def raising(self, c: ExtElement, i: int, k: int) -> ExtElement:
-        if self.branch_selector(c, i, k) > 0:
-            b = self.crystal.raising(self.slot(c, k), i)
-            assert b is not None, "positive branch selector guarantees a raise"
-            return self._set_slot(c, k, b)
-        return self._set_slot(c, k + 1, self.crystal.star_lowering(self.slot(c, k + 1), i))
+        cry = self.crystal
+        b, above = self.slot(c, k), self.slot(c, k + 1)
+        if cry.epsilon(b, i) > cry.epsilon_star(above, i):
+            raised = cry.raising(b, i)
+            assert raised is not None, "positive branch selector guarantees a raise"
+            return self._set_slot(c, k, raised)
+        return self._set_slot(c, k + 1, cry.star_lowering(above, i))
 
     def star_lowering(self, c: ExtElement, i: int, k: int) -> ExtElement:
-        if self.star_branch_selector(c, i, k) >= 0:
-            return self._set_slot(c, k, self.crystal.star_lowering(self.slot(c, k), i))
-        b = self.crystal.raising(self.slot(c, k - 1), i)
-        assert b is not None, "negative starred selector guarantees a raise"
-        return self._set_slot(c, k - 1, b)
+        cry = self.crystal
+        b, below = self.slot(c, k), self.slot(c, k - 1)
+        if cry.epsilon_star(b, i) >= cry.epsilon(below, i):
+            return self._set_slot(c, k, cry.star_lowering(b, i))
+        raised = cry.raising(below, i)
+        assert raised is not None, "negative starred selector guarantees a raise"
+        return self._set_slot(c, k - 1, raised)
 
     def star_raising(self, c: ExtElement, i: int, k: int) -> ExtElement:
-        if self.star_branch_selector(c, i, k) > 0:
-            b = self.crystal.star_raising(self.slot(c, k), i)
-            assert b is not None, "positive starred selector guarantees a starred raise"
-            return self._set_slot(c, k, b)
-        return self._set_slot(c, k - 1, self.crystal.lowering(self.slot(c, k - 1), i))
+        cry = self.crystal
+        b, below = self.slot(c, k), self.slot(c, k - 1)
+        if cry.epsilon_star(b, i) > cry.epsilon(below, i):
+            raised = cry.star_raising(b, i)
+            assert raised is not None, "positive starred selector guarantees a starred raise"
+            return self._set_slot(c, k, raised)
+        return self._set_slot(c, k - 1, cry.lowering(below, i))
 
     def slot_weight(self, c: ExtElement, k: int) -> RootLatticeElem:
         """Weight of slot k with the alternating sign (-1)^k."""

@@ -14,11 +14,13 @@ Both operator families act through signature words:
   (minus), arranged largest first in the right order, which compares left
   endpoints first and breaks ties by larger right endpoint being smaller.
 
-Each word is read off the multiplicities as one run per segment.  After
-cancelling adjacent (+,-) pairs, lowering edits the surviving symbol closest
-to the appropriate end or appends the length-one segment [i,i], and raising
-edits the opposite end or annihilates.  Raising a length-one segment out of
-existence deletes it.
+Both words alternate between minus and plus, one multiplicity per segment, so
+each is read off the multiplicities as alternating counts (see ``signature``).
+A crystal of rank n fixes, once per index, the positions each word reads and
+one getter over them.  After cancelling adjacent (+,-) pairs, lowering edits
+the surviving symbol closest to the appropriate end or appends the length-one
+segment [i,i], and raising edits the opposite end or annihilates.  Raising a
+length-one segment out of existence deletes it.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from math import isqrt
+from operator import itemgetter
 
 from .crystal import AbstractCrystal
 from .parsing import ParseError, Scanner
@@ -51,7 +54,11 @@ class Segment:
         return self.b - self.a + 1
 
     def __str__(self) -> str:
-        return f"[{self.a}]" if self.a == self.b else f"[{self.a},{self.b}]"
+        return _segment_text(self.a, self.b)
+
+
+def _segment_text(a: int, b: int) -> str:
+    return f"[{a}]" if a == b else f"[{a},{b}]"
 
 
 def left_order_key(seg: Segment) -> tuple[int, int]:
@@ -86,16 +93,21 @@ class Multisegment:
     mults: tuple[int, ...]
 
     def __init__(self, segments=()):
-        mults: list[int] = []
-        for seg in segments:
-            j = _index(seg.a, seg.b)
-            mults.extend([0] * (j + 1 - len(mults)))
-            mults[j] += 1
-        object.__setattr__(self, "mults", tuple(mults))
+        object.__setattr__(self, "mults", Multisegment.from_counts((seg, 1) for seg in segments).mults)
 
     @staticmethod
     def from_iterable(segs) -> "Multisegment":
         return Multisegment(segs)
+
+    @staticmethod
+    def from_counts(pairs) -> "Multisegment":
+        """The multisegment holding each (segment, multiplicity) pair; repeated segments add up."""
+        mults: list[int] = []
+        for seg, mult in pairs:
+            j = _index(seg.a, seg.b)
+            mults.extend([0] * (j + 1 - len(mults)))
+            mults[j] += mult
+        return _of(mults)
 
     def _moved(self, drop: int | None, put: int | None) -> "Multisegment":
         """One copy fewer at position drop and one more at put; None skips either."""
@@ -105,19 +117,23 @@ class Multisegment:
             mults[put] += 1
         if drop is not None:
             mults[drop] -= 1
-            while mults and not mults[-1]:
-                mults.pop()
-        out = object.__new__(Multisegment)
-        object.__setattr__(out, "mults", tuple(mults))
-        return out
+        return _of(mults)
 
-    def _present(self) -> list[tuple[int, int, int]]:
-        """(a, b, multiplicity) of every segment present, by position."""
-        out, a, b = [], 1, 1
-        for mult in self.mults:
-            if mult:
-                out.append((a, b, mult))
-            a, b = (a + 1, b) if a < b else (1, b + 1)
+    def entries(self) -> list[tuple[int, int, int]]:
+        """(a, b, multiplicity) of every segment present, largest first in the left order.
+
+        The left order walks the ends downwards and, within one end, the
+        starts upwards, which is the storage order block by block.
+        """
+        mults, out = self.mults, []
+        hi = len(mults)
+        b = _ends(hi - 1)[1] if mults else 0
+        while b:
+            lo = b * (b - 1) // 2
+            for j in range(lo, hi):
+                if mults[j]:
+                    out.append((j - lo + 1, b, mults[j]))
+            hi, b = lo, b - 1
         return out
 
     @property
@@ -128,12 +144,11 @@ class Multisegment:
         return not self.mults
 
     def height(self) -> int:
-        return sum(mult * (b - a + 1) for a, b, mult in self._present())
+        return sum(mult * (b - a + 1) for a, b, mult in self.entries())
 
     def counts(self) -> list[tuple[Segment, int]]:
         """(segment, multiplicity) pairs, largest segment first in the left order."""
-        present = sorted(self._present(), key=lambda e: (-e[1], e[0]))
-        return [(Segment(a, b), mult) for a, b, mult in present]
+        return [(Segment(a, b), mult) for a, b, mult in self.entries()]
 
     def add(self, seg: Segment) -> "Multisegment":
         return self._moved(None, _index(seg.a, seg.b))
@@ -155,70 +170,128 @@ class Multisegment:
         return format_multisegment(self)
 
 
+def _of(mults: list[int]) -> Multisegment:
+    """The multisegment with these multiplicities; trims the list's trailing zeros in place."""
+    while mults and not mults[-1]:
+        mults.pop()
+    out = object.__new__(Multisegment)
+    object.__setattr__(out, "mults", tuple(mults))
+    return out
+
+
 EMPTY = Multisegment()
 
 
-def left_runs(m: Multisegment, i: int) -> list[tuple[str, int, int]]:
-    """Plain word along i by position: [i,t] (-), [i+1,t] (+) for t descending, then [i,i] (-)."""
-    top = _ends(len(m.mults) - 1)[1] if m.mults else 0
-    if top < i:
-        return []
-    mults = m.mults + (0,) * (i + 1)  # positions of block top past the stored end read 0
-    runs = []
-    for t in range(top, i, -1):
-        j = t * (t - 1) // 2 + i - 1
-        runs += (("-", mults[j], j), ("+", mults[j + 1], j + 1))
-    j = i * (i + 1) // 2 - 1
-    runs.append(("-", mults[j], j))
-    return runs
+def _plain_positions(n: int, i: int) -> tuple[int, ...]:
+    """Positions the plain word along i reads at rank n, in scan order, opening with a minus.
+
+    [i,t] (-), [i+1,t] (+) for t from n down to i+1, then [i,i] (-), then a
+    plus at n(n+1)/2, the first position past rank n, which reads 0 and keeps
+    the word at two or more counts.
+    """
+    out = []
+    for t in range(n, i, -1):
+        out += (_index(i, t), _index(i + 1, t))
+    return (*out, _index(i, i), n * (n + 1) // 2)
 
 
-def right_runs(m: Multisegment, i: int) -> list[tuple[str, int, int]]:
-    """Starred word along i by position: [i,i] (+), then [t,i-1] (-), [t,i] (+) for t descending."""
-    last = i * (i + 1) // 2 - 1
-    if len(m.mults) <= (i - 1) * (i - 2) // 2:  # no segment ends at i - 1 or later
-        return []
-    mults = m.mults + (0,) * (last + 1 - len(m.mults))
-    runs = [("+", mults[last], last)]
-    for j in range(last - i, last - 2 * i + 1, -1):
-        runs += (("-", mults[j], j), ("+", mults[j + i - 1], j + i - 1))
-    return runs
+def _starred_positions(n: int, i: int) -> tuple[int, ...]:
+    """Positions the starred word along i reads at rank n, in scan order.
+
+    The word opens with a plus, so a minus at n(n+1)/2, which reads 0, comes
+    first; then [i,i] (+), then [t,i-1] (-), [t,i] (+) for t from i-1 down to 1.
+    """
+    out = [n * (n + 1) // 2, _index(i, i)]
+    for t in range(i - 1, 0, -1):
+        out += (_index(t, i - 1), _index(t, i))
+    return tuple(out)
+
+
+def _table(positions: tuple[int, ...]):
+    """A word's getter over padded multiplicities, its positions and the lowest of them.
+
+    Every word has two or more positions, so the getter returns a tuple.
+    """
+    return itemgetter(*positions), positions, min(positions)
+
+
+# the reduction of a word that reads only zeros
+_NO_SURVIVORS = (0, 0, None, None)
+
+
+def _view(m: Multisegment, positions: tuple[int, ...]) -> list[tuple[str, Segment]]:
+    """The per-symbol word read at positions: one (sign, segment) pair per symbol."""
+    mults = m.mults + (0,) * (max(positions) + 1 - len(m.mults))
+    return [(sign, Segment(*_ends(positions[at]))) for sign, at in expand([mults[j] for j in positions])]
+
+
+def _rank_for(m: Multisegment, i: int) -> int:
+    """The least rank that holds m and the index i; larger ranks add only zero counts."""
+    return max(i, _ends(len(m.mults) - 1)[1] if m.mults else 0)
 
 
 def left_signature(m: Multisegment, i: int) -> list[tuple[str, Segment]]:
     """Signature word of the plain operators along i, largest segment first."""
-    return [(sign, Segment(*_ends(j))) for sign, j in expand(left_runs(m, i))]
+    return _view(m, _plain_positions(_rank_for(m, i), i))
 
 
 def right_signature(m: Multisegment, i: int) -> list[tuple[str, Segment]]:
     """Signature word of the starred operators along i, largest segment first; all plus for i = 1."""
-    return [(sign, Segment(*_ends(j))) for sign, j in expand(right_runs(m, i))]
+    return _view(m, _starred_positions(_rank_for(m, i), i))
 
 
 @lru_cache(maxsize=1 << 16)
 def star(crystal: MultisegmentCrystal, m: Multisegment) -> Multisegment:
     """The star involution: star-lower the empty multisegment along m's raising path, reversed.
 
-    Any index that admits a raise may be taken at each step.  The start of
-    the last segment by position always admits one: its minus opens the word.
+    Works on one mutable count list, padded to the rank.  Any index that
+    admits a raise may be taken at each step.  The start of the last segment
+    by position always admits one: its minus opens the word.
     """
+    crystal.validate(m)
+    counts = list(m.mults + crystal._zeros[len(m.mults) :])
     path = []
-    while m.mults:
-        i = _ends(len(m.mults) - 1)[0]
+    top = len(m.mults) - 1
+    while top >= 0:
+        i = crystal._starts[top]
+        getter, positions, _ = crystal._plain[i]
+        j = positions[reduce_runs(getter(counts))[2]]
+        counts[j] -= 1
+        if j != _index(i, i):  # [i,t] becomes [i+1,t]
+            counts[j + 1] += 1
+            top = max(top, j + 1)
+        while top >= 0 and not counts[top]:
+            top -= 1
         path.append(i)
-        m = crystal.raising(m, i)
     for i in reversed(path):
-        m = crystal.star_lowering(m, i)
-    return m
+        getter, positions, _ = crystal._starred[i]
+        at = reduce_runs(getter(counts))[2]
+        if at is None:
+            counts[_index(i, i)] += 1
+        else:  # [t,i-1] becomes [t,i]
+            counts[positions[at]] -= 1
+            counts[positions[at] + i - 1] += 1
+    return _of(counts)
 
 
 class MultisegmentCrystal(AbstractCrystal):
-    """B(infinity) of type A_n realized on multisegments inside {1..n}."""
+    """B(infinity) of type A_n realized on multisegments inside {1..n}.
+
+    Per index i it keeps the positions of the plain and the starred word at
+    rank n and an ``itemgetter`` that reads them from the multiplicities
+    padded to the rank.
+    """
 
     def __init__(self, n: int):
         check_rank(n)
         self.n = n
         self.lattice = RootLattice(n)
+        size = n * (n + 1) // 2
+        # position `size` lies past the rank and always reads 0
+        self._zeros = (0,) * (size + 1)
+        self._starts = tuple(_ends(j)[0] for j in range(size))
+        self._plain = {i: _table(_plain_positions(n, i)) for i in self.indices()}
+        self._starred = {i: _table(_starred_positions(n, i)) for i in self.indices()}
 
     @property
     def highest(self) -> Multisegment:
@@ -228,55 +301,65 @@ class MultisegmentCrystal(AbstractCrystal):
         if not isinstance(b, Multisegment):
             raise ValueError(f"expected a multisegment, got {b!r}")
         if len(b.mults) > self.n * (self.n + 1) // 2:
-            raise ValueError(f"segment {b.segments[0]} does not fit inside rank {self.n}")
+            top = _segment_text(*_ends(len(b.mults) - 1))
+            raise ValueError(f"segment {top} does not fit inside rank {self.n}")
 
-    def _check_index(self, i: int) -> None:
-        if not 1 <= i <= self.n:
-            raise ValueError(f"operator index {i} out of range for rank {self.n}")
+    def _reduce(self, table: dict, b: Multisegment, i: int):
+        """Reduce b's word from table along i; returns the reduction and the word's positions."""
+        try:
+            getter, positions, low = table[i]
+        except KeyError:
+            raise ValueError(f"operator index {i} out of range for rank {self.n}") from None
+        mults = b.mults
+        if len(mults) <= low:  # every position the word reads lies past the stored end
+            return _NO_SURVIVORS, positions
+        if len(mults) >= len(self._zeros):
+            self.validate(b)
+        return reduce_runs(getter(mults + self._zeros[len(mults) :])), positions
 
     def lowering(self, b: Multisegment, i: int) -> Multisegment:
         """Shift the leftmost surviving plus [i+1,t] to [i,t], or append [i,i]."""
-        self._check_index(i)
-        j = reduce_runs(left_runs(b, i))[3]
-        return b._moved(None, _index(i, i)) if j is None else b._moved(j, j - 1)
+        (_, _, _, at), positions = self._reduce(self._plain, b, i)
+        if at is None:
+            return b._moved(None, _index(i, i))
+        return b._moved(positions[at], positions[at] - 1)
 
     def raising(self, b: Multisegment, i: int) -> Multisegment | None:
         """Shift the rightmost surviving minus [i,t] to [i+1,t]; None if no minus."""
-        self._check_index(i)
-        j = reduce_runs(left_runs(b, i))[2]
-        if j is None:
+        (_, _, at, _), positions = self._reduce(self._plain, b, i)
+        if at is None:
             return None
+        j = positions[at]
         return b._moved(j, None if j == _index(i, i) else j + 1)
 
     def star_lowering(self, b: Multisegment, i: int) -> Multisegment:
         """Grow the rightmost surviving minus [t,i-1] to [t,i], or append [i,i]."""
-        self._check_index(i)
-        j = reduce_runs(right_runs(b, i))[2]
-        return b._moved(None, _index(i, i)) if j is None else b._moved(j, j + i - 1)
+        (_, _, at, _), positions = self._reduce(self._starred, b, i)
+        if at is None:
+            return b._moved(None, _index(i, i))
+        return b._moved(positions[at], positions[at] + i - 1)
 
     def star_raising(self, b: Multisegment, i: int) -> Multisegment | None:
         """Trim the leftmost surviving plus [t,i] to [t,i-1]; None if no plus."""
-        self._check_index(i)
-        j = reduce_runs(right_runs(b, i))[3]
-        if j is None:
+        (_, _, _, at), positions = self._reduce(self._starred, b, i)
+        if at is None:
             return None
+        j = positions[at]
         return b._moved(j, None if j == _index(i, i) else j - i + 1)
 
     def epsilon(self, b: Multisegment, i: int) -> int:
         """Number of surviving minus symbols; the raising string length along i."""
-        self._check_index(i)
-        return reduce_runs(left_runs(b, i))[0]
+        return self._reduce(self._plain, b, i)[0][0]
 
     def epsilon_star(self, b: Multisegment, i: int) -> int:
         """Number of surviving plus symbols of the starred signature along i."""
-        self._check_index(i)
-        return reduce_runs(right_runs(b, i))[1]
+        return self._reduce(self._starred, b, i)[0][1]
 
     def weight(self, b: Multisegment) -> RootLatticeElem:
         """Weight: minus the multiplicity with which each index is covered."""
         self.validate(b)
         coeffs = [0] * self.n
-        for a, end, mult in b._present():
+        for a, end, mult in b.entries():
             for x in range(a - 1, end):
                 coeffs[x] -= mult
         return RootLatticeElem(tuple(coeffs))
@@ -292,10 +375,9 @@ def format_multisegment(m: Multisegment) -> str:
     """Canonical text form, e.g. "2*[1,3],[2]"; the empty multisegment is "1"."""
     if m.is_empty():
         return "1"
-    parts = []
-    for seg, mult in m.counts():
-        parts.append(f"{mult}*{seg}" if mult > 1 else str(seg))
-    return ",".join(parts)
+    return ",".join(
+        f"{mult}*{_segment_text(a, b)}" if mult > 1 else _segment_text(a, b) for a, b, mult in m.entries()
+    )
 
 
 def parse_multisegment(text: str) -> Multisegment:
@@ -303,7 +385,7 @@ def parse_multisegment(text: str) -> Multisegment:
     if text.strip() in ("", "1"):
         return EMPTY
     sc = Scanner(text)
-    segs: list[Segment] = []
+    pairs: list[tuple[Segment, int]] = []
     while True:
         count = 1
         if sc.peek().isdigit():
@@ -324,8 +406,8 @@ def parse_multisegment(text: str) -> Multisegment:
             seg = Segment(a, b)
         except ValueError as exc:
             raise ParseError(text, at, str(exc)) from None
-        segs.extend([seg] * count)
+        pairs.append((seg, count))
         if sc.eof():
             break
         sc.expect(",")
-    return Multisegment.from_iterable(segs)
+    return Multisegment.from_counts(pairs)

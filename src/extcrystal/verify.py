@@ -153,18 +153,22 @@ def _check_reduce_confluence(cfg: SweepConfig, idx: int) -> list[str]:
     rng = _case_rng(cfg, idx)
     length = rng.randrange(0, 2 * cfg.max_ht + 5)
     word = "".join(rng.choice("+-") for _ in range(length))
-    # runs tagged by their first symbol; splitting some stretches makes equal-sign runs meet
-    runs: list[list] = []
-    for t, sign in enumerate(word):
-        if runs and runs[-1][0] == sign and rng.random() < 0.5:
-            runs[-1][1] += 1
-        else:
-            runs.append([sign, 1, t])
-    survivors = cancel_in_random_order(expand(runs), rng)
-    minus = [tag for sign, tag in survivors if sign == "-"]
-    plus = [tag for sign, tag in survivors if sign == "+"]
+    # alternating counts, minus first; some stretches of equal signs are split
+    # by a zero count of the other sign, so that zeros sit among the counts
+    counts: list[int] = []
+    for sign in word:
+        parity = int(sign == "+")
+        if counts and (len(counts) - 1) % 2 == parity and rng.random() < 0.5:
+            counts[-1] += 1
+            continue
+        if len(counts) % 2 != parity:
+            counts.append(0)
+        counts.append(1)
+    survivors = cancel_in_random_order(expand(counts), rng)
+    minus = [at for sign, at in survivors if sign == "-"]
+    plus = [at for sign, at in survivors if sign == "+"]
     out: list[str] = []
-    if reduce_runs(runs) != (len(minus), len(plus), minus[-1] if minus else None, plus[0] if plus else None):
+    if reduce_runs(counts) != (len(minus), len(plus), minus[-1] if minus else None, plus[0] if plus else None):
         out.append(_bad("reduce-confluence", cfg, f"sig={word!r}"))
     if signs(survivors) != "-" * len(minus) + "+" * len(plus):
         out.append(_bad("reduce-shape", cfg, f"sig={word!r}"))

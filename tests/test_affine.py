@@ -132,6 +132,13 @@ def test_node_weight_frozen_values():
     assert M3.node_weight(HLNode(3, 4)) == lat.from_coeffs([1, 0, 0])
 
 
+def test_weight_scales_large_coefficients():
+    # [1] in slot 0 weighs -alpha_1 and its dual shift (3,4) in slot 1 weighs +alpha_1
+    lat = MultisegmentCrystal(3).lattice
+    assert M3.weight(parse_hl_weight("100000*(1,0)")) == lat.from_coeffs([-100000, 0, 0])
+    assert M3.weight(parse_hl_weight("100000*(1,0),7*(3,4)")) == lat.from_coeffs([-99993, 0, 0])
+
+
 def test_weight_text_round_trip():
     for text in ("0", "(1,0)", "2*(2,1)", DEMO):
         assert format_hl_weight(parse_hl_weight(text)) == text

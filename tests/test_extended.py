@@ -11,6 +11,7 @@ from extcrystal.enumeration import (
 )
 from extcrystal.extended import (
     HIGHEST,
+    ExtElement,
     ExtendedCrystal,
     format_ext_element,
     parse_ext_element,
@@ -282,6 +283,20 @@ def test_explore_matches_enumeration():
     assert texts == ["0:2*[1]", "0:[1]", "1", "1:2*[1]", "1:[1]", "1:[1];0:[1]"]
     for src, dst, i, k in graph.edges:
         assert EXT1.lowering(graph.nodes[src], i, k) == graph.nodes[dst]
+
+
+def test_operator_results_are_canonical():
+    # operators splice their result into the slots; it must equal a validated rebuild
+    ext = ExtendedCrystal(MultisegmentCrystal(2))
+    graph = ext.explore(HIGHEST, (-1, 1), 3)
+    for c in graph.nodes:
+        for i in (1, 2):
+            for k in range(-2, 3):
+                for op in (ext.lowering, ext.raising, ext.star_lowering, ext.star_raising):
+                    got = op(c, i, k)
+                    rebuilt = ExtElement(got.slots)
+                    assert got == rebuilt and hash(got) == hash(rebuilt)
+                    assert EMPTY not in (b for _, b in got.slots)
 
 
 def test_sl2_crystal_is_a_single_string():

@@ -308,31 +308,64 @@ def _survivors(word, rng):
     return [seg for sign, seg in left if sign == "-"], [seg for sign, seg in left if sign == "+"]
 
 
+def _deep_multisegment(rng, n, max_ht):
+    """Random segments inside rank n whose heights add up to a uniform draw from 0..max_ht."""
+    budget, segs = rng.randint(0, max_ht), []
+    while budget:
+        a = rng.randint(1, n)
+        b = rng.randint(a, min(n, a + budget - 1))
+        segs.append(Segment(a, b))
+        budget -= b - a + 1
+    return Multisegment(segs)
+
+
 def test_operators_match_per_symbol_cancellation_exhaustive():
-    crystal = MultisegmentCrystal(4)
     rng = random.Random(83)
-    for m in iter_multisegments(4, 6):
-        for i in crystal.indices():
-            # the words by their definition, from the segments in left order
-            plain = [("-" if s.a == i else "+", s) for s in m.segments if s.a in (i, i + 1)]
-            starred = sorted((s for s in m.segments if s.b in (i - 1, i)), key=right_order_key, reverse=True)
-            assert left_signature(m, i) == plain
-            assert right_signature(m, i) == [("+" if s.b == i else "-", s) for s in starred]
+    deep = random.Random(89)
+    # rank 1 and i = n read single-segment plain words; rank 8 reads the longest ones
+    cases = (
+        (4, iter_multisegments(4, 6)),
+        (1, iter_multisegments(1, 6)),
+        (8, [_deep_multisegment(deep, 8, 60) for _ in range(50)]),
+    )
+    for n, inputs in cases:
+        crystal = MultisegmentCrystal(n)
+        for m in inputs:
+            for i in crystal.indices():
+                # the words by their definition, from the segments in left order
+                plain = [("-" if s.a == i else "+", s) for s in m.segments if s.a in (i, i + 1)]
+                starred = sorted((s for s in m.segments if s.b in (i - 1, i)), key=right_order_key, reverse=True)
+                assert left_signature(m, i) == plain
+                assert right_signature(m, i) == [("+" if s.b == i else "-", s) for s in starred]
 
-            minus, plus = _survivors(left_signature(m, i), rng)
-            assert crystal.epsilon(m, i) == len(minus)
-            want = m.replace_one(plus[0], Segment(i, plus[0].b)) if plus else m.add(Segment(i, i))
-            assert crystal.lowering(m, i) == want
-            if minus:
-                seg = minus[-1]
-                want = m.replace_one(seg, Segment(i + 1, seg.b) if seg.b > i else None)
-            assert crystal.raising(m, i) == (want if minus else None)
+                minus, plus = _survivors(left_signature(m, i), rng)
+                assert crystal.epsilon(m, i) == len(minus)
+                want = m.replace_one(plus[0], Segment(i, plus[0].b)) if plus else m.add(Segment(i, i))
+                assert crystal.lowering(m, i) == want
+                if minus:
+                    seg = minus[-1]
+                    want = m.replace_one(seg, Segment(i + 1, seg.b) if seg.b > i else None)
+                assert crystal.raising(m, i) == (want if minus else None)
 
-            minus, plus = _survivors(right_signature(m, i), rng)
-            assert crystal.epsilon_star(m, i) == len(plus)
-            want = m.replace_one(minus[-1], Segment(minus[-1].a, i)) if minus else m.add(Segment(i, i))
-            assert crystal.star_lowering(m, i) == want
-            if plus:
-                seg = plus[0]
-                want = m.replace_one(seg, Segment(seg.a, i - 1) if seg.a < i else None)
-            assert crystal.star_raising(m, i) == (want if plus else None)
+                minus, plus = _survivors(right_signature(m, i), rng)
+                assert crystal.epsilon_star(m, i) == len(plus)
+                want = m.replace_one(minus[-1], Segment(minus[-1].a, i)) if minus else m.add(Segment(i, i))
+                assert crystal.star_lowering(m, i) == want
+                if plus:
+                    seg = plus[0]
+                    want = m.replace_one(seg, Segment(seg.a, i - 1) if seg.a < i else None)
+                assert crystal.star_raising(m, i) == (want if plus else None)
+
+
+def test_star_is_star_lowering_along_the_reversed_raising_path():
+    crystal = MultisegmentCrystal(3)
+    for m in iter_multisegments(3, 6):
+        path, cur = [], m
+        while cur != EMPTY:
+            i = next(i for i in crystal.indices() if crystal.epsilon(cur, i))
+            path.append(i)
+            cur = crystal.raising(cur, i)
+        want = EMPTY
+        for i in reversed(path):
+            want = crystal.star_lowering(want, i)
+        assert crystal.star(m) == want
