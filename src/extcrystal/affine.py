@@ -12,7 +12,10 @@ correspondence gives a direct rule on formal sums of nodes with nonnegative
 coefficients, the highest weights: the operator along (i, k) scans a fixed
 ordered list of 2n nodes, reads their coefficients as the alternating counts
 of a signature word (see ``signature``), cancels adjacent (+,-) pairs, and
-moves one unit of coefficient between neighbouring list positions.
+moves one unit of coefficient between neighbouring list positions.  The
+operators splice that unit into the weight's sorted terms in one pass;
+``add_node``, ``remove_node`` and weights built from outside input go through
+the validating constructor, which merges, checks and sorts.
 """
 
 from __future__ import annotations
@@ -84,6 +87,36 @@ class HLWeight:
         if self.coeff(p) < count:
             raise ValueError(f"cannot remove {count} of {p}: coefficient is {self.coeff(p)}")
         return HLWeight(self.terms + ((p, -count),))
+
+    def _moved(self, drop: HLNode | None, put: HLNode | None) -> "HLWeight":
+        """One unit fewer at node drop and one more at put; None skips either.
+
+        One pass splices both changes into the sorted terms: drop loses a unit
+        or vanishes at coefficient 1, put gains one or enters at its (a, i)
+        place.  drop must be present.
+        """
+        out = []
+        gone = None if drop is None else (drop.a, drop.i)
+        key = None if put is None else (put.a, put.i)
+        for term in self.terms:
+            p, c = term
+            at = (p.a, p.i)
+            if key is not None and at >= key:
+                if at == key:
+                    term = (p, c + 1)
+                else:
+                    out.append((put, 1))
+                key = None
+            if at == gone:
+                if c > 1:
+                    out.append((p, c - 1))
+                continue
+            out.append(term)
+        if key is not None:
+            out.append((put, 1))
+        lam = object.__new__(HLWeight)
+        object.__setattr__(lam, "terms", tuple(out))
+        return lam
 
     def total(self) -> int:
         return sum(c for _, c in self.terms)
@@ -172,8 +205,14 @@ class AffineModel:
     def block_of(self, p: HLNode) -> int:
         """The unique k whose block contains p."""
         self.check_node(p)
-        guess = p.a // (self.n + 1)
-        hits = [k for k in range(guess - 2, guess + 3) if self._in_base_block(self.dual_shift(p, -k))]
+        step = self.n + 1
+        guess = p.a // step
+        hits = []
+        for k in range(guess - 2, guess + 3):
+            # is dual_shift(p, -k), at (i, p.a - k * step), in block zero?
+            i = step - p.i if k % 2 else p.i
+            if i - 1 <= p.a - k * step <= 2 * self.n - 1 - i:
+                hits.append(k)
         assert len(hits) == 1, f"blocks failed to tile at {p}: {hits}"
         return hits[0]
 
@@ -281,12 +320,9 @@ class AffineModel:
         sn = self.signature_nodes(i, k)
         r = reduce_runs(sn.word(lam))[3]
         if r is None:
-            return lam.add_node(sn.node_at(1))
+            return lam._moved(None, sn.node_at(1))
         t = len(sn) + 1 - r
-        out = lam.remove_node(sn.node_at(t))
-        if t < len(sn):
-            out = out.add_node(sn.node_at(t + 1))
-        return out
+        return lam._moved(sn.node_at(t), sn.node_at(t + 1) if t < len(sn) else None)
 
     def raising(self, lam: HLWeight, i: int, k: int) -> HLWeight:
         """Move one unit from the rightmost surviving minus one position down.
@@ -297,12 +333,9 @@ class AffineModel:
         sn = self.signature_nodes(i, k)
         r = reduce_runs(sn.word(lam))[2]
         if r is None:
-            return lam.add_node(sn.node_at(len(sn)))
+            return lam._moved(None, sn.node_at(len(sn)))
         s = len(sn) + 1 - r
-        out = lam.remove_node(sn.node_at(s))
-        if s > 1:
-            out = out.add_node(sn.node_at(s - 1))
-        return out
+        return lam._moved(sn.node_at(s), sn.node_at(s - 1) if s > 1 else None)
 
 
 def format_hl_weight(lam: HLWeight) -> str:

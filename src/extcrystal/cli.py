@@ -20,7 +20,7 @@ from .affine import (
     parse_hl_weight,
 )
 from .extended import format_ext_element, parse_ext_element
-from .msegment import format_multisegment, parse_multisegment
+from .msegment import format_multisegment
 from .parsing import ParseError
 from .signature import reduce_runs
 from .verify import SweepConfig, base_suite_names, run_all, run_suite, suite_size
@@ -181,8 +181,7 @@ def _cmd_apply(args: argparse.Namespace) -> int:
         text = format_ext_element(model.to_extended(lam))
     else:  # star
         need(0)
-        m = parse_multisegment(args.target)
-        model.crystal.validate(m)
+        m = model.crystal.parse(args.target)
         text = format_multisegment(model.crystal.star(m))
 
     if args.format == "json":

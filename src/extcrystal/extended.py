@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .crystal import AbstractCrystal
-from .msegment import format_multisegment, parse_multisegment
+from .msegment import MultisegmentCrystal, format_multisegment, parse_multisegment
 from .parsing import ParseError
 from .rootdata import RootLatticeElem
 
@@ -210,10 +210,19 @@ def format_ext_element(c: ExtElement, format_slot=format_multisegment) -> str:
 
 
 def parse_ext_element(text: str, ext: ExtendedCrystal, parse_slot=parse_multisegment) -> ExtElement:
-    """Parse the "k:slot;k:slot" text form; "" and "1" denote the highest element."""
+    """Parse the "k:slot;k:slot" text form; "" and "1" denote the highest element.
+
+    Over a multisegment crystal the default slot parser is the crystal's own,
+    which refuses a segment past the rank before building anything.  A slot
+    the parser refuses with a ValueError that is not a ParseError is reported
+    once every chunk has parsed, at position 0, as an invalid slot is.
+    """
     if text.strip() in ("", "1"):
         return HIGHEST
+    if parse_slot is parse_multisegment and isinstance(ext.crystal, MultisegmentCrystal):
+        parse_slot = ext.crystal.parse
     mapping: dict[int, object] = {}
+    refused = None
     offset = 0
     for chunk in text.split(";"):
         head, sep, payload = chunk.partition(":")
@@ -229,7 +238,13 @@ def parse_ext_element(text: str, ext: ExtendedCrystal, parse_slot=parse_multiseg
             mapping[k] = parse_slot(payload.strip())
         except ParseError as exc:
             raise ParseError(text, offset + len(head) + 1 + exc.pos, exc.message) from None
+        except ValueError as exc:
+            mapping[k] = None
+            if refused is None:
+                refused = str(exc)
         offset += len(chunk) + 1
+    if refused is not None:
+        raise ParseError(text, 0, refused)
     try:
         return ext.element(mapping)
     except ValueError as exc:

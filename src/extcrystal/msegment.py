@@ -300,9 +300,23 @@ class MultisegmentCrystal(AbstractCrystal):
     def validate(self, b) -> None:
         if not isinstance(b, Multisegment):
             raise ValueError(f"expected a multisegment, got {b!r}")
-        if len(b.mults) > self.n * (self.n + 1) // 2:
-            top = _segment_text(*_ends(len(b.mults) - 1))
-            raise ValueError(f"segment {top} does not fit inside rank {self.n}")
+        self._check_top(len(b.mults) - 1)
+
+    def _check_top(self, j: int) -> None:
+        """Refuse a multisegment whose top segment sits at position j, past rank n."""
+        if j >= self.n * (self.n + 1) // 2:
+            raise ValueError(f"segment {_segment_text(*_ends(j))} does not fit inside rank {self.n}")
+
+    def parse(self, text: str) -> Multisegment:
+        """parse_multisegment, refusing a segment past rank n before anything is built.
+
+        The refusal is validate's ValueError, raised once the whole text has
+        parsed, so "[1,100000]" costs no list of 5e9 multiplicities.
+        """
+        pairs = _parse_pairs(text)
+        if pairs:
+            self._check_top(max(_index(seg.a, seg.b) for seg, _ in pairs))
+        return Multisegment.from_counts(pairs)
 
     def _reduce(self, table: dict, b: Multisegment, i: int):
         """Reduce b's word from table along i; returns the reduction and the word's positions."""
@@ -382,8 +396,13 @@ def format_multisegment(m: Multisegment) -> str:
 
 def parse_multisegment(text: str) -> Multisegment:
     """Parse the text form: comma-separated segments with optional "k*" prefixes."""
+    return Multisegment.from_counts(_parse_pairs(text))
+
+
+def _parse_pairs(text: str) -> list[tuple[Segment, int]]:
+    """The (segment, multiplicity) pairs of the text form, in text order."""
     if text.strip() in ("", "1"):
-        return EMPTY
+        return []
     sc = Scanner(text)
     pairs: list[tuple[Segment, int]] = []
     while True:
@@ -410,4 +429,4 @@ def parse_multisegment(text: str) -> Multisegment:
         if sc.eof():
             break
         sc.expect(",")
-    return Multisegment.from_counts(pairs)
+    return pairs

@@ -350,3 +350,69 @@ def test_operators_match_per_symbol_cancellation_on_large_coefficients():
                 else:
                     want = lam.add_node(sn.node_at(len(sn)))
                 assert model.raising(lam, i, k) == want
+
+
+def assert_canonical(lam):
+    # what the validating constructor would build: same value, same hash,
+    # terms strictly increasing in (a, i), no zero coefficient
+    rebuilt = HLWeight(lam.terms)
+    assert lam == rebuilt and hash(lam) == hash(rebuilt)
+    keys = [(p.a, p.i) for p, _ in lam.terms]
+    assert all(x < y for x, y in zip(keys, keys[1:]))
+    assert all(c > 0 for _, c in lam.terms)
+
+
+def test_node_operators_return_canonical_weights():
+    model = AffineModel(8)
+    rng = random.Random(97)
+    pool = [p for k in (-1, 0, 1, 2) for p in model.block_nodes(k)]
+    for _ in range(150):
+        lam = HLWeight.from_counts({p: rng.randint(1, 40) for p in rng.sample(pool, rng.randint(1, 12))})
+        for i in range(1, 9):
+            for k in (-1, 0, 1):
+                assert_canonical(model.lowering(lam, i, k))
+                assert_canonical(model.raising(lam, i, k))
+
+
+# Along (1, 0) at rank 3 the scan positions 1..6 hold (1,0) -, (1,2) +,
+# (2,1) -, (2,3) +, (3,2) -, (3,4) +.  Each case: weight, operator, the
+# removed and the added node (None for neither), and the frozen result.
+BIG = 99999999999999999999
+SPLICE_CASES = {
+    "unit leaves a coefficient-1 node": ("(1,2)", "lowering", (1, 2), (2, 1), "(2,1)"),
+    "unit enters before the first term": ("(2,1)", "lowering", None, (1, 0), "(1,0),(2,1)"),
+    "unit enters between terms": ("(2,-1),(1,4)", "lowering", None, (1, 0), "(2,-1),(1,0),(1,4)"),
+    "unit enters after the last term": ("(2,-1),(1,4)", "raising", None, (3, 4), "(2,-1),(1,4),(3,4)"),
+    "unit appears at position 1": ("(1,0)", "lowering", None, (1, 0), "2*(1,0)"),
+    "unit vanishes past position 2n": ("(3,4),(1,6)", "lowering", (3, 4), None, "(1,6)"),
+    "unit appears at position 2n": ("(1,2)", "raising", None, (3, 4), "(1,2),(3,4)"),
+    "unit vanishes past position 1": ("(3,-4),(1,0)", "raising", (1, 0), None, "(3,-4)"),
+    "20-digit coefficient": (f"{BIG}*(1,2)", "lowering", (1, 2), (2, 1), f"(2,1),{BIG - 1}*(1,2)"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SPLICE_CASES))
+def test_node_operator_splice_edge_cases(case):
+    text, op, removed, added, frozen = SPLICE_CASES[case]
+    lam = parse_hl_weight(text)
+    got = getattr(M3, op)(lam, 1, 0)
+    want = lam
+    if removed is not None:
+        want = want.remove_node(HLNode(*removed))
+    if added is not None:
+        want = want.add_node(HLNode(*added))
+    assert got == want
+    assert format_hl_weight(got) == frozen
+    assert_canonical(got)
+
+
+def test_block_of_matches_its_definition():
+    for n in range(1, 6):
+        model = AffineModel(n)
+        for i in range(1, n + 1):
+            for a in range(-3 * (n + 1), 3 * (n + 1) + 1):
+                if (a - i) % 2 == 0:
+                    continue
+                p = HLNode(i, a)
+                hits = [k for k in range(-10, 11) if model._in_base_block(model.dual_shift(p, -k))]
+                assert [model.block_of(p)] == hits

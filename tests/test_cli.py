@@ -252,3 +252,17 @@ def test_apply_huge_multiplicities_are_exact(capsys):
     assert (code, out) == (0, f"0:{big}*[1,2]")
     code, _, err = run_cli(capsys, "apply", "F", f"0:{big}*[1,3]", "1", "0", "--n", "2")
     assert code == 2 and "segment [1,3] does not fit inside rank 2" in err
+
+
+def test_out_of_rank_segment_is_refused_before_it_is_built(capsys):
+    # [1,100000] sits at position 5e9 of a multiplicity tuple; the rank check
+    # comes first, with the message validate gives for a small segment
+    code, _, err = run_cli(capsys, "apply", "star", "[1,100000]", "--n", "2")
+    assert code == 2 and err == "error: segment [1,100000] does not fit inside rank 2\n"
+    code, _, err = run_cli(capsys, "apply", "F", "0:[1,100000]", "1", "0", "--n", "2")
+    assert code == 2 and "position 0: segment [1,100000] does not fit inside rank 2" in err
+    code, _, err = run_cli(capsys, "graph", "1:[1];0:[1,100000]", "--n", "2")
+    assert code == 2 and "position 0: segment [1,100000] does not fit inside rank 2" in err
+    # a syntax error in a later chunk is still reported first
+    code, _, err = run_cli(capsys, "apply", "F", "0:[1,100000];1:[x]", "1", "0", "--n", "2")
+    assert code == 2 and "position 16: expected an integer" in err
