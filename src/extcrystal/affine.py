@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 
 from .extended import ExtElement, ExtendedCrystal
 from .msegment import Multisegment, MultisegmentCrystal, Segment
-from .parsing import ParseError, Scanner
+from .parsing import Scanner, parse_counted
 from .rootdata import RootLatticeElem, check_rank
 from .signature import expand, reduce_runs
 
@@ -350,30 +350,13 @@ def format_hl_weight(lam: HLWeight) -> str:
 
 def parse_hl_weight(text: str) -> HLWeight:
     """Parse comma-separated "(i,a)" terms with optional "c*" prefixes; "0" is zero."""
-    if text.strip() == "0":
-        return ZERO_WEIGHT
-    sc = Scanner(text)
-    terms: list[tuple[HLNode, int]] = []
-    while True:
-        count = 1
-        if sc.peek().isdigit():
-            at = sc.pos
-            count = sc.take_int()
-            if count < 1:
-                raise ParseError(text, at, "coefficient must be at least 1")
-            sc.expect("*")
-        at = sc.pos
-        sc.expect("(")
-        i = sc.take_int()
-        sc.expect(",")
-        a = sc.take_int()
-        sc.expect(")")
-        try:
-            node = HLNode(i, a)
-        except ValueError as exc:
-            raise ParseError(text, at, str(exc)) from None
-        terms.append((node, count))
-        if sc.eof():
-            break
-        sc.expect(",")
-    return HLWeight(tuple(terms))
+    return HLWeight(tuple(parse_counted(text, ("0",), _read_node, "coefficient")))
+
+
+def _read_node(sc: Scanner) -> HLNode:
+    sc.expect("(")
+    i = sc.take_int()
+    sc.expect(",")
+    a = sc.take_int()
+    sc.expect(")")
+    return HLNode(i, a)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from itertools import accumulate
 from typing import Iterator
 
 from .extended import ExtElement, ExtendedCrystal
@@ -16,20 +17,18 @@ def all_segments(n: int) -> list[Segment]:
 def multisegments_by_height(n: int, max_ht: int) -> list[list[Multisegment]]:
     """All multisegments inside rank n grouped by height 0..max_ht."""
     segs = all_segments(n)
+    # multiplicity tuples over segs, grown one segment at a time, each with
+    # the height it has used
+    partial: list[tuple[tuple[int, ...], int]] = [((), 0)]
+    for seg in segs:
+        partial = [
+            (mults + (count,), used + count * seg.height)
+            for mults, used in partial
+            for count in range((max_ht - used) // seg.height + 1)
+        ]
     groups: list[list[Multisegment]] = [[] for _ in range(max_ht + 1)]
-
-    def rec(idx: int, budget: int, acc: list[Segment]) -> None:
-        if idx == len(segs):
-            m = Multisegment.from_iterable(acc)
-            groups[max_ht - budget].append(m)
-            return
-        seg = segs[idx]
-        count = 0
-        while count * seg.height <= budget:
-            rec(idx + 1, budget - count * seg.height, acc + [seg] * count)
-            count += 1
-
-    rec(0, max_ht, [])
+    for mults, used in partial:
+        groups[used].append(Multisegment.from_counts(zip(segs, mults)))
     for g in groups:
         g.sort(key=str)
     return groups
@@ -41,25 +40,34 @@ def iter_multisegments(n: int, max_ht: int) -> Iterator[Multisegment]:
 
 
 def iter_ext_elements(ext: ExtendedCrystal, window: tuple[int, int], max_ht: int) -> Iterator[ExtElement]:
-    """All elements with support inside the window and total height at most max_ht."""
+    """All elements with support inside the window and total height at most max_ht.
+
+    The lowest slot varies slowest; each slot runs through the multisegments
+    by height, then in text order.
+    """
     kmin, kmax = window
     if kmin > kmax:
         raise ValueError(f"empty slot window {kmin}..{kmax}")
     groups = multisegments_by_height(ext.n, max_ht)
-    slots = list(range(kmin, kmax + 1))
-
-    def rec(idx: int, budget: int, acc: dict[int, Multisegment]) -> Iterator[ExtElement]:
-        if idx == len(slots):
-            yield ext.element(dict(acc))
+    flat = [m for g in groups for m in g]
+    heights = [h for h, g in enumerate(groups) for _ in g]
+    fits = list(accumulate(len(g) for g in groups))  # fits[h]: how many have height <= h
+    slots = range(kmin, kmax + 1)
+    picks = [0] * len(slots)  # index into flat per slot; 0 is the empty multisegment
+    used = 0
+    while True:
+        yield ext.element({k: flat[p] for k, p in zip(slots, picks) if p})
+        # advance the highest slot whose next pick fits the height left by the
+        # slots below it, and empty the slots above it
+        for j in reversed(range(len(picks))):
+            used -= heights[picks[j]]
+            if picks[j] + 1 < fits[max_ht - used]:
+                picks[j] += 1
+                used += heights[picks[j]]
+                break
+            picks[j] = 0
+        else:
             return
-        for h in range(budget + 1):
-            for m in groups[h]:
-                if h > 0:
-                    acc[slots[idx]] = m
-                yield from rec(idx + 1, budget - h, acc)
-                acc.pop(slots[idx], None)
-
-    yield from rec(0, max_ht, {})
 
 
 def count_ext_elements(n: int, window: tuple[int, int], max_ht: int) -> int:
@@ -97,7 +105,7 @@ def random_multisegment(rng: random.Random, n: int, max_ht: int) -> Multisegment
         s = rng.choice(fits)
         segs.append(s)
         budget -= s.height
-    return Multisegment.from_iterable(segs)
+    return Multisegment(segs)
 
 
 def random_ext_element(rng: random.Random, ext: ExtendedCrystal, window: tuple[int, int], max_ht: int) -> ExtElement:

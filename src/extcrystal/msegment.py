@@ -31,7 +31,7 @@ from math import isqrt
 from operator import itemgetter
 
 from .crystal import AbstractCrystal
-from .parsing import ParseError, Scanner
+from .parsing import Scanner, parse_counted
 from .rootdata import RootLattice, RootLatticeElem, check_rank
 from .signature import expand, reduce_runs
 
@@ -94,10 +94,6 @@ class Multisegment:
 
     def __init__(self, segments=()):
         object.__setattr__(self, "mults", Multisegment.from_counts((seg, 1) for seg in segments).mults)
-
-    @staticmethod
-    def from_iterable(segs) -> "Multisegment":
-        return Multisegment(segs)
 
     @staticmethod
     def from_counts(pairs) -> "Multisegment":
@@ -401,32 +397,15 @@ def parse_multisegment(text: str) -> Multisegment:
 
 def _parse_pairs(text: str) -> list[tuple[Segment, int]]:
     """The (segment, multiplicity) pairs of the text form, in text order."""
-    if text.strip() in ("", "1"):
-        return []
-    sc = Scanner(text)
-    pairs: list[tuple[Segment, int]] = []
-    while True:
-        count = 1
-        if sc.peek().isdigit():
-            at = sc.pos
-            count = sc.take_int()
-            if count < 1:
-                raise ParseError(text, at, "multiplicity must be at least 1")
-            sc.expect("*")
-        at = sc.pos
-        sc.expect("[")
-        a = sc.take_int()
-        b = a
-        if sc.peek() == ",":
-            sc.expect(",")
-            b = sc.take_int()
-        sc.expect("]")
-        try:
-            seg = Segment(a, b)
-        except ValueError as exc:
-            raise ParseError(text, at, str(exc)) from None
-        pairs.append((seg, count))
-        if sc.eof():
-            break
+    return parse_counted(text, ("", "1"), _read_segment, "multiplicity")
+
+
+def _read_segment(sc: Scanner) -> Segment:
+    sc.expect("[")
+    a = sc.take_int()
+    b = a
+    if sc.peek() == ",":
         sc.expect(",")
-    return pairs
+        b = sc.take_int()
+    sc.expect("]")
+    return Segment(a, b)

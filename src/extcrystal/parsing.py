@@ -52,3 +52,35 @@ class Scanner:
             self.pos = start
             raise self.error("expected an integer")
         return int(self.text[start:self.pos])
+
+
+def parse_counted(text: str, empty: tuple[str, ...], read_item, noun: str) -> list[tuple[object, int]]:
+    """The (item, count) pairs of comma-separated "k*item" terms, in text order.
+
+    The "k*" prefix is optional and k must be at least 1 ("<noun> must be at
+    least 1").  A text that strips to one of ``empty`` has no terms.
+    ``read_item`` reads one item off the scanner; a ValueError other than a
+    ParseError that it raises is reported at the item's start.
+    """
+    if text.strip() in empty:
+        return []
+    sc = Scanner(text)
+    pairs: list[tuple[object, int]] = []
+    while True:
+        count = 1
+        if sc.peek().isdigit():
+            at = sc.pos
+            count = sc.take_int()
+            if count < 1:
+                raise ParseError(text, at, f"{noun} must be at least 1")
+            sc.expect("*")
+        at = sc.pos
+        try:
+            pairs.append((read_item(sc), count))
+        except ParseError:
+            raise
+        except ValueError as exc:
+            raise ParseError(text, at, str(exc)) from None
+        if sc.eof():
+            return pairs
+        sc.expect(",")

@@ -7,7 +7,9 @@ a counterexample can be replayed with the ``apply`` subcommand.
 
 Suites are built from a deterministic item list plus a per-item check
 function, which lets a sweep fan out over worker processes; results are
-re-assembled in item order, so output never depends on scheduling.
+re-assembled in item order, so output never depends on scheduling.  A group
+(``ext-properties``) names member suites instead of a check and reports
+their violations one suite after another.
 """
 
 from __future__ import annotations
@@ -25,12 +27,7 @@ from .enumeration import (
 )
 from .extended import HIGHEST, ExtElement, ExtendedCrystal, format_ext_element
 from .invariants import d_invariant, lambda_left, lambda_right
-from .msegment import (
-    MultisegmentCrystal,
-    left_signature,
-    right_signature,
-    format_multisegment,
-)
+from .msegment import left_signature, right_signature, format_multisegment
 from .rootdata import CartanA
 from .signature import expand, reduce_runs, signs
 from .sl2 import Sl2Crystal, explicit_lowering
@@ -55,17 +52,8 @@ class SweepConfig:
 
 
 @functools.lru_cache(maxsize=None)
-def _crystal(n: int) -> MultisegmentCrystal:
-    return MultisegmentCrystal(n)
-
-
-@functools.lru_cache(maxsize=None)
-def _ext(n: int) -> ExtendedCrystal:
-    return ExtendedCrystal(_crystal(n))
-
-
-@functools.lru_cache(maxsize=None)
 def _affine(n: int) -> AffineModel:
+    """The one model of rank n; suites read its ``crystal`` and ``ext`` too."""
     return AffineModel(n)
 
 
@@ -90,7 +78,7 @@ def _ops(cfg: SweepConfig):
 
 def _check_crystal_axioms(cfg: SweepConfig, idx: int) -> list[str]:
     rng = _case_rng(cfg, idx)
-    cry = _crystal(cfg.n)
+    cry = _affine(cfg.n).crystal
     m = random_multisegment(rng, cfg.n, cfg.max_ht)
     text = format_multisegment(m)
     out: list[str] = []
@@ -180,11 +168,11 @@ def _check_reduce_confluence(cfg: SweepConfig, idx: int) -> list[str]:
 
 
 def _items_ext(cfg: SweepConfig) -> list[ExtElement]:
-    return list(iter_ext_elements(_ext(cfg.n), cfg.window, cfg.max_ht))
+    return list(iter_ext_elements(_affine(cfg.n).ext, cfg.window, cfg.max_ht))
 
 
 def _check_inverse_pairs(cfg: SweepConfig, c: ExtElement) -> list[str]:
-    ext = _ext(cfg.n)
+    ext = _affine(cfg.n).ext
     text = format_ext_element(c)
     out = []
     for i, k in _ops(cfg):
@@ -201,7 +189,7 @@ def _check_inverse_pairs(cfg: SweepConfig, c: ExtElement) -> list[str]:
 
 
 def _check_counters(cfg: SweepConfig, c: ExtElement) -> list[str]:
-    ext = _ext(cfg.n)
+    ext = _affine(cfg.n).ext
     cry = ext.crystal
     text = format_ext_element(c)
     out = []
@@ -235,7 +223,7 @@ def _check_counters(cfg: SweepConfig, c: ExtElement) -> list[str]:
 
 
 def _check_weights(cfg: SweepConfig, c: ExtElement) -> list[str]:
-    ext = _ext(cfg.n)
+    ext = _affine(cfg.n).ext
     w = ext.weight(c)
     ht = ext.total_height(c)
     text = format_ext_element(c)
@@ -262,7 +250,7 @@ def _check_weights(cfg: SweepConfig, c: ExtElement) -> list[str]:
 
 
 def _check_star_identities(cfg: SweepConfig, c: ExtElement) -> list[str]:
-    ext = _ext(cfg.n)
+    ext = _affine(cfg.n).ext
     text = format_ext_element(c)
     out = []
     flipped = ext.star_flip(c)
@@ -282,7 +270,7 @@ def _check_star_identities(cfg: SweepConfig, c: ExtElement) -> list[str]:
 
 
 def _check_star_flip(cfg: SweepConfig, c: ExtElement) -> list[str]:
-    ext = _ext(cfg.n)
+    ext = _affine(cfg.n).ext
     text = format_ext_element(c)
     out = []
     flipped = ext.star_flip(c)
@@ -296,7 +284,7 @@ def _check_star_flip(cfg: SweepConfig, c: ExtElement) -> list[str]:
 
 
 def _check_shift_commutation(cfg: SweepConfig, c: ExtElement) -> list[str]:
-    ext = _ext(cfg.n)
+    ext = _affine(cfg.n).ext
     text = format_ext_element(c)
     out = []
     w = ext.weight(c)
@@ -317,7 +305,7 @@ def _check_shift_commutation(cfg: SweepConfig, c: ExtElement) -> list[str]:
 
 
 def _check_connectedness(cfg: SweepConfig, c: ExtElement) -> list[str]:
-    ext = _ext(cfg.n)
+    ext = _affine(cfg.n).ext
     text = format_ext_element(c)
     out = []
     path = ext.path_to_highest(c)
@@ -336,26 +324,11 @@ def _check_connectedness(cfg: SweepConfig, c: ExtElement) -> list[str]:
     return out
 
 
-_EXT_CHECKS = (
-    _check_inverse_pairs,
-    _check_counters,
-    _check_weights,
-    _check_star_identities,
-    _check_star_flip,
-    _check_shift_commutation,
-    _check_connectedness,
-)
-
-
-def _check_ext_properties(cfg: SweepConfig, c: ExtElement) -> list[str]:
-    out: list[str] = []
-    for check in _EXT_CHECKS:
-        out.extend(check(cfg, c))
-    return out
-
-
 # ----------------------------------------------------------------------
 # rank-one explicit oracle
+
+
+_SL2_EXT = ExtendedCrystal(Sl2Crystal())
 
 
 def _items_sl2(cfg: SweepConfig) -> range:
@@ -371,11 +344,10 @@ def _check_sl2(cfg: SweepConfig, code: int) -> list[str]:
         code, digit = divmod(code, base)
         if digit:
             entries[k] = digit
-    ext = ExtendedCrystal(Sl2Crystal())
     c = ExtElement(tuple(entries.items()))
     out = []
     for k in range(lo, hi + 1):
-        got = dict(ext.lowering(c, 1, k).slots)
+        got = dict(_SL2_EXT.lowering(c, 1, k).slots)
         expect = {kk: v for kk, v in explicit_lowering(entries, k).items() if v}
         if got != expect:
             out.append(_bad("sl2-oracle", cfg, f"k={k} elem={entries!r}"))
@@ -391,12 +363,12 @@ def _check_sl2(cfg: SweepConfig, code: int) -> list[str]:
 
 def _items_affine(cfg: SweepConfig) -> list[ExtElement]:
     lo, hi = cfg.window
-    return list(iter_ext_elements(_ext(cfg.n), (lo, hi + 1), cfg.max_ht))
+    return list(iter_ext_elements(_affine(cfg.n).ext, (lo, hi + 1), cfg.max_ht))
 
 
 def _check_cr_commutation(cfg: SweepConfig, c: ExtElement) -> list[str]:
-    ext = _ext(cfg.n)
     model = _affine(cfg.n)
+    ext = model.ext
     lam = model.to_weight(c)
     text = format_ext_element(c)
     out = []
@@ -424,8 +396,8 @@ def _check_hl_inverse(cfg: SweepConfig, c: ExtElement) -> list[str]:
 
 
 def _check_dual_commutation(cfg: SweepConfig, c: ExtElement) -> list[str]:
-    ext = _ext(cfg.n)
     model = _affine(cfg.n)
+    ext = model.ext
     lam = model.to_weight(c)
     text = format_hl_weight(lam)
     out = []
@@ -448,17 +420,15 @@ def _items_sig_seq(cfg: SweepConfig) -> list[tuple[int, HLWeight]]:
     lo, hi = cfg.window
     for k in range(lo, hi + 1):
         nodes = model.block_nodes(k) + model.block_nodes(k + 1)
-
-        def rec(idx: int, budget: int, counts: dict) -> None:
-            items.append((k, HLWeight.from_counts(counts)))
-            if budget == 0:
-                return
-            for j in range(idx, len(nodes)):
-                counts[nodes[j]] = counts.get(nodes[j], 0) + 1
-                rec(j, budget - 1, counts)
-                counts[nodes[j]] -= 1
-
-        rec(0, cfg.max_ht, {})
+        # depth first, each weight before those that add units at nodes from
+        # its last one on: (first node to add at, units left, coefficients)
+        stack = [(0, cfg.max_ht, (0,) * len(nodes))]
+        while stack:
+            idx, budget, counts = stack.pop()
+            items.append((k, HLWeight(tuple(zip(nodes, counts)))))
+            if budget:
+                for j in reversed(range(idx, len(nodes))):
+                    stack.append((j, budget - 1, counts[:j] + (counts[j] + 1,) + counts[j + 1 :]))
     return items
 
 
@@ -488,7 +458,7 @@ def _items_root_axiom(cfg: SweepConfig) -> list[tuple[int, int]]:
 
 def _check_root_axiom(cfg: SweepConfig, item: tuple[int, int]) -> list[str]:
     i, k = item
-    ext = _ext(cfg.n)
+    ext = _affine(cfg.n).ext
     c = ext.inject(ext.crystal.lowering(ext.crystal.highest, i))
     expect = 1 if abs(k) == 1 else 0
     if d_invariant(ext, c, i, k) != expect:
@@ -508,7 +478,7 @@ def _items_duality_datum(cfg: SweepConfig) -> list[tuple[int, int, int]]:
 
 def _check_duality_datum(cfg: SweepConfig, item: tuple[int, int, int]) -> list[str]:
     i, j, k = item
-    ext = _ext(cfg.n)
+    ext = _affine(cfg.n).ext
     c = ext.inject(ext.crystal.lowering(ext.crystal.highest, j))
     expect = -CartanA(cfg.n).entry(i, j) if k == 0 else 0
     if d_invariant(ext, c, i, k) != expect:
@@ -518,7 +488,7 @@ def _check_duality_datum(cfg: SweepConfig, item: tuple[int, int, int]) -> list[s
 
 def _random_query(cfg: SweepConfig, idx: int):
     rng = _case_rng(cfg, idx)
-    ext = _ext(cfg.n)
+    ext = _affine(cfg.n).ext
     c = random_ext_element(rng, ext, cfg.window, cfg.max_ht)
     i = rng.randrange(1, cfg.n + 1)
     k = rng.randrange(cfg.window[0] - 1, cfg.window[1] + 2)
@@ -558,7 +528,7 @@ def _check_shift_covariance(cfg: SweepConfig, idx: int) -> list[str]:
 
 
 def _check_graph_count(cfg: SweepConfig, _item: int) -> list[str]:
-    ext = _ext(cfg.n)
+    ext = _affine(cfg.n).ext
     graph = ext.explore(HIGHEST, cfg.window, cfg.max_ht)
     out = []
     expect = count_ext_elements(cfg.n, cfg.window, cfg.max_ht)
@@ -599,7 +569,11 @@ _SUITES = {
     "star-flip": (_items_ext, _check_star_flip),
     "shift-commutation": (_items_ext, _check_shift_commutation),
     "connectedness": (_items_ext, _check_connectedness),
-    "ext-properties": (_items_ext, _check_ext_properties),
+    # a group over the same items: the seven suites above, one after another
+    "ext-properties": (
+        _items_ext,
+        ("inverse-pairs", "counters", "weights", "star-identities", "star-flip", "shift-commutation", "connectedness"),
+    ),
     "sl2": (_items_sl2, _check_sl2),
     "cr-commutation": (_items_affine, _check_cr_commutation),
     "hl-inverse": (_items_affine, _check_hl_inverse),
@@ -626,42 +600,44 @@ def suite_size(name: str, cfg: SweepConfig) -> int:
     return len(_SUITES[name][0](cfg))
 
 
-def _dispatch(name: str, cfg: SweepConfig, item) -> list[str]:
-    return _SUITES[name][1](cfg, item)
-
-
 def run_suite(name: str, cfg: SweepConfig) -> list[str]:
     """Run one suite (or "all") and return violations in enumeration order."""
     if name == "all":
         return [f"{sub} {msg}" for sub, violations in run_all(cfg) for msg in violations]
     if name not in _SUITES:
         raise KeyError(f"unknown suite {name!r}")
-    items_fn, check = _SUITES[name]
-    items = items_fn(cfg)
-    if cfg.jobs > 1 and len(items) > 64:
-        import multiprocessing
+    return _run(name, cfg, {})
 
-        chunk = max(1, len(items) // (cfg.jobs * 8))
-        with multiprocessing.Pool(cfg.jobs) as pool:
-            batches = pool.map(functools.partial(_dispatch, name, cfg), items, chunksize=chunk)
-        out = []
-        for batch in batches:
-            out.extend(batch)
-        return out
-    out = []
-    for item in items:
-        out.extend(check(cfg, item))
-    return out
+
+def _run(name: str, cfg: SweepConfig, done: dict[str, list[str]]) -> list[str]:
+    """The violations of one suite; done holds results already computed, by name.
+
+    A group reports its members' violations one suite after another.
+    """
+    if name in done:
+        return done[name]
+    items_fn, check = _SUITES[name]
+    if isinstance(check, tuple):
+        batches = (_run(member, cfg, done) for member in check)
+    else:
+        items = items_fn(cfg)
+        run = functools.partial(check, cfg)
+        if cfg.jobs > 1 and len(items) > 64:
+            import multiprocessing
+
+            with multiprocessing.Pool(cfg.jobs) as pool:
+                batches = pool.map(run, items, chunksize=max(1, len(items) // (cfg.jobs * 8)))
+        else:
+            batches = map(run, items)
+    done[name] = [msg for batch in batches for msg in batch]
+    return done[name]
 
 
 def run_all(cfg: SweepConfig):
     """Yield (name, violations) for every base suite in registry order.
 
-    ext-properties reports its member suites' violations, not a second run.
+    A group comes after its members and reuses their results.
     """
-    combined: list[str] = []
-    for name, (_items, check) in _SUITES.items():
-        violations = combined if name == "ext-properties" else run_suite(name, cfg)
-        if check in _EXT_CHECKS:
-            combined += violations
-        yield name, violations
+    done: dict[str, list[str]] = {}
+    for name in _SUITES:
+        yield name, _run(name, cfg, done)

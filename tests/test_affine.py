@@ -147,6 +147,10 @@ def test_weight_text_round_trip():
         parse_hl_weight("(1,1)")
     with pytest.raises(ParseError):
         parse_hl_weight("(1,0),")
+    for bad, pos in (("0*(1,0)", 0), ("(1,0), 0*(2,1)", 7)):
+        with pytest.raises(ParseError, match="coefficient must be at least 1") as err:
+            parse_hl_weight(bad)
+        assert err.value.pos == pos
 
 
 def test_weight_container_operations():

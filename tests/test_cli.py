@@ -206,6 +206,16 @@ def test_verify_jobs_flag_keeps_output_stable(capsys):
     assert serial == parallel
 
 
+def test_verify_sweeps_wide_inputs_without_recursion(capsys):
+    # 1275 segments at rank 50 and 1101 slots: each once a level of recursion
+    code, out, _ = run_cli(capsys, "verify", "inverse-pairs", "--n", "50", "--window", "0..0", "--ht", "0")
+    assert (code, out) == (0, "inverse-pairs: PASS (1 items)")
+    code, out, _ = run_cli(capsys, "verify", "inverse-pairs", "--n", "1", "--window", "0..1100", "--ht", "0")
+    assert (code, out) == (0, "inverse-pairs: PASS (1 items)")
+    # the sig-seq items were recursive too: `verify sig-seq --n 1 --window 0..0
+    # --ht 1200` has 721 801 items, too many for this suite
+
+
 def test_verify_jobs_env_fallback(monkeypatch, capsys):
     monkeypatch.setenv("EXTCRYSTAL_JOBS", "2")
     code, out, _ = run_cli(capsys, "verify", "inverse-pairs", "--n", "1", "--ht", "2")

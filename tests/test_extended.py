@@ -276,6 +276,12 @@ def test_enumeration_yields_unique_admissible_elements():
     assert len(seen) == count_ext_elements(1, (-1, 1), 3)
 
 
+def test_enumeration_order_is_frozen():
+    # the lowest slot varies slowest; each slot runs through its entries by height
+    texts = [format_ext_element(c) for c in iter_ext_elements(EXT1, (0, 1), 2)]
+    assert texts == ["1", "1:[1]", "1:2*[1]", "0:[1]", "1:[1];0:[1]", "0:2*[1]"]
+
+
 def test_explore_matches_enumeration():
     graph = EXT1.explore(HIGHEST, (0, 1), 2)
     assert len(graph.nodes) == 6

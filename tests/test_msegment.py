@@ -94,6 +94,10 @@ def test_parse_errors_carry_position():
         parse_multisegment("[1],[x]")
     except ParseError as err:
         assert "position" in str(err)
+    for bad, pos in (("0*[1]", 0), ("[1], 0*[2]", 5)):
+        with pytest.raises(ParseError, match="multiplicity must be at least 1") as err:
+            parse_multisegment(bad)
+        assert err.value.pos == pos
 
 
 def test_parse_format_round_trip_random():

@@ -2,7 +2,20 @@
 
 import pytest
 
-from extcrystal.verify import SUITE_NAMES, SweepConfig, base_suite_names, run_suite, suite_size
+import extcrystal.cli as cli
+from extcrystal.affine import format_hl_weight
+from extcrystal.extended import ExtendedCrystal
+from extcrystal.verify import SUITE_NAMES, SweepConfig, _items_sig_seq, base_suite_names, run_suite, suite_size
+
+EXT_MEMBERS = (
+    "inverse-pairs",
+    "counters",
+    "weights",
+    "star-identities",
+    "star-flip",
+    "shift-commutation",
+    "connectedness",
+)
 
 
 def test_config_validates_window_and_height():
@@ -63,3 +76,45 @@ def test_randomized_suites_are_seed_deterministic():
     a = run_suite("crystal-axioms", SweepConfig(n=3, max_ht=6, seed=7, cases=40))
     b = run_suite("crystal-axioms", SweepConfig(n=3, max_ht=6, seed=7, cases=40))
     assert a == b == []
+
+
+def test_sig_seq_item_order_is_frozen():
+    items = _items_sig_seq(SweepConfig(n=1, window=(0, 0), max_ht=2))
+    assert [(k, format_hl_weight(lam)) for k, lam in items] == [
+        (0, "0"), (0, "(1,0)"), (0, "2*(1,0)"), (0, "(1,0),(1,2)"), (0, "(1,2)"), (0, "2*(1,2)"),
+    ]
+
+
+def _break_shift_and_path(monkeypatch):
+    """Two faults that different ext-properties members find on different items.
+
+    shift moves two-slot elements one slot too far for t = 2, and
+    path_to_highest drops the one step of a height-one element.
+    """
+    shift, path_to_highest = ExtendedCrystal.shift, ExtendedCrystal.path_to_highest
+
+    def bad_shift(self, c, t):
+        return shift(self, c, t + 1 if t == 2 and len(c.slots) == 2 else t)
+
+    def bad_path(self, c):
+        path = path_to_highest(self, c)
+        return path[1:] if self.total_height(c) == 1 else path
+
+    monkeypatch.setattr(ExtendedCrystal, "shift", bad_shift)
+    monkeypatch.setattr(ExtendedCrystal, "path_to_highest", bad_path)
+
+
+def test_ext_properties_reports_its_members_one_after_another(monkeypatch, capsys):
+    _break_shift_and_path(monkeypatch)
+    cfg = SweepConfig(n=1, window=(-1, 0), max_ht=2)
+    members = {name: run_suite(name, cfg) for name in EXT_MEMBERS}
+    assert members["shift-commutation"] and members["connectedness"]
+    assert run_suite("ext-properties", cfg) == [msg for name in EXT_MEMBERS for msg in members[name]]
+
+    args = ["--n", "1", "--window", "-1..0", "--ht", "2"]
+    assert cli.main(["verify", "ext-properties", *args]) == 1
+    alone = capsys.readouterr().out.splitlines()
+    assert cli.main(["verify", "all", *args]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    at = next(j for j, line in enumerate(lines) if line.startswith("ext-properties:"))
+    assert len(alone) == 2 and lines[at : at + 2] == alone
