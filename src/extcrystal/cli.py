@@ -19,11 +19,12 @@ from .affine import (
     format_hl_weight,
     parse_hl_weight,
 )
+from .exploration import explore
 from .extended import format_ext_element, parse_ext_element
 from .msegment import format_multisegment
 from .parsing import ParseError
 from .signature import reduce_runs
-from .verify import SweepConfig, base_suite_names, run_all, run_suite, suite_size
+from .verify import SweepConfig, base_suite_names, run_all
 
 OPS = ("F", "E", "Fstar", "Estar", "Fhl", "Ehl", "shift", "starflip", "gamma", "gammainv", "star")
 
@@ -199,10 +200,9 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         seed=args.seed,
         jobs=_resolve_jobs(args.jobs),
     )
-    results = run_all(cfg) if args.suite == "all" else [(args.suite, run_suite(args.suite, cfg))]
+    names = base_suite_names() if args.suite == "all" else (args.suite,)
     failed = False
-    for name, violations in results:
-        size = suite_size(name, cfg)
+    for name, size, violations in run_all(cfg, names):
         if violations:
             failed = True
             print(f"{name}: FAIL ({len(violations)} violation(s) over {size} items)")
@@ -215,7 +215,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 def _cmd_graph(args: argparse.Namespace) -> int:
     model = AffineModel(args.n)
     seed = parse_ext_element(args.seed, model.ext)
-    graph = model.ext.explore(seed, args.window, args.ht)
+    graph = explore(model.ext, seed, args.window, args.ht)
     if args.format == "dot":
         payload = graph.to_dot()
     elif args.format == "json":

@@ -27,26 +27,22 @@ class ExploreGraph:
     def node_ids(self) -> dict[ExtElement, int]:
         return {c: idx for idx, c in enumerate(self.nodes)}
 
-    def to_dot(self, format_slot=format_multisegment) -> str:
+    def to_dot(self) -> str:
         lines = ["digraph extended_crystal {"]
         for idx, c in enumerate(self.nodes):
-            label = format_ext_element(c, format_slot)
-            lines.append(f'  {idx} [label="{label}"];')
+            lines.append(f'  {idx} [label="{format_ext_element(c)}"];')
         for src, dst, i, k in self.edges:
             lines.append(f'  {src} -> {dst} [label="({i},{k})"];')
         lines.append("}")
         return "\n".join(lines) + "\n"
 
-    def to_json_dict(self, format_slot=format_multisegment) -> dict:
+    def to_json(self) -> str:
         nodes = [
-            {"id": idx, "slots": {str(k): format_slot(b) for k, b in c.slots}}
+            {"id": idx, "slots": {str(k): format_multisegment(b) for k, b in c.slots}}
             for idx, c in enumerate(self.nodes)
         ]
         edges = [{"src": src, "dst": dst, "i": i, "k": k} for src, dst, i, k in self.edges]
-        return {"nodes": nodes, "edges": edges}
-
-    def to_json(self, format_slot=format_multisegment) -> str:
-        return json.dumps(self.to_json_dict(format_slot), indent=2) + "\n"
+        return json.dumps({"nodes": nodes, "edges": edges}, indent=2) + "\n"
 
 
 def explore(ext: ExtendedCrystal, seed: ExtElement, window: tuple[int, int], max_ht: int) -> ExploreGraph:

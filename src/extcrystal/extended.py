@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .crystal import AbstractCrystal
-from .msegment import MultisegmentCrystal, format_multisegment, parse_multisegment
+from .msegment import format_multisegment
 from .parsing import ParseError
 from .rootdata import RootLatticeElem
 
@@ -196,31 +196,24 @@ class ExtendedCrystal:
                 raise AssertionError(f"no raise applies in slot {l} of {c}")
         return path
 
-    def explore(self, seed: ExtElement, window: tuple[int, int], max_ht: int):
-        from .exploration import explore
 
-        return explore(self, seed, window, max_ht)
-
-
-def format_ext_element(c: ExtElement, format_slot=format_multisegment) -> str:
+def format_ext_element(c: ExtElement) -> str:
     """Canonical text form "k:slot;k:slot" by decreasing slot; highest is "1"."""
     if c.is_highest():
         return "1"
-    return ";".join(f"{k}:{format_slot(b)}" for k, b in c.slots)
+    return ";".join(f"{k}:{format_multisegment(b)}" for k, b in c.slots)
 
 
-def parse_ext_element(text: str, ext: ExtendedCrystal, parse_slot=parse_multisegment) -> ExtElement:
+def parse_ext_element(text: str, ext: ExtendedCrystal) -> ExtElement:
     """Parse the "k:slot;k:slot" text form; "" and "1" denote the highest element.
 
-    Over a multisegment crystal the default slot parser is the crystal's own,
-    which refuses a segment past the rank before building anything.  A slot
-    the parser refuses with a ValueError that is not a ParseError is reported
-    once every chunk has parsed, at position 0, as an invalid slot is.
+    Each slot goes through the crystal's own parser, which refuses a segment
+    past the rank before building anything.  A slot it refuses with a
+    ValueError that is not a ParseError is reported once every chunk has
+    parsed, at position 0, as an invalid slot is.
     """
     if text.strip() in ("", "1"):
         return HIGHEST
-    if parse_slot is parse_multisegment and isinstance(ext.crystal, MultisegmentCrystal):
-        parse_slot = ext.crystal.parse
     mapping: dict[int, object] = {}
     refused = None
     offset = 0
@@ -235,7 +228,7 @@ def parse_ext_element(text: str, ext: ExtendedCrystal, parse_slot=parse_multiseg
         if k in mapping:
             raise ParseError(text, offset, f"duplicate slot {k}")
         try:
-            mapping[k] = parse_slot(payload.strip())
+            mapping[k] = ext.crystal.parse(payload.strip())
         except ParseError as exc:
             raise ParseError(text, offset + len(head) + 1 + exc.pos, exc.message) from None
         except ValueError as exc:

@@ -327,6 +327,11 @@ class MultisegmentCrystal(AbstractCrystal):
             self.validate(b)
         return reduce_runs(getter(mults + self._zeros[len(mults) :])), positions
 
+    def count_words(self, b: Multisegment, i: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """b's plain and starred words along i as alternating counts, in scan order."""
+        padded = b.mults + self._zeros[len(b.mults) :]
+        return self._plain[i][0](padded), self._starred[i][0](padded)
+
     def lowering(self, b: Multisegment, i: int) -> Multisegment:
         """Shift the leftmost surviving plus [i+1,t] to [i,t], or append [i,i]."""
         (_, _, _, at), positions = self._reduce(self._plain, b, i)

@@ -10,6 +10,11 @@ function, which lets a sweep fan out over worker processes; results are
 re-assembled in item order, so output never depends on scheduling.  A group
 (``ext-properties``) names member suites instead of a check and reports
 their violations one suite after another.
+
+``run_all(cfg, names)`` is the one runner: it yields each named suite's
+size and violations.  The size is the length of the list the suite swept,
+and suites listed next to each other with the same item function sweep one
+list, so no list is built twice in a run and only one is live at a time.
 """
 
 from __future__ import annotations
@@ -25,9 +30,10 @@ from .enumeration import (
     random_ext_element,
     random_multisegment,
 )
+from .exploration import explore
 from .extended import HIGHEST, ExtElement, ExtendedCrystal, format_ext_element
 from .invariants import d_invariant, lambda_left, lambda_right
-from .msegment import left_signature, right_signature, format_multisegment
+from .msegment import format_multisegment
 from .rootdata import CartanA
 from .signature import expand, reduce_runs, signs
 from .sl2 import Sl2Crystal, explicit_lowering
@@ -435,13 +441,15 @@ def _items_sig_seq(cfg: SweepConfig) -> list[tuple[int, HLWeight]]:
 def _check_sig_seq(cfg: SweepConfig, item: tuple[int, HLWeight]) -> list[str]:
     k, lam = item
     model = _affine(cfg.n)
+    cry = model.crystal
     c = model.to_extended(lam)
-    m_low, m_high = model.ext.slot(c, k), model.ext.slot(c, k + 1)
+    low, high = model.ext.slot(c, k), model.ext.slot(c, k + 1)
     out = []
     for i in range(1, cfg.n + 1):
-        expect = signs(right_signature(m_high, i)) + signs(left_signature(m_low, i))
-        got = signs(model.signature(lam, i, k))
-        if got != expect:
+        # the node word, closed by a zero plus, is the starred word of slot k+1
+        # followed by the plain word of slot k
+        expect = [*cry.count_words(high, i)[1], *cry.count_words(low, i)[0]]
+        if model.signature_nodes(i, k).word(lam) + [0] != expect:
             out.append(
                 _bad("signature-concat", cfg, f"i={i} k={k} elem={format_hl_weight(lam)!r}")
             )
@@ -529,7 +537,7 @@ def _check_shift_covariance(cfg: SweepConfig, idx: int) -> list[str]:
 
 def _check_graph_count(cfg: SweepConfig, _item: int) -> list[str]:
     ext = _affine(cfg.n).ext
-    graph = ext.explore(HIGHEST, cfg.window, cfg.max_ht)
+    graph = explore(ext, HIGHEST, cfg.window, cfg.max_ht)
     out = []
     expect = count_ext_elements(cfg.n, cfg.window, cfg.max_ht)
     if len(graph.nodes) != expect:
@@ -541,7 +549,7 @@ def _check_graph_count(cfg: SweepConfig, _item: int) -> list[str]:
     for src, dst, i, k in graph.edges:
         if ids[ext.lowering(nodes[src], i, k)] != dst:
             out.append(_bad("graph-edge", cfg, f"i={i} k={k} src={format_ext_element(nodes[src])!r}"))
-    again = ext.explore(HIGHEST, cfg.window, cfg.max_ht)
+    again = explore(ext, HIGHEST, cfg.window, cfg.max_ht)
     if again.to_dot() != graph.to_dot():
         out.append(_bad("graph-determinism", cfg, "repeated run differs"))
     return out
@@ -586,58 +594,46 @@ _SUITES = {
     "graph-count": (_items_single, _check_graph_count),
 }
 
-SUITE_NAMES = tuple(_SUITES) + ("all",)
-
 
 def base_suite_names() -> tuple[str, ...]:
     return tuple(_SUITES)
 
 
-def suite_size(name: str, cfg: SweepConfig) -> int:
-    """Number of items the named suite would sweep."""
-    if name == "all":
-        return sum(suite_size(sub, cfg) for sub in _SUITES)
-    return len(_SUITES[name][0](cfg))
-
-
 def run_suite(name: str, cfg: SweepConfig) -> list[str]:
-    """Run one suite (or "all") and return violations in enumeration order."""
-    if name == "all":
-        return [f"{sub} {msg}" for sub, violations in run_all(cfg) for msg in violations]
-    if name not in _SUITES:
-        raise KeyError(f"unknown suite {name!r}")
-    return _run(name, cfg, {})
+    """Run one suite and return its violations in enumeration order."""
+    return next(run_all(cfg, (name,)))[2]
 
 
-def _run(name: str, cfg: SweepConfig, done: dict[str, list[str]]) -> list[str]:
-    """The violations of one suite; done holds results already computed, by name.
+def _sweep(check, cfg: SweepConfig, items) -> list[str]:
+    """check's violations over items, in item order, on cfg.jobs processes."""
+    run = functools.partial(check, cfg)
+    if cfg.jobs > 1 and len(items) > 64:
+        import multiprocessing
 
-    A group reports its members' violations one suite after another.
-    """
-    if name in done:
-        return done[name]
-    items_fn, check = _SUITES[name]
-    if isinstance(check, tuple):
-        batches = (_run(member, cfg, done) for member in check)
+        with multiprocessing.Pool(cfg.jobs) as pool:
+            batches = pool.map(run, items, chunksize=max(1, len(items) // (cfg.jobs * 8)))
     else:
-        items = items_fn(cfg)
-        run = functools.partial(check, cfg)
-        if cfg.jobs > 1 and len(items) > 64:
-            import multiprocessing
-
-            with multiprocessing.Pool(cfg.jobs) as pool:
-                batches = pool.map(run, items, chunksize=max(1, len(items) // (cfg.jobs * 8)))
-        else:
-            batches = map(run, items)
-    done[name] = [msg for batch in batches for msg in batch]
-    return done[name]
+        batches = map(run, items)
+    return [msg for batch in batches for msg in batch]
 
 
-def run_all(cfg: SweepConfig):
-    """Yield (name, violations) for every base suite in registry order.
+def run_all(cfg: SweepConfig, names):
+    """Yield (name, size, violations) for each named suite, in the order given.
 
-    A group comes after its members and reuses their results.
+    size is the length of the item list the suite swept.  Consecutive suites
+    with the same item function sweep one list, so only one list is live at a
+    time.  A group reports its members' violations one suite after another,
+    reusing the results of members already run.
     """
     done: dict[str, list[str]] = {}
-    for name in _SUITES:
-        yield name, _run(name, cfg, done)
+    items_fn = items = None
+    for name in names:
+        fn, check = _SUITES[name]
+        if fn is not items_fn:
+            items = None  # drop the last list before building the next
+            items_fn, items = fn, fn(cfg)
+        members = check if isinstance(check, tuple) else (name,)
+        for member in members:
+            if member not in done:
+                done[member] = _sweep(_SUITES[member][1], cfg, items)
+        yield name, len(items), [msg for member in members for msg in done[member]]

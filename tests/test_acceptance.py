@@ -16,7 +16,7 @@ from extcrystal.extended import ExtendedCrystal, parse_ext_element
 from extcrystal.invariants import d_invariant, lambda_left, lambda_right
 from extcrystal.msegment import MultisegmentCrystal, Segment, parse_multisegment
 from extcrystal.rootdata import CartanA
-from extcrystal.verify import SweepConfig, run_suite, suite_size
+from extcrystal.verify import SweepConfig, run_all, run_suite
 
 DEMO = "(3,-4),(1,-2),(3,-2),2*(2,-1),(2,1),(1,2),(2,3),2*(3,4),(2,5),(2,7)"
 
@@ -105,11 +105,12 @@ def test_05_node_model_commutation_sweep():
     for n in (1, 2, 3):
         cfg = SweepConfig(n=n, window=(-2, 1), max_ht=4)
         start = time.perf_counter()
-        violations += run_suite("cr-commutation", cfg)
+        [(_name, size, found)] = run_all(cfg, ("cr-commutation",))
         took = time.perf_counter() - start
         if n == 3:
             elapsed_n3 = took
-        total += suite_size("cr-commutation", cfg)
+        violations += found
+        total += size
     ok = not violations and elapsed_n3 < 60.0
     report(5, "node-model-commutation-sweep", ok,
            f"{total} elements, n=3 in {elapsed_n3:.1f} s")
@@ -122,8 +123,9 @@ def test_06_extended_operator_properties():
     violations = []
     for n in (1, 2, 3):
         cfg = SweepConfig(n=n, window=(-2, 2), max_ht=4)
-        violations += run_suite("ext-properties", cfg)
-        total += suite_size("ext-properties", cfg)
+        [(_name, size, found)] = run_all(cfg, ("ext-properties",))
+        violations += found
+        total += size
     ok = not violations
     report(6, "extended-operator-properties", ok, f"{total} elements")
     assert not violations, violations[:3]
@@ -131,8 +133,7 @@ def test_06_extended_operator_properties():
 
 def test_07_one_string_oracle():
     cfg = SweepConfig(n=1, window=(-3, 3), max_ht=5)
-    violations = run_suite("sl2", cfg)
-    size = suite_size("sl2", cfg)
+    [(_name, size, violations)] = run_all(cfg, ("sl2",))
     ok = not violations
     report(7, "one-string-oracle", ok, f"{size} elements")
     assert not violations, violations[:3]
@@ -187,8 +188,9 @@ def test_10_concatenated_signature_rule():
     violations = []
     for n in (2, 3):
         cfg = SweepConfig(n=n, window=(0, 0), max_ht=4)
-        violations += run_suite("sig-seq", cfg)
-        total += suite_size("sig-seq", cfg)
+        [(_name, size, found)] = run_all(cfg, ("sig-seq",))
+        violations += found
+        total += size
     ok = not violations
     report(10, "concatenated-signature-rule", ok, f"{total} weights")
     assert not violations, violations[:3]

@@ -192,7 +192,7 @@ def test_verify_unknown_suite_exits_2(capsys):
 
 
 def test_verify_failure_exits_1(monkeypatch, capsys):
-    monkeypatch.setattr(cli, "run_suite", lambda name, cfg: ["prop: n=1 i=1 k=0 elem='1'"])
+    monkeypatch.setattr(cli, "run_all", lambda cfg, names: [(name, 1, ["prop: n=1 i=1 k=0 elem='1'"]) for name in names])
     code, out, _ = run_cli(capsys, "verify", "inverse-pairs", "--n", "1")
     assert code == 1
     assert "FAIL" in out
@@ -212,8 +212,11 @@ def test_verify_sweeps_wide_inputs_without_recursion(capsys):
     assert (code, out) == (0, "inverse-pairs: PASS (1 items)")
     code, out, _ = run_cli(capsys, "verify", "inverse-pairs", "--n", "1", "--window", "0..1100", "--ht", "0")
     assert (code, out) == (0, "inverse-pairs: PASS (1 items)")
-    # the sig-seq items were recursive too: `verify sig-seq --n 1 --window 0..0
-    # --ht 1200` has 721 801 items, too many for this suite
+    # the sig-seq items were recursive too, and its check cost grew with the
+    # height; `verify sig-seq --n 1 --window 0..0 --ht 1200` (721 801 items)
+    # now takes about 30 s on a 2-core VM, too long for this suite
+    code, out, _ = run_cli(capsys, "verify", "sig-seq", "--n", "1", "--window", "0..0", "--ht", "200")
+    assert (code, out) == (0, "sig-seq: PASS (20301 items)")
 
 
 def test_verify_jobs_env_fallback(monkeypatch, capsys):

@@ -9,6 +9,7 @@ from extcrystal.enumeration import (
     iter_ext_elements,
     random_ext_element,
 )
+from extcrystal.exploration import explore
 from extcrystal.extended import (
     HIGHEST,
     ExtElement,
@@ -283,7 +284,7 @@ def test_enumeration_order_is_frozen():
 
 
 def test_explore_matches_enumeration():
-    graph = EXT1.explore(HIGHEST, (0, 1), 2)
+    graph = explore(EXT1, HIGHEST, (0, 1), 2)
     assert len(graph.nodes) == 6
     texts = sorted(format_ext_element(c) for c in graph.nodes)
     assert texts == ["0:2*[1]", "0:[1]", "1", "1:2*[1]", "1:[1]", "1:[1];0:[1]"]
@@ -294,7 +295,7 @@ def test_explore_matches_enumeration():
 def test_operator_results_are_canonical():
     # operators splice their result into the slots; it must equal a validated rebuild
     ext = ExtendedCrystal(MultisegmentCrystal(2))
-    graph = ext.explore(HIGHEST, (-1, 1), 3)
+    graph = explore(ext, HIGHEST, (-1, 1), 3)
     for c in graph.nodes:
         for i in (1, 2):
             for k in range(-2, 3):

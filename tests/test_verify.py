@@ -3,9 +3,10 @@
 import pytest
 
 import extcrystal.cli as cli
-from extcrystal.affine import format_hl_weight
+import extcrystal.verify as verify
+from extcrystal.affine import SignatureNodes, format_hl_weight
 from extcrystal.extended import ExtendedCrystal
-from extcrystal.verify import SUITE_NAMES, SweepConfig, _items_sig_seq, base_suite_names, run_suite, suite_size
+from extcrystal.verify import SweepConfig, _items_sig_seq, base_suite_names, run_all, run_suite
 
 EXT_MEMBERS = (
     "inverse-pairs",
@@ -35,9 +36,7 @@ def test_bad_rank_surfaces_on_use():
 
 
 def test_registry_names():
-    assert "all" in SUITE_NAMES
     assert "all" not in base_suite_names()
-    assert set(base_suite_names()) | {"all"} == set(SUITE_NAMES)
     assert len(base_suite_names()) == 20
 
 
@@ -45,13 +44,19 @@ def test_unknown_suite_is_rejected():
     with pytest.raises(KeyError):
         run_suite("nosuch", SweepConfig(n=1))
     with pytest.raises(KeyError):
-        suite_size("nosuch", SweepConfig(n=1))
+        list(run_all(SweepConfig(n=1), ("nosuch",)))
+
+
+def _size(name, cfg):
+    return next(run_all(cfg, (name,)))[1]
 
 
 def test_suite_size_matches_run():
-    cfg = SweepConfig(n=1, window=(0, 1), max_ht=2)
-    assert suite_size("inverse-pairs", cfg) == 6
-    assert suite_size("all", cfg) == sum(suite_size(name, cfg) for name in base_suite_names())
+    # every suite runs twice here, so the randomized ones take few cases
+    cfg = SweepConfig(n=1, window=(0, 1), max_ht=2, cases=50)
+    assert _size("inverse-pairs", cfg) == 6
+    sizes = [size for _name, size, _violations in run_all(cfg, base_suite_names())]
+    assert sum(sizes) == sum(_size(name, cfg) for name in base_suite_names())
 
 
 def test_small_run_of_every_suite_is_clean():
@@ -62,7 +67,8 @@ def test_small_run_of_every_suite_is_clean():
 
 def test_all_concatenates_with_prefixes():
     cfg = SweepConfig(n=1, window=(0, 0), max_ht=1, cases=5)
-    assert run_suite("all", cfg) == []
+    found = [f"{name} {msg}" for name, _size, violations in run_all(cfg, base_suite_names()) for msg in violations]
+    assert found == []
 
 
 def test_parallel_run_matches_serial():
@@ -118,3 +124,36 @@ def test_ext_properties_reports_its_members_one_after_another(monkeypatch, capsy
     lines = capsys.readouterr().out.splitlines()
     at = next(j for j, line in enumerate(lines) if line.startswith("ext-properties:"))
     assert len(alone) == 2 and lines[at : at + 2] == alone
+
+
+def test_each_item_list_is_built_once_per_run(monkeypatch):
+    calls = []
+    enumerate_ext = verify.iter_ext_elements
+
+    def counting(*args):
+        calls.append(args)
+        return enumerate_ext(*args)
+
+    monkeypatch.setattr(verify, "iter_ext_elements", counting)
+    args = ["--n", "2", "--window", "-1..1", "--ht", "2"]
+    assert cli.main(["verify", "ext-properties", *args]) == 0
+    assert len(calls) == 1
+    calls.clear()
+    # the ext list, the affine list and graph-count's own set
+    assert cli.main(["verify", "all", *args]) == 0
+    assert len(calls) == 3
+
+
+def test_sig_seq_finds_a_unit_moved_to_the_neighbouring_count(monkeypatch):
+    word = SignatureNodes.word
+
+    def bad_word(self, lam):
+        counts = word(self, lam)
+        if counts[1]:
+            counts[1] -= 1
+            counts[2] += 1
+        return counts
+
+    monkeypatch.setattr(SignatureNodes, "word", bad_word)
+    violations = run_suite("sig-seq", SweepConfig(n=2, window=(0, 0), max_ht=2))
+    assert violations and all(msg.startswith("signature-concat: ") for msg in violations)
