@@ -263,6 +263,10 @@ def test_apply_huge_multiplicities_are_exact(capsys):
     assert (code, out) == (0, f"{big}*(2,1)")
     code, out, _ = run_cli(capsys, "apply", "gammainv", f"{big}*(2,1)", "--n", "2")
     assert (code, out) == (0, f"0:{big}*[1,2]")
+    code, out, _ = run_cli(capsys, "apply", "star", f"{big}*[1,2]", "--n", "2")
+    assert (code, out) == (0, f"{big}*[2],{big}*[1]")
+    code, out, _ = run_cli(capsys, "apply", "star", out, "--n", "2")
+    assert (code, out) == (0, f"{big}*[1,2]")
     code, _, err = run_cli(capsys, "apply", "F", f"0:{big}*[1,3]", "1", "0", "--n", "2")
     assert code == 2 and "segment [1,3] does not fit inside rank 2" in err
 

@@ -312,9 +312,9 @@ def _survivors(word, rng):
     return [seg for sign, seg in left if sign == "-"], [seg for sign, seg in left if sign == "+"]
 
 
-def _deep_multisegment(rng, n, max_ht):
-    """Random segments inside rank n whose heights add up to a uniform draw from 0..max_ht."""
-    budget, segs = rng.randint(0, max_ht), []
+def _deep_multisegment(rng, n, max_ht, min_ht=0):
+    """Random segments inside rank n whose heights add up to a uniform draw from min_ht..max_ht."""
+    budget, segs = rng.randint(min_ht, max_ht), []
     while budget:
         a = rng.randint(1, n)
         b = rng.randint(a, min(n, a + budget - 1))
@@ -362,14 +362,21 @@ def test_operators_match_per_symbol_cancellation_exhaustive():
 
 
 def test_star_is_star_lowering_along_the_reversed_raising_path():
-    crystal = MultisegmentCrystal(3)
-    for m in iter_multisegments(3, 6):
-        path, cur = [], m
-        while cur != EMPTY:
-            i = next(i for i in crystal.indices() if crystal.epsilon(cur, i))
-            path.append(i)
-            cur = crystal.raising(cur, i)
-        want = EMPTY
-        for i in reversed(path):
-            want = crystal.star_lowering(want, i)
-        assert crystal.star(m) == want
+    # the path definition of star, one box at a time, against the bulk string
+    # data star: every multisegment of ranks 1..4 up to height 7, and deep
+    # rank-8 inputs whose words are the longest
+    deep = random.Random(61)
+    cases = [(n, iter_multisegments(n, 7)) for n in range(1, 5)]
+    cases.append((8, [_deep_multisegment(deep, 8, 60, min_ht=1) for _ in range(50)]))
+    for n, inputs in cases:
+        crystal = MultisegmentCrystal(n)
+        for m in inputs:
+            path, cur = [], m
+            while cur != EMPTY:
+                i = next(i for i in crystal.indices() if crystal.epsilon(cur, i))
+                path.append(i)
+                cur = crystal.raising(cur, i)
+            want = EMPTY
+            for i in reversed(path):
+                want = crystal.star_lowering(want, i)
+            assert crystal.star(m) == want
