@@ -140,14 +140,15 @@ class SignatureNodes:
 
     Position t (counted from 1) holds the node written a_t; odd positions
     emit minus symbols and even positions emit plus symbols.  The scan runs
-    from the last position down to the first; ``position`` inverts ``nodes``.
+    from the last position down to the first; ``position`` inverts ``nodes``,
+    keyed on (i, a) tuples, which hash faster than nodes.
     """
 
     nodes: tuple[HLNode, ...]
     position: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "position", {p: t for t, p in enumerate(self.nodes, 1)})
+        object.__setattr__(self, "position", {(p.i, p.a): t for t, p in enumerate(self.nodes, 1)})
 
     def word(self, lam: HLWeight) -> list[int]:
         """lam's signature word as alternating counts in scan order.
@@ -159,7 +160,7 @@ class SignatureNodes:
         counts = [0] * size
         position = self.position
         for p, c in lam.terms:
-            t = position.get(p)
+            t = position.get((p.i, p.a))
             if t:
                 counts[size - t] = c
         return counts

@@ -3,11 +3,12 @@
 from __future__ import annotations
 
 import random
+from functools import lru_cache
 from itertools import accumulate
 from typing import Iterator
 
 from .extended import ExtElement, ExtendedCrystal
-from .msegment import EMPTY, Multisegment, Segment
+from .msegment import EMPTY, Multisegment, Segment, _index, _of
 
 
 def all_segments(n: int) -> list[Segment]:
@@ -94,18 +95,32 @@ def count_ext_elements(n: int, window: tuple[int, int], max_ht: int) -> int:
     return sum(total)
 
 
+@lru_cache(maxsize=None)
+def _draw_table(n: int) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """Per budget h = 0..n, the (position, height) of every segment of height <= h.
+
+    Segments come in ``all_segments`` order, so a draw from row h picks what
+    a draw from the segments that fit a budget of h picks.  A constant of the
+    rank; a budget above n reads row n.
+    """
+    pool = [(_index(a, b), b - a + 1) for a in range(1, n + 1) for b in range(a, n + 1)]
+    return tuple(tuple(s for s in pool if s[1] <= h) for h in range(max(n, 0) + 1))
+
+
 def random_multisegment(rng: random.Random, n: int, max_ht: int) -> Multisegment:
-    segs: list[Segment] = []
+    """Draw segments that fit the budget left, each step stopping with chance 0.2."""
     budget = rng.randint(0, max_ht)
-    pool = all_segments(n)
+    table = _draw_table(n)
+    top = len(table) - 1
+    mults = [0] * (top * (top + 1) // 2)
     while True:
-        fits = [s for s in pool if s.height <= budget]
+        fits = table[min(budget, top)]
         if not fits or rng.random() < 0.2:
             break
-        s = rng.choice(fits)
-        segs.append(s)
-        budget -= s.height
-    return Multisegment(segs)
+        j, height = rng.choice(fits)
+        mults[j] += 1
+        budget -= height
+    return _of(mults)
 
 
 def random_ext_element(rng: random.Random, ext: ExtendedCrystal, window: tuple[int, int], max_ht: int) -> ExtElement:

@@ -22,51 +22,77 @@ All sums are finite because c has finite support.  The base-relative sign
 makes every formula invariant under shifting c and k together, and the
 left/right pair always satisfies lambda_left + lambda_right = 2 * d_pair:
 the sum telescopes to twice the t = k term, whose relative sign is +1.
+
+``pairing_read`` takes the counters and every occupied slot's rel(t) in one
+pass over c, computing each slot weight once.  The three invariants are
+evaluated from that read, each by its own closed form above: none is derived
+from the others, so checking lambda_left + lambda_right = 2 * d_pair still
+tests the three formulas against each other.
 """
 
 from __future__ import annotations
 
+from typing import NamedTuple
+
 from .extended import ExtElement, ExtendedCrystal
 
 
-def _counters(ext: ExtendedCrystal, c: ExtElement, i: int, k: int):
-    x = ext.epsilon_star(c, i, k + 1)
-    r = ext.epsilon(c, i, k)
-    s = ext.epsilon_star(c, i, k)
-    y = ext.epsilon(c, i, k - 1)
-    return x, r, s, y
+class PairingRead(NamedTuple):
+    """The counters of c at (i, k) and (t, rel(t)) for every occupied slot t."""
+
+    k: int
+    x: int
+    r: int
+    s: int
+    y: int
+    rel: tuple[tuple[int, int], ...]
+
+    def lambda_left(self) -> int:
+        k = self.k
+        return 2 * max(self.x, self.r) + sum(-v if t > k else v for t, v in self.rel)
+
+    def lambda_right(self) -> int:
+        k = self.k
+        return 2 * max(self.y, self.s) + sum(-v if t < k else v for t, v in self.rel)
+
+    def d_invariant(self) -> int:
+        k = self.k
+        return max(self.x, self.r) + max(self.y, self.s) + sum(v for t, v in self.rel if t == k)
 
 
-def _relative_pairing(ext: ExtendedCrystal, c: ExtElement, i: int, k: int, t: int) -> int:
-    """<alpha_i, w_t> with the sign (-1)^(t-k) of the slot relative to the base."""
-    b = c.slot(t)
-    if b is None:
-        return 0
-    term = ext.lattice.pair(i, ext.crystal.weight(b))
-    return -term if (t - k) % 2 else term
+def pairing_read(ext: ExtendedCrystal, c: ExtElement, i: int, k: int) -> PairingRead:
+    """One pass over c's slots: the four counters at (i, k) and each slot's rel(t).
+
+    A slot that c leaves empty holds the highest element, whose counters and
+    pairing are 0.
+    """
+    cry, pair = ext.crystal, ext.lattice.pair
+    if i not in cry.indices():
+        raise ValueError(f"operator index {i} out of range for rank {cry.n}")
+    x = r = s = y = 0
+    rel = []
+    for t, b in c.slots:
+        term = pair(i, cry.weight(b))
+        rel.append((t, -term if (t - k) % 2 else term))
+        if t == k + 1:
+            x = cry.epsilon_star(b, i)
+        elif t == k:
+            r, s = cry.epsilon(b, i), cry.epsilon_star(b, i)
+        elif t == k - 1:
+            y = cry.epsilon(b, i)
+    return PairingRead(k, x, r, s, y, tuple(rel))
 
 
 def lambda_left(ext: ExtendedCrystal, c: ExtElement, i: int, k: int) -> int:
     """Pairing invariant with the shifted generator on the left."""
-    x, r, _s, _y = _counters(ext, c, i, k)
-    total = 2 * max(x, r)
-    for t, _b in c.slots:
-        term = _relative_pairing(ext, c, i, k, t)
-        total += -term if t > k else term
-    return total
+    return pairing_read(ext, c, i, k).lambda_left()
 
 
 def lambda_right(ext: ExtendedCrystal, c: ExtElement, i: int, k: int) -> int:
     """Pairing invariant with the shifted generator on the right."""
-    _x, _r, s, y = _counters(ext, c, i, k)
-    total = 2 * max(y, s)
-    for t, _b in c.slots:
-        term = _relative_pairing(ext, c, i, k, t)
-        total += -term if t < k else term
-    return total
+    return pairing_read(ext, c, i, k).lambda_right()
 
 
 def d_invariant(ext: ExtendedCrystal, c: ExtElement, i: int, k: int) -> int:
     """Symmetrized invariant: half the sum of the two lambda forms."""
-    x, r, s, y = _counters(ext, c, i, k)
-    return max(x, r) + max(y, s) + _relative_pairing(ext, c, i, k, k)
+    return pairing_read(ext, c, i, k).d_invariant()

@@ -23,7 +23,7 @@ import functools
 import random
 from dataclasses import dataclass
 
-from .affine import AffineModel, HLWeight, format_hl_weight
+from .affine import AffineModel, HLNode, HLWeight, format_hl_weight
 from .enumeration import (
     count_ext_elements,
     iter_ext_elements,
@@ -32,7 +32,7 @@ from .enumeration import (
 )
 from .exploration import explore
 from .extended import HIGHEST, ExtElement, ExtendedCrystal, format_ext_element
-from .invariants import d_invariant, lambda_left, lambda_right
+from .invariants import d_invariant, pairing_read
 from .msegment import format_multisegment
 from .rootdata import CartanA
 from .signature import expand, reduce_runs, signs
@@ -87,6 +87,7 @@ def _check_crystal_axioms(cfg: SweepConfig, idx: int) -> list[str]:
     cry = _affine(cfg.n).crystal
     m = random_multisegment(rng, cfg.n, cfg.max_ht)
     text = format_multisegment(m)
+    w = cry.weight(m)
     out: list[str] = []
     # the plain and the starred family obey the same axioms
     families = (
@@ -95,29 +96,31 @@ def _check_crystal_axioms(cfg: SweepConfig, idx: int) -> list[str]:
     )
     for i in cry.indices():
         at = f"i={i} elem={text!r}"
+        lowered = w - cry.lattice.alpha(i)
         for family, lower, lift, eps in families:
+            e0 = eps(m, i)
             f = lower(m, i)
             if lift(f, i) != m:
                 out.append(_bad(family + "raise-of-lower", cfg, at))
-            if eps(f, i) != eps(m, i) + 1:
+            if eps(f, i) != e0 + 1:
                 out.append(_bad(family + "lower-counter-step", cfg, at))
-            if cry.weight(f) != cry.weight(m) - cry.lattice.alpha(i):
+            if cry.weight(f) != lowered:
                 out.append(_bad(family + "lower-weight-step", cfg, at))
             e = lift(m, i)
-            if (e is None) != (eps(m, i) == 0):
+            if (e is None) != (e0 == 0):
                 out.append(_bad(family + "raise-definedness", cfg, at))
             if e is not None and lower(e, i) != m:
                 out.append(_bad(family + "lower-of-raise", cfg, at))
             steps, cur = 0, m
             while (cur := lift(cur, i)) is not None:
                 steps += 1
-            if steps != eps(m, i):
+            if steps != e0:
                 out.append(_bad(family + "raise-string-length", cfg, at))
 
     st = cry.star(m)
     if cry.star(st) != m:
         out.append(_bad("star-involution", cfg, f"elem={text!r}"))
-    if cry.weight(st) != cry.weight(m):
+    if cry.weight(st) != w:
         out.append(_bad("star-weight", cfg, f"elem={text!r}"))
     for i in cry.indices():
         if cry.epsilon_star(m, i) != cry.epsilon(st, i):
@@ -420,9 +423,18 @@ def _check_dual_commutation(cfg: SweepConfig, c: ExtElement) -> list[str]:
     return out
 
 
-def _items_sig_seq(cfg: SweepConfig) -> list[tuple[int, HLWeight]]:
+# (k, nodes, counts): a weight on the nodes of blocks k and k+1, by coefficient
+_SigSeqItem = tuple[int, tuple[HLNode, ...], tuple[int, ...]]
+
+
+def _items_sig_seq(cfg: SweepConfig) -> list[_SigSeqItem]:
+    """Every weight of height <= max_ht on the nodes of blocks k and k+1, per k.
+
+    The items of one k share one nodes tuple, so the list holds no weight
+    objects; the check builds each weight when it runs.
+    """
     model = _affine(cfg.n)
-    items: list[tuple[int, HLWeight]] = []
+    items: list[_SigSeqItem] = []
     lo, hi = cfg.window
     for k in range(lo, hi + 1):
         nodes = model.block_nodes(k) + model.block_nodes(k + 1)
@@ -431,15 +443,16 @@ def _items_sig_seq(cfg: SweepConfig) -> list[tuple[int, HLWeight]]:
         stack = [(0, cfg.max_ht, (0,) * len(nodes))]
         while stack:
             idx, budget, counts = stack.pop()
-            items.append((k, HLWeight(tuple(zip(nodes, counts)))))
+            items.append((k, nodes, counts))
             if budget:
                 for j in reversed(range(idx, len(nodes))):
                     stack.append((j, budget - 1, counts[:j] + (counts[j] + 1,) + counts[j + 1 :]))
     return items
 
 
-def _check_sig_seq(cfg: SweepConfig, item: tuple[int, HLWeight]) -> list[str]:
-    k, lam = item
+def _check_sig_seq(cfg: SweepConfig, item: _SigSeqItem) -> list[str]:
+    k, nodes, counts = item
+    lam = HLWeight(tuple(zip(nodes, counts)))
     model = _affine(cfg.n)
     cry = model.crystal
     c = model.to_extended(lam)
@@ -505,11 +518,11 @@ def _random_query(cfg: SweepConfig, idx: int):
 
 def _check_bilinear(cfg: SweepConfig, idx: int) -> list[str]:
     ext, c, i, k, _rng = _random_query(cfg, idx)
-    left = lambda_left(ext, c, i, k)
-    right = lambda_right(ext, c, i, k)
+    read = pairing_read(ext, c, i, k)
+    left, right = read.lambda_left(), read.lambda_right()
     out = []
     at = f"i={i} k={k} elem={format_ext_element(c)!r}"
-    if left + right != 2 * d_invariant(ext, c, i, k):
+    if left + right != 2 * read.d_invariant():
         out.append(_bad("bilinear", cfg, at))
     if (left - right) % 2:
         out.append(_bad("parity", cfg, at))
@@ -519,14 +532,15 @@ def _check_bilinear(cfg: SweepConfig, idx: int) -> list[str]:
 def _check_shift_covariance(cfg: SweepConfig, idx: int) -> list[str]:
     ext, c, i, k, rng = _random_query(cfg, idx)
     t = rng.randrange(-3, 4)
-    moved = ext.shift(c, t)
+    read = pairing_read(ext, c, i, k)
+    moved = pairing_read(ext, ext.shift(c, t), i, k + t)
     out = []
     at = f"i={i} k={k} t={t} elem={format_ext_element(c)!r}"
-    if d_invariant(ext, moved, i, k + t) != d_invariant(ext, c, i, k):
+    if moved.d_invariant() != read.d_invariant():
         out.append(_bad("shift-covariance-d", cfg, at))
-    if lambda_left(ext, moved, i, k + t) != lambda_left(ext, c, i, k):
+    if moved.lambda_left() != read.lambda_left():
         out.append(_bad("shift-covariance-left", cfg, at))
-    if lambda_right(ext, moved, i, k + t) != lambda_right(ext, c, i, k):
+    if moved.lambda_right() != read.lambda_right():
         out.append(_bad("shift-covariance-right", cfg, at))
     return out
 

@@ -4,7 +4,8 @@ import random
 
 import pytest
 
-from extcrystal.enumeration import iter_multisegments, random_multisegment
+from extcrystal.enumeration import iter_multisegments, random_ext_element, random_multisegment
+from extcrystal.extended import ExtendedCrystal
 from extcrystal.msegment import (
     EMPTY,
     Multisegment,
@@ -380,3 +381,60 @@ def test_star_is_star_lowering_along_the_reversed_raising_path():
             for i in reversed(path):
                 want = crystal.star_lowering(want, i)
             assert crystal.star(m) == want
+
+
+# The draws as first written: a pool of Segment objects filtered by height on
+# every step.  Seeded sweeps must keep drawing exactly these elements.
+
+
+def _reference_all_segments(n):
+    return [Segment(a, b) for a in range(1, n + 1) for b in range(a, n + 1)]
+
+
+def _reference_random_multisegment(rng, n, max_ht):
+    segs = []
+    budget = rng.randint(0, max_ht)
+    pool = _reference_all_segments(n)
+    while True:
+        fits = [s for s in pool if s.height <= budget]
+        if not fits or rng.random() < 0.2:
+            break
+        s = rng.choice(fits)
+        segs.append(s)
+        budget -= s.height
+    return Multisegment(segs)
+
+
+def _reference_random_ext_element(rng, ext, window, max_ht):
+    mapping = {}
+    budget = rng.randint(0, max_ht)
+    for k in range(window[0], window[1] + 1):
+        if budget <= 0:
+            break
+        take = rng.randint(0, budget)
+        if take:
+            m = _reference_random_multisegment(rng, ext.n, take)
+            if m != EMPTY:
+                mapping[k] = m
+                budget -= m.height()
+    return ext.element(mapping)
+
+
+def test_random_multisegment_draws_what_the_pool_filter_drew():
+    for n in range(1, 6):
+        for max_ht in range(13):
+            for seed in range(200):
+                got, want = random.Random(seed), random.Random(seed)
+                assert random_multisegment(got, n, max_ht) == _reference_random_multisegment(want, n, max_ht)
+                assert got.getstate() == want.getstate()
+
+
+def test_random_ext_element_draws_what_the_pool_filter_drew():
+    ext = ExtendedCrystal(C3)
+    for window in ((-1, 0), (-2, 2)):
+        for max_ht in range(9):
+            for seed in range(100):
+                got, want = random.Random(seed), random.Random(seed)
+                c = random_ext_element(got, ext, window, max_ht)
+                assert c == _reference_random_ext_element(want, ext, window, max_ht)
+                assert got.getstate() == want.getstate()

@@ -4,7 +4,8 @@ import pytest
 
 import extcrystal.cli as cli
 import extcrystal.verify as verify
-from extcrystal.affine import SignatureNodes, format_hl_weight
+from extcrystal.invariants import PairingRead
+from extcrystal.affine import HLWeight, SignatureNodes, format_hl_weight
 from extcrystal.extended import ExtendedCrystal
 from extcrystal.verify import SweepConfig, _items_sig_seq, base_suite_names, run_all, run_suite
 
@@ -86,7 +87,7 @@ def test_randomized_suites_are_seed_deterministic():
 
 def test_sig_seq_item_order_is_frozen():
     items = _items_sig_seq(SweepConfig(n=1, window=(0, 0), max_ht=2))
-    assert [(k, format_hl_weight(lam)) for k, lam in items] == [
+    assert [(k, format_hl_weight(HLWeight(tuple(zip(nodes, counts))))) for k, nodes, counts in items] == [
         (0, "0"), (0, "(1,0)"), (0, "2*(1,0)"), (0, "(1,0),(1,2)"), (0, "(1,2)"), (0, "2*(1,2)"),
     ]
 
@@ -157,3 +158,16 @@ def test_sig_seq_finds_a_unit_moved_to_the_neighbouring_count(monkeypatch):
     monkeypatch.setattr(SignatureNodes, "word", bad_word)
     violations = run_suite("sig-seq", SweepConfig(n=2, window=(0, 0), max_ht=2))
     assert violations and all(msg.startswith("signature-concat: ") for msg in violations)
+
+
+def test_bilinear_finds_a_sign_error_in_the_left_form(monkeypatch):
+    cfg = SweepConfig(n=3, window=(-1, 1), max_ht=3, cases=200)
+    assert run_suite("bilinear", cfg) == []
+
+    def bad_left(self):
+        # slot k counted with the sign of the slots above it
+        return 2 * max(self.x, self.r) + sum(-v if t >= self.k else v for t, v in self.rel)
+
+    monkeypatch.setattr(PairingRead, "lambda_left", bad_left)
+    violations = run_suite("bilinear", cfg)
+    assert violations and all(msg.startswith("bilinear: ") for msg in violations)
