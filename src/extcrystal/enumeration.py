@@ -7,8 +7,8 @@ from functools import lru_cache
 from itertools import accumulate
 from typing import Iterator
 
-from .extended import ExtElement, ExtendedCrystal
-from .msegment import EMPTY, Multisegment, Segment, _index, _of
+from .extended import ExtElement, ExtendedCrystal, _from_slots
+from .msegment import Multisegment, Segment, _index, _of
 
 
 def all_segments(n: int) -> list[Segment]:
@@ -107,9 +107,9 @@ def _draw_table(n: int) -> tuple[tuple[tuple[int, int], ...], ...]:
     return tuple(tuple(s for s in pool if s[1] <= h) for h in range(max(n, 0) + 1))
 
 
-def random_multisegment(rng: random.Random, n: int, max_ht: int) -> Multisegment:
-    """Draw segments that fit the budget left, each step stopping with chance 0.2."""
-    budget = rng.randint(0, max_ht)
+def _draw(rng: random.Random, n: int, max_ht: int) -> tuple[Multisegment, int]:
+    """A random multisegment and its height; see random_multisegment."""
+    budget = start = rng.randint(0, max_ht)
     table = _draw_table(n)
     top = len(table) - 1
     mults = [0] * (top * (top + 1) // 2)
@@ -120,19 +120,29 @@ def random_multisegment(rng: random.Random, n: int, max_ht: int) -> Multisegment
         j, height = rng.choice(fits)
         mults[j] += 1
         budget -= height
-    return _of(mults)
+    return _of(mults), start - budget
+
+
+def random_multisegment(rng: random.Random, n: int, max_ht: int) -> Multisegment:
+    """Draw segments that fit the budget left, each step stopping with chance 0.2."""
+    return _draw(rng, n, max_ht)[0]
 
 
 def random_ext_element(rng: random.Random, ext: ExtendedCrystal, window: tuple[int, int], max_ht: int) -> ExtElement:
-    mapping: dict[int, Multisegment] = {}
+    """Fill the window's slots from the lowest up out of one random height budget.
+
+    The slots are distinct and hold no empty multisegment by construction,
+    so the element is built in descending slot order without a check.
+    """
+    slots = []
     budget = rng.randint(0, max_ht)
     for k in range(window[0], window[1] + 1):
         if budget <= 0:
             break
         take = rng.randint(0, budget)
         if take:
-            m = random_multisegment(rng, ext.n, take)
-            if m != EMPTY:
-                mapping[k] = m
-                budget -= m.height()
-    return ext.element(mapping)
+            m, height = _draw(rng, ext.n, take)
+            if height:
+                slots.append((k, m))
+                budget -= height
+    return _from_slots(tuple(reversed(slots)))

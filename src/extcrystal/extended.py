@@ -9,10 +9,18 @@ and raising takes the opposite branches.  The starred operator family couples
 slot k with slot k-1 instead and is driven by the selector
 epsilon*(b_k, i) - epsilon(b_{k-1}, i).
 
-Each operator reads its two slots once and compares their counters directly;
-its result is spliced into the descending slot tuple without re-sorting.  An
-``ExtElement`` built from outside input is sorted and checked for duplicate
-slots instead.
+Each operator makes one pass over the slots to find its two slots and the
+range of the slot tuple they occupy.  It reads the upper slot with the
+realization's ``star_read`` and the lower one with ``plain_read``: each read
+is one reduction that gives the counter and a handle to it, and the chosen
+branch applies its operator through that handle (``lower_with``,
+``star_raise_with``, ...), so no slot is reduced twice.  A highest slot is
+not read, since its counters are 0 in every B(infinity); a branch that acts
+on it lowers the highest element through the realization's own operator.
+The two new slots are spliced into that range of the descending slot tuple
+without re-sorting, and the slot the operator left alone keeps its entry.
+An ``ExtElement`` built from outside input is sorted and checked for
+duplicate slots instead.
 
 Slot weights alternate in sign with the slot index, so lowering along (i, k)
 moves the total weight by (-1)^(k+1) alpha_i.
@@ -60,6 +68,17 @@ class ExtElement:
 HIGHEST = ExtElement()
 
 
+def _from_slots(slots: tuple) -> ExtElement:
+    """The element over slots that already descend, with no highest entry; nothing is checked."""
+    out = object.__new__(ExtElement)
+    object.__setattr__(out, "slots", slots)
+    return out
+
+
+# what _reads gives for a highest slot instead of reading it: counter 0, no handle
+_UNREAD = (0, None)
+
+
 class ExtendedCrystal:
     """Extended-crystal operators over an arbitrary B(infinity) realization."""
 
@@ -92,17 +111,19 @@ class ExtendedCrystal:
     def slot(self, c: ExtElement, k: int):
         return c.slot(k, self.crystal.highest)
 
-    def _set_slot(self, c: ExtElement, k: int, b) -> ExtElement:
-        """c with slot k holding b, spliced into the descending slots without re-sorting."""
-        slots = c.slots
-        at = 0
-        while at < len(slots) and slots[at][0] > k:
-            at += 1
-        rest = at + 1 if at < len(slots) and slots[at][0] == k else at
-        out = object.__new__(ExtElement)
-        mid = () if b == self.crystal.highest else ((k, b),)
-        object.__setattr__(out, "slots", slots[:at] + mid + slots[rest:])
-        return out
+    def _splice(self, c: ExtElement, at: int, stop: int, hi, lo) -> ExtElement:
+        """c with c.slots[at:stop] replaced by the (slot, element) entries hi and lo; None leaves one out."""
+        mid = () if hi is None else (hi,)
+        if lo is not None:
+            mid += (lo,)
+        return _from_slots(c.slots[:at] + mid + c.slots[stop:])
+
+    def _entry(self, k: int, b):
+        """The entry of slot k holding a raised b, or None when b is highest.
+
+        A lowered element is never highest, so its entry is built directly.
+        """
+        return None if b == self.crystal.highest else (k, b)
 
     def epsilon(self, c: ExtElement, i: int, k: int) -> int:
         return self.crystal.epsilon(self.slot(c, k), i)
@@ -118,41 +139,69 @@ class ExtendedCrystal:
         """Starred epsilon at slot k minus epsilon at slot k-1."""
         return self.epsilon_star(c, i, k) - self.epsilon(c, i, k - 1)
 
+    def _reads(self, c: ExtElement, i: int, top: int):
+        """One pass over c for the operators on slots top and top - 1.
+
+        Returns (at, stop, hi, lo, star, plain): c.slots[at:stop] holds those
+        two slots, hi and lo are their (slot, element) entries (None where
+        highest), star is the starred read of hi's element and plain the
+        plain read of lo's.  A highest slot is not read: its counters are 0
+        in every B(infinity).
+        """
+        slots = c.slots
+        at, end = 0, len(slots)
+        while at < end and slots[at][0] > top:
+            at += 1
+        stop, hi, lo, star, plain = at, None, None, _UNREAD, _UNREAD
+        if stop < end and slots[stop][0] == top:
+            hi = slots[stop]
+            star = self.crystal.star_read(hi[1], i)
+            stop += 1
+        if stop < end and slots[stop][0] == top - 1:
+            lo = slots[stop]
+            plain = self.crystal.plain_read(lo[1], i)
+            stop += 1
+        return at, stop, hi, lo, star, plain
+
     def lowering(self, c: ExtElement, i: int, k: int) -> ExtElement:
         cry = self.crystal
-        b, above = self.slot(c, k), self.slot(c, k + 1)
-        if cry.epsilon(b, i) >= cry.epsilon_star(above, i):
-            return self._set_slot(c, k, cry.lowering(b, i))
-        raised = cry.star_raising(above, i)
+        at, stop, above, here, (x, above_read), (r, here_read) = self._reads(c, i, k + 1)
+        if r >= x:
+            b = cry.lowering(cry.highest, i) if here is None else cry.lower_with(here[1], i, here_read)
+            return self._splice(c, at, stop, above, (k, b))
+        raised = cry.star_raise_with(above[1], i, above_read)
         assert raised is not None, "negative branch selector guarantees a starred raise"
-        return self._set_slot(c, k + 1, raised)
+        return self._splice(c, at, stop, self._entry(k + 1, raised), here)
 
     def raising(self, c: ExtElement, i: int, k: int) -> ExtElement:
         cry = self.crystal
-        b, above = self.slot(c, k), self.slot(c, k + 1)
-        if cry.epsilon(b, i) > cry.epsilon_star(above, i):
-            raised = cry.raising(b, i)
+        at, stop, above, here, (x, above_read), (r, here_read) = self._reads(c, i, k + 1)
+        if r > x:
+            raised = cry.raise_with(here[1], i, here_read)
             assert raised is not None, "positive branch selector guarantees a raise"
-            return self._set_slot(c, k, raised)
-        return self._set_slot(c, k + 1, cry.star_lowering(above, i))
+            return self._splice(c, at, stop, above, self._entry(k, raised))
+        b = cry.star_lowering(cry.highest, i) if above is None else cry.star_lower_with(above[1], i, above_read)
+        return self._splice(c, at, stop, (k + 1, b), here)
 
     def star_lowering(self, c: ExtElement, i: int, k: int) -> ExtElement:
         cry = self.crystal
-        b, below = self.slot(c, k), self.slot(c, k - 1)
-        if cry.epsilon_star(b, i) >= cry.epsilon(below, i):
-            return self._set_slot(c, k, cry.star_lowering(b, i))
-        raised = cry.raising(below, i)
+        at, stop, here, below, (s, here_read), (y, below_read) = self._reads(c, i, k)
+        if s >= y:
+            b = cry.star_lowering(cry.highest, i) if here is None else cry.star_lower_with(here[1], i, here_read)
+            return self._splice(c, at, stop, (k, b), below)
+        raised = cry.raise_with(below[1], i, below_read)
         assert raised is not None, "negative starred selector guarantees a raise"
-        return self._set_slot(c, k - 1, raised)
+        return self._splice(c, at, stop, here, self._entry(k - 1, raised))
 
     def star_raising(self, c: ExtElement, i: int, k: int) -> ExtElement:
         cry = self.crystal
-        b, below = self.slot(c, k), self.slot(c, k - 1)
-        if cry.epsilon_star(b, i) > cry.epsilon(below, i):
-            raised = cry.star_raising(b, i)
+        at, stop, here, below, (s, here_read), (y, below_read) = self._reads(c, i, k)
+        if s > y:
+            raised = cry.star_raise_with(here[1], i, here_read)
             assert raised is not None, "positive starred selector guarantees a starred raise"
-            return self._set_slot(c, k, raised)
-        return self._set_slot(c, k - 1, cry.lowering(below, i))
+            return self._splice(c, at, stop, self._entry(k, raised), below)
+        b = cry.lowering(cry.highest, i) if below is None else cry.lower_with(below[1], i, below_read)
+        return self._splice(c, at, stop, here, (k - 1, b))
 
     def slot_weight(self, c: ExtElement, k: int) -> RootLatticeElem:
         """Weight of slot k with the alternating sign (-1)^k."""

@@ -363,35 +363,57 @@ class MultisegmentCrystal(AbstractCrystal):
         padded = b.mults + self._zeros[len(b.mults) :]
         return self._plain[i][0](padded), self._starred[i][0](padded)
 
-    def lowering(self, b: Multisegment, i: int) -> Multisegment:
+    def plain_read(self, b: Multisegment, i: int):
+        """epsilon(b, i) and, as the handle, the plain word's reduction and positions."""
+        read = self._reduce(self._plain, b, i)
+        return read[0][0], read
+
+    def star_read(self, b: Multisegment, i: int):
+        """epsilon_star(b, i) and, as the handle, the starred word's reduction and positions."""
+        read = self._reduce(self._starred, b, i)
+        return read[0][1], read
+
+    def lower_with(self, b: Multisegment, i: int, read) -> Multisegment:
         """Shift the leftmost surviving plus [i+1,t] to [i,t], or append [i,i]."""
-        (_, _, _, at), positions = self._reduce(self._plain, b, i)
+        (_, _, _, at), positions = read
         if at is None:
             return b._moved(None, _index(i, i))
         return b._moved(positions[at], positions[at] - 1)
 
-    def raising(self, b: Multisegment, i: int) -> Multisegment | None:
+    def raise_with(self, b: Multisegment, i: int, read) -> Multisegment | None:
         """Shift the rightmost surviving minus [i,t] to [i+1,t]; None if no minus."""
-        (_, _, at, _), positions = self._reduce(self._plain, b, i)
+        (_, _, at, _), positions = read
         if at is None:
             return None
         j = positions[at]
         return b._moved(j, None if j == _index(i, i) else j + 1)
 
-    def star_lowering(self, b: Multisegment, i: int) -> Multisegment:
+    def star_lower_with(self, b: Multisegment, i: int, read) -> Multisegment:
         """Grow the rightmost surviving minus [t,i-1] to [t,i], or append [i,i]."""
-        (_, _, at, _), positions = self._reduce(self._starred, b, i)
+        (_, _, at, _), positions = read
         if at is None:
             return b._moved(None, _index(i, i))
         return b._moved(positions[at], positions[at] + i - 1)
 
-    def star_raising(self, b: Multisegment, i: int) -> Multisegment | None:
+    def star_raise_with(self, b: Multisegment, i: int, read) -> Multisegment | None:
         """Trim the leftmost surviving plus [t,i] to [t,i-1]; None if no plus."""
-        (_, _, _, at), positions = self._reduce(self._starred, b, i)
+        (_, _, _, at), positions = read
         if at is None:
             return None
         j = positions[at]
         return b._moved(j, None if j == _index(i, i) else j - i + 1)
+
+    def lowering(self, b: Multisegment, i: int) -> Multisegment:
+        return self.lower_with(b, i, self._reduce(self._plain, b, i))
+
+    def raising(self, b: Multisegment, i: int) -> Multisegment | None:
+        return self.raise_with(b, i, self._reduce(self._plain, b, i))
+
+    def star_lowering(self, b: Multisegment, i: int) -> Multisegment:
+        return self.star_lower_with(b, i, self._reduce(self._starred, b, i))
+
+    def star_raising(self, b: Multisegment, i: int) -> Multisegment | None:
+        return self.star_raise_with(b, i, self._reduce(self._starred, b, i))
 
     def epsilon(self, b: Multisegment, i: int) -> int:
         """Number of surviving minus symbols; the raising string length along i."""

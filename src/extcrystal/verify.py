@@ -94,6 +94,8 @@ def _check_crystal_axioms(cfg: SweepConfig, idx: int) -> list[str]:
         ("", cry.lowering, cry.raising, cry.epsilon),
         ("star-", cry.star_lowering, cry.star_raising, cry.epsilon_star),
     )
+    # (epsilon, lowering, raising) of m per family and index, for the star checks
+    reads = {}
     for i in cry.indices():
         at = f"i={i} elem={text!r}"
         lowered = w - cry.lattice.alpha(i)
@@ -111,11 +113,13 @@ def _check_crystal_axioms(cfg: SweepConfig, idx: int) -> list[str]:
                 out.append(_bad(family + "raise-definedness", cfg, at))
             if e is not None and lower(e, i) != m:
                 out.append(_bad(family + "lower-of-raise", cfg, at))
-            steps, cur = 0, m
-            while (cur := lift(cur, i)) is not None:
+            steps, cur = 0, e
+            while cur is not None:
                 steps += 1
+                cur = lift(cur, i)
             if steps != e0:
                 out.append(_bad(family + "raise-string-length", cfg, at))
+            reads[family, i] = e0, f, e
 
     st = cry.star(m)
     if cry.star(st) != m:
@@ -123,13 +127,14 @@ def _check_crystal_axioms(cfg: SweepConfig, idx: int) -> list[str]:
     if cry.weight(st) != w:
         out.append(_bad("star-weight", cfg, f"elem={text!r}"))
     for i in cry.indices():
-        if cry.epsilon_star(m, i) != cry.epsilon(st, i):
+        eps, low, rai = reads["", i]
+        if reads["star-", i][0] != cry.epsilon(st, i):
             out.append(_bad("star-counter-swap", cfg, f"i={i} elem={text!r}"))
-        if cry.star(cry.lowering(m, i)) != cry.star_lowering(st, i):
+        if cry.star(low) != cry.star_lowering(st, i):
             out.append(_bad("star-lower-conjugation", cfg, f"i={i} elem={text!r}"))
         # the raising path that defines star may take any index that admits a raise
-        if cry.epsilon(m, i) > 0:
-            rebuilt = cry.star_lowering(cry.star(cry.raising(m, i)), i)
+        if eps > 0:
+            rebuilt = cry.star_lowering(cry.star(rai), i)
             if rebuilt != st:
                 out.append(_bad("star-branch-free", cfg, f"i={i} elem={text!r}"))
     return out

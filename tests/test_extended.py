@@ -1,5 +1,6 @@
 """Tests for slot-indexed elements and the generic extended crystal operators."""
 
+import itertools
 import random
 
 import pytest
@@ -337,3 +338,67 @@ def test_sl2_extended_branch_rule():
                 want[k + 1] = m_up - 1
             got = ext.lowering(c, 1, k)
             assert got == ext.element({kk: v for kk, v in want.items() if v})
+
+
+def _definitional(ext, name, c, i, k):
+    """The extended operator `name` along (i, k), spelled out from the public
+    slot counters and the base operators, rebuilt through ext.element."""
+    cry = ext.crystal
+    slots = dict(c.slots)
+
+    def put(t, b):
+        assert b is not None, f"{name} annihilated slot {t}"
+        return ext.element({**slots, t: b})
+
+    b, above, below = ext.slot(c, k), ext.slot(c, k + 1), ext.slot(c, k - 1)
+    if name == "lowering":
+        if cry.epsilon(b, i) >= cry.epsilon_star(above, i):
+            return put(k, cry.lowering(b, i))
+        return put(k + 1, cry.star_raising(above, i))
+    if name == "raising":
+        if cry.epsilon(b, i) > cry.epsilon_star(above, i):
+            return put(k, cry.raising(b, i))
+        return put(k + 1, cry.star_lowering(above, i))
+    if name == "star_lowering":
+        if cry.epsilon_star(b, i) >= cry.epsilon(below, i):
+            return put(k, cry.star_lowering(b, i))
+        return put(k - 1, cry.raising(below, i))
+    assert name == "star_raising"
+    if cry.epsilon_star(b, i) > cry.epsilon(below, i):
+        return put(k, cry.star_raising(b, i))
+    return put(k - 1, cry.lowering(below, i))
+
+
+def _assert_fused_operators_are_definitional(ext, elems, window):
+    names = ("lowering", "raising", "star_lowering", "star_raising")
+    seen = 0
+    for c in elems:
+        for k in range(window[0] - 1, window[1] + 2):
+            for i in ext.crystal.indices():
+                for name in names:
+                    got = getattr(ext, name)(c, i, k)
+                    assert got == _definitional(ext, name, c, i, k), (name, i, k, format_ext_element(c))
+                    seen += 1
+    assert seen
+
+
+def test_fused_operators_equal_their_definition_exhaustive():
+    # every element of the two windows, every (i, k) touching them, all four operators
+    for n, window, max_ht in ((2, (-2, 2), 3), (3, (-1, 1), 2)):
+        ext = ExtendedCrystal(MultisegmentCrystal(n))
+        elems = list(iter_ext_elements(ext, window, max_ht))
+        assert len(elems) == count_ext_elements(n, window, max_ht)
+        _assert_fused_operators_are_definitional(ext, elems, window)
+
+
+def test_fused_operators_default_reads_on_rank_one():
+    # Sl2Crystal keeps AbstractCrystal's default reads: no handle, plain operators
+    ext = ExtendedCrystal(Sl2Crystal())
+    window = (-2, 2)
+    slots = range(window[0], window[1] + 1)
+    elems = [
+        ext.element(dict(zip(slots, counts)))
+        for counts in itertools.product(range(4), repeat=len(slots))
+        if sum(counts) <= 3
+    ]
+    _assert_fused_operators_are_definitional(ext, elems, window)

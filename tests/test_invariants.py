@@ -2,8 +2,8 @@
 
 import random
 
-from extcrystal.enumeration import random_ext_element
-from extcrystal.extended import ExtendedCrystal, parse_ext_element
+from extcrystal.enumeration import count_ext_elements, iter_ext_elements, random_ext_element
+from extcrystal.extended import ExtendedCrystal, format_ext_element, parse_ext_element
 from extcrystal.invariants import d_invariant, lambda_left, lambda_right
 from extcrystal.msegment import MultisegmentCrystal, parse_multisegment
 from extcrystal.rootdata import CartanA
@@ -115,3 +115,28 @@ def test_counters_feed_the_maxima():
     assert lambda_left(EXT3, c, 1, 0) == 2 * 2 + (-4)
     assert lambda_right(EXT3, c, 1, 0) == 2 * 2 + (-4)
     assert d_invariant(EXT3, c, 1, 0) == 2 + 2 + (-4)
+
+
+def test_closed_forms_match_the_docstring_with_the_extended_sign():
+    # lambda_left, lambda_right and d evaluated as the module docstring writes
+    # them, with rel(t) = (-1)^k <alpha_i, slot_weight(c, t)>: slot_weight
+    # carries the extended layer's own sign (-1)^t, so rel(t) is
+    # (-1)^(t - k) <alpha_i, w_t> without restating that sign here
+    n, window, max_ht = 2, (-1, 1), 3
+    ext = ExtendedCrystal(MultisegmentCrystal(n))
+    pair = ext.lattice.pair
+    elems = list(iter_ext_elements(ext, window, max_ht))
+    assert len(elems) == count_ext_elements(n, window, max_ht)
+    for c in elems:
+        for k in range(window[0] - 1, window[1] + 2):
+            for i in range(1, n + 1):
+                x, r = ext.epsilon_star(c, i, k + 1), ext.epsilon(c, i, k)
+                s, y = ext.epsilon_star(c, i, k), ext.epsilon(c, i, k - 1)
+                rel = {t: (-1) ** (k % 2) * pair(i, ext.slot_weight(c, t)) for t in c.support()}
+                left = 2 * max(x, r) + sum(-v if t > k else v for t, v in rel.items())
+                right = 2 * max(y, s) + sum(-v if t < k else v for t, v in rel.items())
+                d = max(x, r) + max(y, s) + rel.get(k, 0)
+                at = (format_ext_element(c), i, k)
+                assert lambda_left(ext, c, i, k) == left, at
+                assert lambda_right(ext, c, i, k) == right, at
+                assert d_invariant(ext, c, i, k) == d, at
