@@ -230,10 +230,14 @@ class ExtendedCrystal:
 
         Greedy: always raise in the largest supported slot, along the
         smallest index that admits a raise there.  Each step lowers the total
-        height by one, so the word length equals the total height.
+        height by one, so the word length equals the total height; a longer
+        walk raises AssertionError.
         """
         path: list[tuple[int, int]] = []
+        steps = self.total_height(c)
         while not c.is_highest():
+            if len(path) == steps:
+                raise AssertionError(f"{c} is not highest after {steps} raises")
             l = c.slots[0][0]
             b = self.slot(c, l)
             for i in self.crystal.indices():

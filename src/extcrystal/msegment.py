@@ -22,22 +22,23 @@ the surviving symbol closest to the appropriate end or appends the length-one
 segment [i,i], and raising edits the opposite end or annihilates.  Raising a
 length-one segment out of existence deletes it.
 
-The star involution is height-independent: it reads m's string data along a
-fixed reduced word of w0 and star-lowers the empty multisegment back along it,
-each step applying a whole string at once (see ``star``).
+The star involution is one sweep of tropical braid 3-moves on the
+multiplicities (Lusztig; Berenstein-Fomin-Zelevinsky), so its cost depends on
+the rank only (see ``star``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import combinations
 from math import isqrt
 from operator import itemgetter
 
 from .crystal import AbstractCrystal
 from .parsing import Scanner, parse_counted
 from .rootdata import RootLattice, RootLatticeElem, check_rank
-from .signature import expand, reduce_runs, survivors
+from .signature import reduce_runs
 
 
 @dataclass(frozen=True)
@@ -63,16 +64,6 @@ class Segment:
 
 def _segment_text(a: int, b: int) -> str:
     return f"[{a}]" if a == b else f"[{a},{b}]"
-
-
-def left_order_key(seg: Segment) -> tuple[int, int]:
-    """Sorting ascending by this key realizes the left order."""
-    return (seg.b, -seg.a)
-
-
-def right_order_key(seg: Segment) -> tuple[int, int]:
-    """Sorting ascending by this key realizes the right order."""
-    return (seg.a, -seg.b)
 
 
 def _index(a: int, b: int) -> int:
@@ -219,85 +210,24 @@ def _table(positions: tuple[int, ...]):
 _NO_SURVIVORS = (0, 0, None, None)
 
 
-def _view(m: Multisegment, positions: tuple[int, ...]) -> list[tuple[str, Segment]]:
-    """The per-symbol word read at positions: one (sign, segment) pair per symbol."""
-    mults = m.mults + (0,) * (max(positions) + 1 - len(m.mults))
-    return [(sign, Segment(*_ends(positions[at]))) for sign, at in expand([mults[j] for j in positions])]
-
-
-def _rank_for(m: Multisegment, i: int) -> int:
-    """The least rank that holds m and the index i; larger ranks add only zero counts."""
-    return max(i, _ends(len(m.mults) - 1)[1] if m.mults else 0)
-
-
-def left_signature(m: Multisegment, i: int) -> list[tuple[str, Segment]]:
-    """Signature word of the plain operators along i, largest segment first."""
-    return _view(m, _plain_positions(_rank_for(m, i), i))
-
-
-def right_signature(m: Multisegment, i: int) -> list[tuple[str, Segment]]:
-    """Signature word of the starred operators along i, largest segment first; all plus for i = 1."""
-    return _view(m, _starred_positions(_rank_for(m, i), i))
-
-
 # the sweeps ask for the star of a few elements over and over: verify all at
 # rank 3, window -1..0, height 3 makes about 59 600 lookups of 62 elements
 @lru_cache(maxsize=1 << 16)
 def star(crystal: MultisegmentCrystal, m: Multisegment) -> Multisegment:
-    """The star involution, through m's string data along a reduced word of w0.
+    """The star involution: Lusztig's 3-move, read tropically, once per triple.
 
-    The word is iota = (1..n, 1..n-1, ..., 1), with N = n(n+1)/2 letters.
-    Raising along iota in bulk, c_k = epsilon_{i_k} and e_{i_k}^{c_k}, reaches
-    the empty multisegment after N steps; then
-    m* = f*_{i_1}^{c_1} ... f*_{i_N}^{c_N} (empty), since star carries f_i to
-    f*_i (Berenstein-Zelevinsky, Adv. Soviet Math. 16 (1993); Littelmann,
-    Transform. Groups 3 (1998)).  Each bulk step is count arithmetic on the
-    surviving minuses of one word, so the cost does not grow with height:
-
-    * e_i^max moves every surviving minus [i,t] of the plain word to
-      [i+1,t] and deletes a surviving [i,i];
-    * f*_i^c grows the c rightmost surviving minuses [t,i-1] of the starred
-      word to [t,i], and any remainder becomes copies of [i,i].
-
-    Works on one count list, padded to the rank.  A letter whose word holds
-    no minus changes nothing and is skipped, and raising stops once the list
-    is empty.
+    x_ij, the multiplicity of [i,j-1], is the Lusztig datum of the root e_i - e_j.
+    Each triple i < j < l of 1..n+1 sets, with p = min(x_ij, x_jl), (x_ij, x_il,
+    x_jl) to (x_ij + x_il - p, p, x_jl + x_il - p): a transition map between reduced
+    words of w0 (Lusztig, JAMS 3 (1990); Berenstein-Fomin-Zelevinsky, Adv. Math. 122 (1996)).
     """
     crystal.validate(m)
-    counts = list(m.mults + crystal._zeros[len(m.mults) :])
-    plain, starred = crystal._plain, crystal._starred
-    string = []
-    for i in crystal._w0:
-        if not any(counts):
-            break
-        getter, positions, _ = plain[i]
-        word = getter(counts)
-        if not any(word[::2]):
-            continue
-        left = survivors(word)
-        for at in range(0, len(left) - 2, 2):  # [i,t] becomes [i+1,t]
-            if left[at]:
-                j = positions[at]
-                counts[j] -= left[at]
-                counts[j + 1] += left[at]
-        counts[positions[-2]] -= left[-2]  # [i,i] is deleted
-        c = sum(left)
-        if c:
-            string.append((i, c))
-    for i, c in reversed(string):
-        getter, positions, _ = starred[i]
-        word = getter(counts)
-        if any(word[2::2]):
-            left = survivors(word)
-            for at in range(len(left) - 2, 0, -2):  # [t,i-1] becomes [t,i], rightmost first
-                grow = min(left[at], c)
-                if grow:
-                    j = positions[at]
-                    counts[j] -= grow
-                    counts[j + i - 1] += grow
-                    c -= grow
-        counts[positions[1]] += c  # the remainder becomes copies of [i,i]
-    return _of(counts)
+    x = list(m.mults + crystal._zeros[len(m.mults) :])
+    for ij, il, jl in crystal._moves:
+        a, b, c = x[ij], x[il], x[jl]
+        p = a if a < c else c
+        x[ij], x[il], x[jl] = a + b - p, p, c + b - p
+    return _of(x)
 
 
 class MultisegmentCrystal(AbstractCrystal):
@@ -315,8 +245,13 @@ class MultisegmentCrystal(AbstractCrystal):
         size = n * (n + 1) // 2
         # position `size` lies past the rank and always reads 0
         self._zeros = (0,) * (size + 1)
-        # the reduced word iota = (1..n, 1..n-1, ..., 1) of w0 that star raises along
-        self._w0 = tuple(i for top in range(n, 0, -1) for i in range(1, top + 1))
+        # star's 3-moves on the positions of [i,j-1], [i,l-1], [j,l-1].  They do not
+        # commute: lexicographic order is admissible (Manin-Schechtman), a path of
+        # braid moves between reduced words of w0.  Its reverse gives the same map,
+        # as each move and star are involutions; an order like (-i, j, l) does not.
+        self._moves = tuple(
+            (_index(i, j - 1), _index(i, l - 1), _index(j, l - 1)) for i, j, l in combinations(range(1, n + 2), 3)
+        )
         self._plain = {i: _table(_plain_positions(n, i)) for i in self.indices()}
         self._starred = {i: _table(_starred_positions(n, i)) for i in self.indices()}
 

@@ -43,26 +43,6 @@ def reduce_runs(counts) -> tuple[int, int, int | None, int | None]:
     return minus, plus, minus_at, plus_at if plus else None
 
 
-def survivors(counts) -> list[int]:
-    """The surviving minus count at each index of a word given as alternating counts.
-
-    One entry per count, 0 at the plus indices.  A minus stretch keeps what
-    exceeds the plus carried from its left, max(0, down - plus), and the
-    carried plus loses what it cancels.  The entries sum to reduce_runs'
-    minus, and the last non-zero one sits at its minus_at.
-    """
-    out = [0] * len(counts)
-    plus = 0
-    it = iter(counts)
-    for at, down in zip(range(0, len(counts), 2), it):
-        if down > plus:
-            out[at] = down - plus
-            plus = next(it, 0)
-        else:
-            plus += next(it, 0) - down
-    return out
-
-
 def expand(counts) -> list[tuple[str, int]]:
     """The per-symbol word of alternating counts: one (sign, index) pair per symbol."""
     return [("+" if at & 1 else "-", at) for at, count in enumerate(counts) for _ in range(count)]

@@ -282,14 +282,15 @@ def test_dual_shift_commutes_with_operators():
 def test_signature_word_concatenates_slotwise_signatures():
     # the affine word at (i, k) reads the slot k+1 content end-first, then
     # the slot k content start-first; checked against the hand example
-    from extcrystal.msegment import left_signature, parse_multisegment, right_signature
+    from extcrystal.msegment import parse_multisegment
+    from extcrystal.signature import expand
 
     lam = parse_hl_weight(DEMO)
     m_high = parse_multisegment("2*[1],[1,2],[2,3]")  # block 1 content of DEMO
     m_low = parse_multisegment("[1,2],[2],[2,3]")  # block 0 content of DEMO
     got = [s for s, _t in M3.signature(lam, 1, 0)]
-    want = [s for s, _seg in right_signature(m_high, 1)]
-    want += [s for s, _seg in left_signature(m_low, 1)]
+    want = [s for s, _at in expand(EXT3.crystal.count_words(m_high, 1)[1])]
+    want += [s for s, _at in expand(EXT3.crystal.count_words(m_low, 1)[0])]
     assert got == want == ["+", "+", "+", "-", "+"]
 
 

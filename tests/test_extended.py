@@ -259,6 +259,14 @@ def test_path_to_highest_random():
         assert cur == HIGHEST
 
 
+def test_path_to_highest_stops_after_total_height(monkeypatch):
+    # a raise that never moves would walk forever; the path is cut at the
+    # total height, 8 here
+    monkeypatch.setattr(ExtendedCrystal, "raising", lambda self, c, i, k: c)
+    with pytest.raises(AssertionError, match="not highest after 8 raises"):
+        EXT3.path_to_highest(mixed())
+
+
 def test_enumeration_counts_frozen():
     # anchors computed once by the brute-force enumerator and kept as
     # regression values

@@ -12,13 +12,10 @@ from extcrystal.msegment import (
     MultisegmentCrystal,
     Segment,
     format_multisegment,
-    left_order_key,
-    left_signature,
     parse_multisegment,
-    right_order_key,
-    right_signature,
 )
 from extcrystal.parsing import ParseError
+from extcrystal.signature import expand
 from extcrystal.verify import cancel_in_random_order
 
 C3 = MultisegmentCrystal(3)
@@ -47,8 +44,6 @@ def test_storage_order_is_canonical():
     # larger start, so [2,3] sorts first only by start tiebreak; hand order:
     #   [2,3] (3,-2) > [3] (3,-3) > [1,2] (2,-1) > [1] (1,-1)
     assert m.segments == (Segment(2, 3), Segment(3, 3), Segment(1, 2), Segment(1, 1))
-    assert left_order_key(Segment(2, 3)) > left_order_key(Segment(3, 3))
-    assert right_order_key(Segment(1, 1)) > right_order_key(Segment(1, 2))
 
 
 def test_counts_groups_repeats():
@@ -108,24 +103,25 @@ def test_parse_format_round_trip_random():
         assert parse_multisegment(format_multisegment(m)) == m
 
 
+def _signs(word):
+    return [sign for sign, _at in expand(word)]
+
+
 def test_left_signature_hand_example():
     # i=1 on [2,3],[1,2],[1]: starts 2,1,1 give "+", "-", "-" in storage order
-    word = left_signature(MIXED, 1)
-    assert [sign for sign, _seg in word] == ["+", "-", "-"]
+    assert _signs(C3.count_words(MIXED, 1)[0]) == ["+", "-", "-"]
     # i=2: only [2,3] starts at 2
-    word = left_signature(MIXED, 2)
-    assert [sign for sign, _seg in word] == ["-"]
-    assert left_signature(MIXED, 3) == []
+    assert _signs(C3.count_words(MIXED, 2)[0]) == ["-"]
+    assert _signs(C3.count_words(MIXED, 3)[0]) == []
 
 
 def test_right_signature_hand_example():
     # i=2 on the same element: ends 3,2,1 give nothing, "+", "-" after the
     # right-order resort puts [2,3] first, then [1], then [1,2]
-    word = right_signature(MIXED, 2)
-    assert [sign for sign, _seg in word] == ["-", "+"]
-    word = right_signature(MIXED, 1)
-    assert [sign for sign, _seg in word] == ["+"]
-    assert right_signature(MIXED, 3) == [("+", Segment(2, 3)), ("-", Segment(1, 2))]
+    assert _signs(C3.count_words(MIXED, 2)[1]) == ["-", "+"]
+    assert _signs(C3.count_words(MIXED, 1)[1]) == ["+"]
+    # counts 3 and 4 of the starred scan order along 3 read [2,3] and [1,2]
+    assert expand(C3.count_words(MIXED, 3)[1]) == [("+", 3), ("-", 4)]
 
 
 def test_counter_table_hand_example():
@@ -220,22 +216,39 @@ def test_star_dual_hand_examples():
         assert format_multisegment(C3.star(parse_multisegment(text))) == dual
 
 
+def _huge_count_vectors(seed):
+    """(crystal, m) for seeded random count vectors at ranks 5, 8 and 12, many entries 20 digits long."""
+    rng = random.Random(seed)
+    for n in (5, 8, 12):
+        crystal = MultisegmentCrystal(n)
+        for _ in range(40):
+            pairs = [
+                (Segment(a, b), rng.choice((1, 2, rng.randrange(10**19, 10**20))))
+                for b in range(1, n + 1)
+                for a in range(1, b + 1)
+                if rng.random() < 0.5
+            ]
+            yield crystal, Multisegment.from_counts(pairs)
+
+
 def test_star_is_involution_random():
     rng = random.Random(47)
-    for _ in range(150):
-        m = random_multisegment(rng, 3, 7)
-        assert C3.star(C3.star(m)) == m
-        assert C3.weight(C3.star(m)) == C3.weight(m)
+    cases = [(C3, random_multisegment(rng, 3, 7)) for _ in range(150)]
+    for crystal, m in cases + list(_huge_count_vectors(67)):
+        # compare the tuples: a failing == on multisegments would make pytest
+        # list their 20-digit multiplicities segment by segment
+        assert crystal.star(crystal.star(m)).mults == m.mults
+        assert crystal.weight(crystal.star(m)) == crystal.weight(m)
 
 
 def test_star_swaps_counters():
     rng = random.Random(53)
-    for _ in range(150):
-        m = random_multisegment(rng, 3, 7)
-        st = C3.star(m)
-        for i in (1, 2, 3):
-            assert C3.epsilon_star(m, i) == C3.epsilon(st, i)
-            assert C3.epsilon(m, i) == C3.epsilon_star(st, i)
+    cases = [(C3, random_multisegment(rng, 3, 7)) for _ in range(150)]
+    for crystal, m in cases + list(_huge_count_vectors(71)):
+        st = crystal.star(m)
+        for i in crystal.indices():
+            assert crystal.epsilon_star(m, i) == crystal.epsilon(st, i)
+            assert crystal.epsilon(m, i) == crystal.epsilon_star(st, i)
 
 
 def test_star_conjugates_operators():
@@ -339,11 +352,10 @@ def test_operators_match_per_symbol_cancellation_exhaustive():
             for i in crystal.indices():
                 # the words by their definition, from the segments in left order
                 plain = [("-" if s.a == i else "+", s) for s in m.segments if s.a in (i, i + 1)]
-                starred = sorted((s for s in m.segments if s.b in (i - 1, i)), key=right_order_key, reverse=True)
-                assert left_signature(m, i) == plain
-                assert right_signature(m, i) == [("+" if s.b == i else "-", s) for s in starred]
+                starred = sorted((s for s in m.segments if s.b in (i - 1, i)), key=lambda s: (s.a, -s.b), reverse=True)
+                starred = [("+" if s.b == i else "-", s) for s in starred]
 
-                minus, plus = _survivors(left_signature(m, i), rng)
+                minus, plus = _survivors(plain, rng)
                 assert crystal.epsilon(m, i) == len(minus)
                 want = m.replace_one(plus[0], Segment(i, plus[0].b)) if plus else m.add(Segment(i, i))
                 assert crystal.lowering(m, i) == want
@@ -352,7 +364,7 @@ def test_operators_match_per_symbol_cancellation_exhaustive():
                     want = m.replace_one(seg, Segment(i + 1, seg.b) if seg.b > i else None)
                 assert crystal.raising(m, i) == (want if minus else None)
 
-                minus, plus = _survivors(right_signature(m, i), rng)
+                minus, plus = _survivors(starred, rng)
                 assert crystal.epsilon_star(m, i) == len(plus)
                 want = m.replace_one(minus[-1], Segment(minus[-1].a, i)) if minus else m.add(Segment(i, i))
                 assert crystal.star_lowering(m, i) == want
