@@ -5,28 +5,31 @@ affine type A model of rank n.  The dual shift sends (i, a) to
 (n+1-i, a+n+1); its iterates cut the node set into blocks, block zero being
 the triangle i-1 <= a <= 2n-1-i, and block k its image under k dual shifts.
 
-Each node corresponds to a segment placed in the slot given by its block:
-the segment [a,b] in slot k maps to the k-fold dual shift of the node
-(b-a+1, b+a-2).  Transporting the extended-crystal operators through this
-correspondence gives a direct rule on formal sums of nodes with nonnegative
-coefficients, the highest weights: the operator along (i, k) scans a fixed
-ordered list of 2n nodes, reads their coefficients as the alternating counts
-of a signature word (see ``signature``), cancels adjacent (+,-) pairs, and
-moves one unit of coefficient between neighbouring list positions.  The
-operators splice that unit into the weight's sorted terms in one pass;
-``add_node``, ``remove_node`` and weights built from outside input go through
-the validating constructor, which merges, checks and sorts.
+Each node corresponds to a segment placed in the slot given by its block: the
+segment [a,b] in slot k maps to the k-fold dual shift of the node
+(b-a+1, b+a-2), read off a per-rank table; back, the block is
+2q + (r > 2(n-i)) with q, r = divmod(a-i+1, 2(n+1)).  Transporting the
+extended-crystal operators through this correspondence gives a direct rule on
+formal sums of nodes with nonnegative coefficients, the highest weights: the
+operator along (i, k) scans a fixed ordered list of 2n nodes, reads their
+coefficients as the alternating counts of a signature word (see
+``signature``), cancels adjacent (+,-) pairs, and moves one unit of
+coefficient between neighbouring list positions.  The operators splice that
+unit into the weight's sorted terms in one pass, and the conversions sort
+their nodes once, unchecked; ``add_node``, ``remove_node`` and weights built
+from outside input go through the validating constructor, which merges, checks
+and sorts.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .extended import ExtElement, ExtendedCrystal
-from .msegment import Multisegment, MultisegmentCrystal, Segment
+from .extended import ExtElement, ExtendedCrystal, _from_slots
+from .msegment import MultisegmentCrystal, Segment, _ends, _index, _of
 from .parsing import Scanner, parse_counted
 from .rootdata import RootLatticeElem, check_rank
-from .signature import expand, reduce_runs
+from .signature import reduce_runs
 
 
 @dataclass(frozen=True)
@@ -134,6 +137,22 @@ class HLWeight:
 ZERO_WEIGHT = HLWeight()
 
 
+def _hl_node(i: int, a: int) -> HLNode:
+    """The node (i, a), which the caller knows to be valid; nothing is checked."""
+    p = object.__new__(HLNode)
+    object.__setattr__(p, "i", i)
+    object.__setattr__(p, "a", a)
+    return p
+
+
+def _sorted_weight(keyed: list) -> HLWeight:
+    """Unchecked weight of ((a, i), coefficient) entries at distinct nodes with positive coefficients."""
+    keyed.sort()
+    lam = object.__new__(HLWeight)
+    object.__setattr__(lam, "terms", tuple((_hl_node(i, a), c) for (a, i), c in keyed))
+    return lam
+
+
 @dataclass(frozen=True)
 class SignatureNodes:
     """The ordered nodes one operator scans, first position last in the scan.
@@ -184,6 +203,7 @@ class AffineModel:
         self.crystal = MultisegmentCrystal(n)
         self.ext = ExtendedCrystal(self.crystal)
         self._signature_nodes_cache: dict[tuple[int, int], SignatureNodes] = {}
+        self._base = tuple((b - a + 1, a + b - 2) for a, b in map(_ends, range(n * (n + 1) // 2)))
 
     # -- the node lattice -------------------------------------------------
 
@@ -200,74 +220,62 @@ class AffineModel:
         i = p.i if k % 2 == 0 else self.n + 1 - p.i
         return HLNode(i, p.a + k * (self.n + 1))
 
-    def _in_base_block(self, p: HLNode) -> bool:
-        return 1 <= p.i <= self.n and p.i - 1 <= p.a <= 2 * self.n - 1 - p.i
+    def _place(self, position: int, k: int) -> tuple[int, int]:
+        """(i, a) of the segment at a multiplicity position in slot k: its base node, shifted k times."""
+        i, a = self._base[position]
+        return (self.n + 1 - i if k % 2 else i), a + k * (self.n + 1)
+
+    def _locate(self, i: int, a: int) -> tuple[int, int]:
+        """(slot, multiplicity position) of the node (i, a), for 1 <= i <= n; see the module docstring."""
+        step = self.n + 1
+        q, r = divmod(a - i + 1, 2 * step)
+        k = 2 * q + (r > 2 * (self.n - i))
+        i, a = (step - i if k % 2 else i), a - k * step
+        return k, _index((a - i + 3) // 2, (a + i + 1) // 2)
 
     def block_of(self, p: HLNode) -> int:
         """The unique k whose block contains p."""
-        self.check_node(p)
-        step = self.n + 1
-        guess = p.a // step
-        hits = []
-        for k in range(guess - 2, guess + 3):
-            # is dual_shift(p, -k), at (i, p.a - k * step), in block zero?
-            i = step - p.i if k % 2 else p.i
-            if i - 1 <= p.a - k * step <= 2 * self.n - 1 - i:
-                hits.append(k)
-        assert len(hits) == 1, f"blocks failed to tile at {p}: {hits}"
-        return hits[0]
-
-    def base_block_nodes(self) -> tuple[HLNode, ...]:
-        out = []
-        for i in range(1, self.n + 1):
-            for a in range(i - 1, 2 * self.n - i, 2):
-                out.append(HLNode(i, a))
-        return tuple(sorted(out, key=_node_sort_key))
+        return self.segment_of_node(p)[1]
 
     def block_nodes(self, k: int) -> tuple[HLNode, ...]:
-        shifted = (self.dual_shift(p, k) for p in self.base_block_nodes())
-        return tuple(sorted(shifted, key=_node_sort_key))
-
-    def generator_node(self, i: int) -> HLNode:
-        """The node of the one-segment element [i,i] in slot zero."""
-        self._check_index(i)
-        return HLNode(1, 2 * (i - 1))
+        return tuple(sorted((_hl_node(*self._place(j, k)) for j in range(len(self._base))), key=_node_sort_key))
 
     # -- correspondence with slotted multisegments ------------------------
 
     def node_of_segment(self, seg: Segment, k: int) -> HLNode:
         """Node of the segment [a,b] placed in slot k."""
-        return self._node(seg.a, seg.b, k)
-
-    def _node(self, a: int, b: int, k: int) -> HLNode:
-        if b > self.n:
-            raise ValueError(f"segment {Segment(a, b)} does not fit inside rank {self.n}")
-        return self.dual_shift(HLNode(b - a + 1, b + a - 2), k)
+        if seg.b > self.n:
+            raise ValueError(f"segment {seg} does not fit inside rank {self.n}")
+        return _hl_node(*self._place(_index(seg.a, seg.b), k))
 
     def segment_of_node(self, p: HLNode) -> tuple[Segment, int]:
         """The (segment, slot) pair a node stands for."""
-        k = self.block_of(p)
-        q = self.dual_shift(p, -k)
-        a = (q.a - q.i + 3) // 2
-        b = (q.a + q.i + 1) // 2
-        return Segment(a, b), k
+        self.check_node(p)
+        k, position = self._locate(p.i, p.a)
+        return Segment(*_ends(position)), k
 
     def to_weight(self, c: ExtElement) -> HLWeight:
         """Total node count of a slotted multisegment element."""
-        counts: dict[HLNode, int] = {}
+        keyed = []
         for k, m in c.slots:
-            for a, b, mult in m.entries():
-                p = self._node(a, b, k)
-                counts[p] = counts.get(p, 0) + mult
-        return HLWeight.from_counts(counts)
+            self.crystal.validate(m)
+            for position, mult in enumerate(m.mults):
+                if mult:
+                    i, a = self._place(position, k)
+                    keyed.append(((a, i), mult))
+        # distinct (slot, position) pairs give distinct nodes: nothing to merge
+        return _sorted_weight(keyed)
 
     def to_extended(self, lam: HLWeight) -> ExtElement:
         """Inverse of to_weight."""
-        per_slot: dict[int, list[tuple[Segment, int]]] = {}
+        per_slot: dict[int, list[int]] = {}
         for p, c in lam.terms:
-            seg, k = self.segment_of_node(p)
-            per_slot.setdefault(k, []).append((seg, c))
-        return self.ext.element({k: Multisegment.from_counts(v) for k, v in per_slot.items()})
+            self.check_node(p)
+            k, position = self._locate(p.i, p.a)
+            mults = per_slot.setdefault(k, [])
+            mults.extend([0] * (position + 1 - len(mults)))
+            mults[position] = c
+        return _from_slots(tuple((k, _of(per_slot[k])) for k in sorted(per_slot, reverse=True)))
 
     # -- weights ----------------------------------------------------------
 
@@ -284,7 +292,9 @@ class AffineModel:
         return total
 
     def dual_shift_weight(self, lam: HLWeight, k: int = 1) -> HLWeight:
-        return HLWeight(tuple((self.dual_shift(p, k), c) for p, c in lam.terms))
+        """Every node of lam, all of rank n, dual-shifted k times."""
+        step, flip = self.n + 1, k % 2
+        return _sorted_weight([((p.a + k * step, step - p.i if flip else p.i), c) for p, c in lam.terms])
 
     # -- the direct operator rule -----------------------------------------
 
@@ -306,11 +316,6 @@ class AffineModel:
         sn = SignatureNodes(tuple(self.dual_shift(p, k) for p in base))
         self._signature_nodes_cache[(i, k)] = sn
         return sn
-
-    def signature(self, lam: HLWeight, i: int, k: int) -> list[tuple[str, int]]:
-        """Signature word of lam along (i, k), one (sign, position) per symbol."""
-        sn = self.signature_nodes(i, k)
-        return [(sign, len(sn) + 1 - r) for sign, r in expand(sn.word(lam))]
 
     def lowering(self, lam: HLWeight, i: int, k: int) -> HLWeight:
         """Move one unit from the leftmost surviving plus to the next position up.

@@ -176,10 +176,7 @@ def _cmd_apply(args: argparse.Namespace) -> int:
         text = format_hl_weight(model.to_weight(c))
     elif op == "gammainv":
         need(0)
-        lam = parse_hl_weight(args.target)
-        for p in lam.support():
-            model.check_node(p)
-        text = format_ext_element(model.to_extended(lam))
+        text = format_ext_element(model.to_extended(parse_hl_weight(args.target)))
     else:  # star
         need(0)
         m = model.crystal.parse(args.target)

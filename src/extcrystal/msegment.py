@@ -151,9 +151,6 @@ class Multisegment:
             raise ValueError(f"segment {old} does not occur in {self}")
         return self._moved(j, None if new is None else _index(new.a, new.b))
 
-    def __iter__(self):
-        return iter(self.segments)
-
     def __len__(self) -> int:
         return sum(self.mults)
 

@@ -12,10 +12,11 @@ from extcrystal.affine import (
     format_hl_weight,
     parse_hl_weight,
 )
-from extcrystal.enumeration import random_ext_element
+from extcrystal.enumeration import iter_ext_elements, random_ext_element
 from extcrystal.extended import ExtendedCrystal, format_ext_element, parse_ext_element
 from extcrystal.msegment import MultisegmentCrystal, Segment
 from extcrystal.parsing import ParseError
+from extcrystal.signature import expand
 
 M3 = AffineModel(3)
 EXT3 = ExtendedCrystal(MultisegmentCrystal(3))
@@ -44,6 +45,12 @@ def as_pairs(nodes):
     return {(p.i, p.a) for p in nodes}
 
 
+def signature(model, lam, i, k):
+    """lam's signature word along (i, k), one (sign, position) per symbol."""
+    sn = model.signature_nodes(i, k)
+    return [(sign, len(sn) + 1 - r) for sign, r in expand(sn.word(lam))]
+
+
 def test_node_parity_constraint():
     HLNode(1, 0)
     HLNode(2, -3)
@@ -53,7 +60,6 @@ def test_node_parity_constraint():
 
 
 def test_block_tables_frozen():
-    assert as_pairs(M3.base_block_nodes()) == BLOCK_0
     assert as_pairs(M3.block_nodes(0)) == BLOCK_0
     assert as_pairs(M3.block_nodes(-1)) == BLOCK_MINUS_1
     assert as_pairs(M3.block_nodes(1)) == BLOCK_PLUS_1
@@ -90,7 +96,7 @@ def test_dual_shift_composition_and_inverse():
 
 def test_dual_shift_maps_blocks_to_blocks():
     for k in (-2, -1, 0, 1, 2):
-        shifted = {M3.dual_shift(p, k) for p in M3.base_block_nodes()}
+        shifted = {M3.dual_shift(p, k) for p in M3.block_nodes(0)}
         assert shifted == set(M3.block_nodes(k))
 
 
@@ -104,7 +110,8 @@ def test_segment_node_dictionary_all_18_positions():
 
 
 def test_generator_nodes():
-    assert [M3.generator_node(i) for i in (1, 2, 3)] == [
+    # the node of the one-segment element [i,i] in slot zero
+    assert [M3.node_of_segment(Segment(i, i), 0) for i in (1, 2, 3)] == [
         HLNode(1, 0),
         HLNode(1, 2),
         HLNode(1, 4),
@@ -214,7 +221,7 @@ def test_signature_positions_cover_two_adjacent_blocks():
 
 def test_signature_word_hand_example():
     lam = parse_hl_weight("(1,0),2*(2,1),(1,2)")
-    assert M3.signature(lam, 1, 0) == [("-", 3), ("-", 3), ("+", 2), ("-", 1)]
+    assert signature(M3, lam, 1, 0) == [("-", 3), ("-", 3), ("+", 2), ("-", 1)]
 
 
 def test_lowering_with_no_surviving_plus_adds_first_position():
@@ -244,7 +251,7 @@ def test_demo_weight_replay():
 
 def test_demo_weight_signature_signs():
     lam = parse_hl_weight(DEMO)
-    assert [s for s, _t in M3.signature(lam, 1, 0)] == ["+", "+", "+", "-", "+"]
+    assert [s for s, _t in signature(M3, lam, 1, 0)] == ["+", "+", "+", "-", "+"]
 
 
 def test_operators_are_inverse_on_random_weights():
@@ -283,12 +290,11 @@ def test_signature_word_concatenates_slotwise_signatures():
     # the affine word at (i, k) reads the slot k+1 content end-first, then
     # the slot k content start-first; checked against the hand example
     from extcrystal.msegment import parse_multisegment
-    from extcrystal.signature import expand
 
     lam = parse_hl_weight(DEMO)
     m_high = parse_multisegment("2*[1],[1,2],[2,3]")  # block 1 content of DEMO
     m_low = parse_multisegment("[1,2],[2],[2,3]")  # block 0 content of DEMO
-    got = [s for s, _t in M3.signature(lam, 1, 0)]
+    got = [s for s, _t in signature(M3, lam, 1, 0)]
     want = [s for s, _at in expand(EXT3.crystal.count_words(m_high, 1)[1])]
     want += [s for s, _at in expand(EXT3.crystal.count_words(m_low, 1)[0])]
     assert got == want == ["+", "+", "+", "-", "+"]
@@ -338,7 +344,7 @@ def test_operators_match_per_symbol_cancellation_on_large_coefficients():
         for i in range(1, 6):
             for k in (-1, 0, 1):
                 sn = model.signature_nodes(i, k)
-                left = cancel_in_random_order(model.signature(lam, i, k), rng)
+                left = cancel_in_random_order(signature(model, lam, i, k), rng)
                 minus = [t for sign, t in left if sign == "-"]
                 plus = [t for sign, t in left if sign == "+"]
                 if plus:
@@ -411,13 +417,67 @@ def test_node_operator_splice_edge_cases(case):
     assert_canonical(got)
 
 
+def in_base_block(n, p):
+    """Block zero by its definition: the triangle i-1 <= a <= 2n-1-i."""
+    return 1 <= p.i <= n and p.i - 1 <= p.a <= 2 * n - 1 - p.i
+
+
 def test_block_of_matches_its_definition():
-    for n in range(1, 6):
+    for n in range(1, 7):
         model = AffineModel(n)
         for i in range(1, n + 1):
             for a in range(-3 * (n + 1), 3 * (n + 1) + 1):
                 if (a - i) % 2 == 0:
                     continue
                 p = HLNode(i, a)
-                hits = [k for k in range(-10, 11) if model._in_base_block(model.dual_shift(p, -k))]
+                hits = [k for k in range(-10, 11) if in_base_block(n, model.dual_shift(p, -k))]
                 assert [model.block_of(p)] == hits
+                for k in (BIG, BIG + 1, -BIG):
+                    assert model.block_of(model.dual_shift(p, k)) == hits[0] + k
+
+
+def reference_node(n, a, b, k):
+    """(i, a) of [a,b] in slot k: the dual shift (i, a) -> (n+1-i, a+n+1), or its inverse, |k| times on (b-a+1, a+b-2)."""
+    node = (b - a + 1, a + b - 2)
+    for _ in range(abs(k)):
+        node = (n + 1 - node[0], node[1] + (n + 1 if k > 0 else -(n + 1)))
+    return node
+
+
+def test_conversions_match_the_dictionary_exhaustive():
+    for n in range(1, 6):
+        model = AffineModel(n)
+        for window in ((-3, 3), (-2, 1), (5, 6)):
+            for c in iter_ext_elements(model.ext, (window[0], window[1] + 1), 3 if n <= 3 else 2):
+                want = {}
+                for k, m in c.slots:
+                    for a, b, mult in m.entries():
+                        node = reference_node(n, a, b, k)
+                        want[node] = want.get(node, 0) + mult
+                lam = model.to_weight(c)
+                assert {(p.i, p.a): coeff for p, coeff in lam.terms} == want
+                assert all(type(p) is HLNode and HLNode(p.i, p.a) == p and (p.a - p.i) % 2 for p in lam.support())
+                assert_canonical(lam)
+                assert model.to_extended(lam) == c
+                for t in (-1, 1, 2):
+                    shifted = model.dual_shift_weight(lam, t)
+                    assert_canonical(shifted)
+                    assert shifted == HLWeight(tuple((model.dual_shift(p, t), coeff) for p, coeff in lam.terms))
+        # every node in reach stands for the segment and slot it is the node of
+        for i in range(1, n + 1):
+            for a in range(-60, 61):
+                if (a - i) % 2:
+                    p = HLNode(i, a)
+                    seg, k = model.segment_of_node(p)
+                    assert seg.b <= n and reference_node(n, seg.a, seg.b, k) == (i, a)
+                    assert model.node_of_segment(seg, k) == p
+
+
+def test_conversion_refusals():
+    with pytest.raises(ValueError) as err:
+        M3.to_extended(parse_hl_weight("(1,0),(4,1)"))
+    assert str(err.value) == "node (4,1) out of range for rank 3"
+    wide = parse_ext_element("1:[2];0:[1,4],[1]", ExtendedCrystal(MultisegmentCrystal(4)))
+    with pytest.raises(ValueError) as err:
+        M3.to_weight(wide)
+    assert str(err.value) == "segment [1,4] does not fit inside rank 3"

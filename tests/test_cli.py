@@ -271,6 +271,11 @@ def test_apply_huge_multiplicities_are_exact(capsys):
     assert code == 2 and "segment [1,3] does not fit inside rank 2" in err
 
 
+def test_gammainv_refuses_a_node_past_the_rank(capsys):
+    code, out, err = run_cli(capsys, "apply", "gammainv", "(1,0),(4,1)", "--n", "3")
+    assert (code, out, err) == (2, "", "error: node (4,1) out of range for rank 3\n")
+
+
 def test_out_of_rank_segment_is_refused_before_it_is_built(capsys):
     # [1,100000] sits at position 5e9 of a multiplicity tuple; the rank check
     # comes first, with the message validate gives for a small segment

@@ -54,6 +54,13 @@ def test_counts_groups_repeats():
     assert EMPTY.is_empty()
 
 
+def test_multisegment_is_not_iterable():
+    # iterating would give one Segment per unit of multiplicity, so pytest's
+    # report of a failing == between two such multisegments would exhaust memory
+    with pytest.raises(TypeError):
+        iter(parse_multisegment("2*[1,2],[3]"))
+
+
 def test_add_and_replace_one():
     m = parse_multisegment("[1,2]")
     grown = m.add(Segment(1, 1))
