@@ -121,9 +121,6 @@ class HLWeight:
         object.__setattr__(lam, "terms", tuple(out))
         return lam
 
-    def total(self) -> int:
-        return sum(c for _, c in self.terms)
-
     def support(self) -> tuple[HLNode, ...]:
         return tuple(p for p, _ in self.terms)
 

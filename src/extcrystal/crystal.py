@@ -78,9 +78,6 @@ class AbstractCrystal:
         """star_raising(b, i), given the handle of star_read(b, i)."""
         return self.star_raising(b, i)
 
-    def phi(self, b, i: int) -> int:
-        return self.epsilon(b, i) + self.lattice.pair(i, self.weight(b))
-
     def weight(self, b) -> RootLatticeElem:
         raise NotImplementedError
 

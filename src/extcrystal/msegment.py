@@ -207,8 +207,9 @@ def _table(positions: tuple[int, ...]):
 _NO_SURVIVORS = (0, 0, None, None)
 
 
-# the sweeps ask for the star of a few elements over and over: verify all at
-# rank 3, window -1..0, height 3 makes about 59 600 lookups of 62 elements
+# the enumerated sweeps ask for the star of a few elements over and over:
+# verify ext-properties at rank 3, window -2..2, height 4 makes 509 161 hits
+# over 119 misses
 @lru_cache(maxsize=1 << 16)
 def star(crystal: MultisegmentCrystal, m: Multisegment) -> Multisegment:
     """The star involution: Lusztig's 3-move, read tropically, once per triple.

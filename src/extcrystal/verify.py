@@ -11,6 +11,14 @@ re-assembled in item order, so output never depends on scheduling.  A group
 (``ext-properties``) names member suites instead of a check and reports
 their violations one suite after another.
 
+The items of a randomized suite are case indices, and its draw turns an
+index into the case the check reads.  A check is a pure function of its
+case, so a sweep checks each distinct draw once and repeats its violations
+at every draw of it: every draw is still counted and reported, in draw
+order.  What a sweep remembers dies with it.  ``reduce-confluence`` has no
+draw: its check keeps drawing from the case generator after the word, so
+two equal words are not equal cases.
+
 ``run_all(cfg, names)`` is the one runner: it yields each named suite's
 size and violations.  The size is the length of the list the suite swept,
 and suites listed next to each other with the same item function sweep one
@@ -22,6 +30,7 @@ from __future__ import annotations
 import functools
 import random
 from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 from .affine import AffineModel, HLNode, HLWeight, format_hl_weight
 from .enumeration import (
@@ -33,7 +42,7 @@ from .enumeration import (
 from .exploration import explore
 from .extended import HIGHEST, ExtElement, ExtendedCrystal, format_ext_element
 from .invariants import d_invariant, pairing_read
-from .msegment import format_multisegment
+from .msegment import Multisegment, format_multisegment
 from .rootdata import CartanA
 from .signature import expand, reduce_runs, signs
 from .sl2 import Sl2Crystal, explicit_lowering
@@ -82,10 +91,12 @@ def _ops(cfg: SweepConfig):
 # multisegment level
 
 
-def _check_crystal_axioms(cfg: SweepConfig, idx: int) -> list[str]:
-    rng = _case_rng(cfg, idx)
+def _draw_multisegment(cfg: SweepConfig, idx: int) -> Multisegment:
+    return random_multisegment(_case_rng(cfg, idx), cfg.n, cfg.max_ht)
+
+
+def _check_crystal_axioms(cfg: SweepConfig, m: Multisegment) -> list[str]:
     cry = _affine(cfg.n).crystal
-    m = random_multisegment(rng, cfg.n, cfg.max_ht)
     text = format_multisegment(m)
     w = cry.weight(m)
     out: list[str] = []
@@ -514,16 +525,24 @@ def _check_duality_datum(cfg: SweepConfig, item: tuple[int, int, int]) -> list[s
 
 def _random_query(cfg: SweepConfig, idx: int):
     rng = _case_rng(cfg, idx)
-    ext = _affine(cfg.n).ext
-    c = random_ext_element(rng, ext, cfg.window, cfg.max_ht)
+    c = random_ext_element(rng, _affine(cfg.n).ext, cfg.window, cfg.max_ht)
     i = rng.randrange(1, cfg.n + 1)
     k = rng.randrange(cfg.window[0] - 1, cfg.window[1] + 2)
-    return ext, c, i, k, rng
+    return c, i, k, rng
 
 
-def _check_bilinear(cfg: SweepConfig, idx: int) -> list[str]:
-    ext, c, i, k, _rng = _random_query(cfg, idx)
-    read = pairing_read(ext, c, i, k)
+def _draw_query(cfg: SweepConfig, idx: int) -> tuple[ExtElement, int, int]:
+    return _random_query(cfg, idx)[:3]
+
+
+def _draw_shifted_query(cfg: SweepConfig, idx: int) -> tuple[ExtElement, int, int, int]:
+    c, i, k, rng = _random_query(cfg, idx)
+    return c, i, k, rng.randrange(-3, 4)
+
+
+def _check_bilinear(cfg: SweepConfig, query: tuple[ExtElement, int, int]) -> list[str]:
+    c, i, k = query
+    read = pairing_read(_affine(cfg.n).ext, c, i, k)
     left, right = read.lambda_left(), read.lambda_right()
     out = []
     at = f"i={i} k={k} elem={format_ext_element(c)!r}"
@@ -534,9 +553,9 @@ def _check_bilinear(cfg: SweepConfig, idx: int) -> list[str]:
     return out
 
 
-def _check_shift_covariance(cfg: SweepConfig, idx: int) -> list[str]:
-    ext, c, i, k, rng = _random_query(cfg, idx)
-    t = rng.randrange(-3, 4)
+def _check_shift_covariance(cfg: SweepConfig, query: tuple[ExtElement, int, int, int]) -> list[str]:
+    c, i, k, t = query
+    ext = _affine(cfg.n).ext
     read = pairing_read(ext, c, i, k)
     moved = pairing_read(ext, ext.shift(c, t), i, k + t)
     out = []
@@ -586,31 +605,45 @@ def _items_single(cfg: SweepConfig) -> range:
     return range(1)
 
 
+class _Suite(NamedTuple):
+    """A sweep: its item list, and the check run on each item (a group: member names).
+
+    A randomized suite also has a draw, which turns an item (a case index)
+    into the case its check reads; the sweep checks each distinct case once.
+    """
+
+    items: Callable
+    check: Callable | tuple[str, ...]
+    draw: Callable | None = None
+
+
 _SUITES = {
-    "crystal-axioms": (_items_cases, _check_crystal_axioms),
-    "reduce-confluence": (_items_cases, _check_reduce_confluence),
-    "inverse-pairs": (_items_ext, _check_inverse_pairs),
-    "counters": (_items_ext, _check_counters),
-    "weights": (_items_ext, _check_weights),
-    "star-identities": (_items_ext, _check_star_identities),
-    "star-flip": (_items_ext, _check_star_flip),
-    "shift-commutation": (_items_ext, _check_shift_commutation),
-    "connectedness": (_items_ext, _check_connectedness),
+    "crystal-axioms": _Suite(_items_cases, _check_crystal_axioms, _draw_multisegment),
+    # its check draws from the case generator after the word, so equal words
+    # are not equal cases: no draw, every item is checked
+    "reduce-confluence": _Suite(_items_cases, _check_reduce_confluence),
+    "inverse-pairs": _Suite(_items_ext, _check_inverse_pairs),
+    "counters": _Suite(_items_ext, _check_counters),
+    "weights": _Suite(_items_ext, _check_weights),
+    "star-identities": _Suite(_items_ext, _check_star_identities),
+    "star-flip": _Suite(_items_ext, _check_star_flip),
+    "shift-commutation": _Suite(_items_ext, _check_shift_commutation),
+    "connectedness": _Suite(_items_ext, _check_connectedness),
     # a group over the same items: the seven suites above, one after another
-    "ext-properties": (
+    "ext-properties": _Suite(
         _items_ext,
         ("inverse-pairs", "counters", "weights", "star-identities", "star-flip", "shift-commutation", "connectedness"),
     ),
-    "sl2": (_items_sl2, _check_sl2),
-    "cr-commutation": (_items_affine, _check_cr_commutation),
-    "hl-inverse": (_items_affine, _check_hl_inverse),
-    "dual-commutation": (_items_affine, _check_dual_commutation),
-    "sig-seq": (_items_sig_seq, _check_sig_seq),
-    "root-axiom": (_items_root_axiom, _check_root_axiom),
-    "duality-datum": (_items_duality_datum, _check_duality_datum),
-    "bilinear": (_items_cases, _check_bilinear),
-    "shift-covariance": (_items_cases, _check_shift_covariance),
-    "graph-count": (_items_single, _check_graph_count),
+    "sl2": _Suite(_items_sl2, _check_sl2),
+    "cr-commutation": _Suite(_items_affine, _check_cr_commutation),
+    "hl-inverse": _Suite(_items_affine, _check_hl_inverse),
+    "dual-commutation": _Suite(_items_affine, _check_dual_commutation),
+    "sig-seq": _Suite(_items_sig_seq, _check_sig_seq),
+    "root-axiom": _Suite(_items_root_axiom, _check_root_axiom),
+    "duality-datum": _Suite(_items_duality_datum, _check_duality_datum),
+    "bilinear": _Suite(_items_cases, _check_bilinear, _draw_query),
+    "shift-covariance": _Suite(_items_cases, _check_shift_covariance, _draw_shifted_query),
+    "graph-count": _Suite(_items_single, _check_graph_count),
 }
 
 
@@ -623,17 +656,39 @@ def run_suite(name: str, cfg: SweepConfig) -> list[str]:
     return next(run_all(cfg, (name,)))[2]
 
 
-def _sweep(check, cfg: SweepConfig, items) -> list[str]:
-    """check's violations over items, in item order, on cfg.jobs processes."""
-    run = functools.partial(check, cfg)
-    if cfg.jobs > 1 and len(items) > 64:
+def _map(run, jobs: int, items):
+    """run over items, in item order, on jobs processes."""
+    if jobs > 1 and len(items) > 64:
         import multiprocessing
 
-        with multiprocessing.Pool(cfg.jobs) as pool:
-            batches = pool.map(run, items, chunksize=max(1, len(items) // (cfg.jobs * 8)))
-    else:
-        batches = map(run, items)
-    return [msg for batch in batches for msg in batch]
+        with multiprocessing.Pool(jobs) as pool:
+            return pool.map(run, items, chunksize=max(1, len(items) // (jobs * 8)))
+    return map(run, items)
+
+
+def _sweep(suite: _Suite, cfg: SweepConfig, items) -> list[str]:
+    """The suite's violations over items, in item order, on cfg.jobs processes.
+
+    A suite with a draw runs its check once per distinct case drawn in this
+    sweep and repeats that case's violations at every draw of it.  In
+    parallel the parent draws every item and the workers check the distinct
+    cases.
+    """
+    run = functools.partial(suite.check, cfg)
+    if suite.draw is None:
+        return [msg for batch in _map(run, cfg.jobs, items) for msg in batch]
+    cases = map(functools.partial(suite.draw, cfg), items)
+    found: dict = {}
+    if cfg.jobs > 1:
+        cases = list(cases)
+        distinct = list(dict.fromkeys(cases))
+        found = dict(zip(distinct, _map(run, cfg.jobs, distinct)))
+    out: list[str] = []
+    for case in cases:
+        if case not in found:
+            found[case] = run(case)
+        out += found[case]
+    return out
 
 
 def run_all(cfg: SweepConfig, names):
@@ -647,12 +702,12 @@ def run_all(cfg: SweepConfig, names):
     done: dict[str, list[str]] = {}
     items_fn = items = None
     for name in names:
-        fn, check = _SUITES[name]
-        if fn is not items_fn:
+        suite = _SUITES[name]
+        if suite.items is not items_fn:
             items = None  # drop the last list before building the next
-            items_fn, items = fn, fn(cfg)
-        members = check if isinstance(check, tuple) else (name,)
+            items_fn, items = suite.items, suite.items(cfg)
+        members = suite.check if isinstance(suite.check, tuple) else (name,)
         for member in members:
             if member not in done:
-                done[member] = _sweep(_SUITES[member][1], cfg, items)
+                done[member] = _sweep(_SUITES[member], cfg, items)
         yield name, len(items), [msg for member in members for msg in done[member]]

@@ -1,5 +1,8 @@
 """Tests for the sweep plumbing: configs, suite registry, parallel runs."""
 
+import multiprocessing
+from dataclasses import replace
+
 import pytest
 
 import extcrystal.cli as cli
@@ -7,6 +10,7 @@ import extcrystal.verify as verify
 from extcrystal.invariants import PairingRead
 from extcrystal.affine import HLWeight, SignatureNodes, format_hl_weight
 from extcrystal.extended import ExtendedCrystal
+from extcrystal.msegment import MultisegmentCrystal
 from extcrystal.verify import SweepConfig, _items_sig_seq, base_suite_names, run_all, run_suite
 
 EXT_MEMBERS = (
@@ -171,3 +175,63 @@ def test_bilinear_finds_a_sign_error_in_the_left_form(monkeypatch):
     monkeypatch.setattr(PairingRead, "lambda_left", bad_left)
     violations = run_suite("bilinear", cfg)
     assert violations and all(msg.startswith("bilinear: ") for msg in violations)
+
+
+def _star_raise_fails_at_height_three(monkeypatch):
+    star_raise_with = MultisegmentCrystal.star_raise_with
+
+    def bad(self, b, i, read):
+        return None if i == 2 and b.height() == 3 else star_raise_with(self, b, i, read)
+
+    monkeypatch.setattr(MultisegmentCrystal, "star_raise_with", bad)
+
+
+def _left_form_skewed_at_slot_one(monkeypatch):
+    lambda_left = PairingRead.lambda_left
+    monkeypatch.setattr(PairingRead, "lambda_left", lambda self: lambda_left(self) + (self.k == 1))
+
+
+def _every_draw_checked(name, cfg):
+    """The suite's violations with the check run on every draw, in draw order."""
+    suite = verify._SUITES[name]
+    return [msg for idx in suite.items(cfg) for msg in suite.check(cfg, suite.draw(cfg, idx))]
+
+
+# workers see a monkeypatched fault only if they are forked from this process
+_JOBS = (1, 2) if multiprocessing.get_start_method() == "fork" else (1,)
+
+
+@pytest.mark.parametrize(
+    "name, fault, count",
+    [
+        ("crystal-axioms", _star_raise_fails_at_height_three, 3349),
+        ("bilinear", _left_form_skewed_at_slot_one, 5026),
+        ("shift-covariance", _left_form_skewed_at_slot_one, 3238),
+    ],
+)
+def test_a_randomized_sweep_reports_what_checking_every_draw_does(monkeypatch, name, fault, count):
+    fault(monkeypatch)
+    cfg = SweepConfig(n=3, window=(-1, 0), max_ht=3, seed=4)
+    want = _every_draw_checked(name, cfg)
+    assert len(want) == count
+    for jobs in _JOBS:
+        assert run_suite(name, replace(cfg, jobs=jobs)) == want, jobs
+
+
+def test_a_sweep_checks_each_distinct_draw_once(monkeypatch):
+    suite = verify._SUITES["crystal-axioms"]
+    checked = []
+
+    def counting(cfg, case):
+        checked.append(case)
+        return suite.check(cfg, case)
+
+    monkeypatch.setitem(verify._SUITES, "crystal-axioms", suite._replace(check=counting))
+    cfg = SweepConfig(n=2, max_ht=3, seed=1, cases=500)
+    distinct = list(dict.fromkeys(suite.draw(cfg, idx) for idx in range(cfg.cases)))
+    assert len(distinct) < cfg.cases
+    assert run_suite("crystal-axioms", cfg) == []
+    assert checked == distinct
+    # nothing is remembered from one sweep to the next
+    assert run_suite("crystal-axioms", cfg) == []
+    assert checked == distinct * 2
