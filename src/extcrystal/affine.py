@@ -14,16 +14,17 @@ formal sums of nodes with nonnegative coefficients, the highest weights: the
 operator along (i, k) scans a fixed ordered list of 2n nodes, reads their
 coefficients as the alternating counts of a signature word (see
 ``signature``), cancels adjacent (+,-) pairs, and moves one unit of
-coefficient between neighbouring list positions.  The operators splice that
-unit into the weight's sorted terms in one pass, and the conversions sort
-their nodes once, unchecked; ``add_node``, ``remove_node`` and weights built
-from outside input go through the validating constructor, which merges, checks
-and sorts.
+coefficient between neighbouring list positions.  A node is the tuple (a, i),
+its own sort key.  The operators splice that unit into the weight's sorted
+terms in one pass, and the conversions sort their nodes once, unchecked;
+``add_node``, ``remove_node`` and weights built from outside input go through
+the validating constructor, which merges, checks and sorts.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import itemgetter
 
 from .extended import ExtElement, ExtendedCrystal, _from_slots
 from .msegment import MultisegmentCrystal, Segment, _ends, _index, _of
@@ -32,27 +33,32 @@ from .rootdata import RootLatticeElem, check_rank
 from .signature import reduce_runs
 
 
-@dataclass(frozen=True)
-class HLNode:
-    """Lattice node (i, a); the coordinates differ by an odd number."""
+class HLNode(tuple):
+    """Lattice node (i, a), coordinates differing by an odd number; the tuple (a, i), so it sorts as a key."""
 
-    i: int
-    a: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not (isinstance(self.i, int) and isinstance(self.a, int)):
-            raise ValueError(f"node coordinates must be integers, got ({self.i!r},{self.a!r})")
-        if self.i < 1:
-            raise ValueError(f"node ({self.i},{self.a}): first coordinate must be positive")
-        if (self.a - self.i) % 2 == 0:
-            raise ValueError(f"node ({self.i},{self.a}): coordinates must differ by an odd number")
+    def __new__(cls, i: int, a: int) -> "HLNode":
+        if not (isinstance(i, int) and isinstance(a, int)):
+            raise ValueError(f"node coordinates must be integers, got ({i!r},{a!r})")
+        if i < 1:
+            raise ValueError(f"node ({i},{a}): first coordinate must be positive")
+        if (a - i) % 2 == 0:
+            raise ValueError(f"node ({i},{a}): coordinates must differ by an odd number")
+        return tuple.__new__(cls, (a, i))
+
+    i = property(itemgetter(1))
+    a = property(itemgetter(0))
+
+    def __getnewargs__(self) -> tuple[int, int]:
+        # pickle rebuilds the node through __new__(i, a)
+        return self[1], self[0]
 
     def __str__(self) -> str:
-        return f"({self.i},{self.a})"
+        return f"({self[1]},{self[0]})"
 
-
-def _node_sort_key(p: HLNode) -> tuple[int, int]:
-    return (p.a, p.i)
+    def __repr__(self) -> str:
+        return f"HLNode(i={self[1]}, a={self[0]})"
 
 
 @dataclass(frozen=True)
@@ -70,7 +76,7 @@ class HLWeight:
         for p, c in merged.items():
             if c < 0:
                 raise ValueError(f"negative coefficient {c} at node {p}")
-        canon = tuple(sorted(((p, c) for p, c in merged.items() if c > 0), key=lambda t: _node_sort_key(t[0])))
+        canon = tuple(sorted((p, c) for p, c in merged.items() if c > 0))
         object.__setattr__(self, "terms", canon)
 
     @staticmethod
@@ -95,27 +101,24 @@ class HLWeight:
         """One unit fewer at node drop and one more at put; None skips either.
 
         One pass splices both changes into the sorted terms: drop loses a unit
-        or vanishes at coefficient 1, put gains one or enters at its (a, i)
-        place.  drop must be present.
+        or vanishes at coefficient 1, put gains one or enters at its place.
+        drop must be present.
         """
         out = []
-        gone = None if drop is None else (drop.a, drop.i)
-        key = None if put is None else (put.a, put.i)
         for term in self.terms:
             p, c = term
-            at = (p.a, p.i)
-            if key is not None and at >= key:
-                if at == key:
+            if put is not None and p >= put:
+                if p == put:
                     term = (p, c + 1)
                 else:
                     out.append((put, 1))
-                key = None
-            if at == gone:
+                put = None
+            if p == drop:
                 if c > 1:
                     out.append((p, c - 1))
                 continue
             out.append(term)
-        if key is not None:
+        if put is not None:
             out.append((put, 1))
         lam = object.__new__(HLWeight)
         object.__setattr__(lam, "terms", tuple(out))
@@ -134,19 +137,16 @@ class HLWeight:
 ZERO_WEIGHT = HLWeight()
 
 
-def _hl_node(i: int, a: int) -> HLNode:
-    """The node (i, a), which the caller knows to be valid; nothing is checked."""
-    p = object.__new__(HLNode)
-    object.__setattr__(p, "i", i)
-    object.__setattr__(p, "a", a)
-    return p
+def _hl_node(key: tuple[int, int]) -> HLNode:
+    """The node of the key (a, i), which the caller knows to be valid; nothing is checked."""
+    return tuple.__new__(HLNode, key)
 
 
 def _sorted_weight(keyed: list) -> HLWeight:
     """Unchecked weight of ((a, i), coefficient) entries at distinct nodes with positive coefficients."""
     keyed.sort()
     lam = object.__new__(HLWeight)
-    object.__setattr__(lam, "terms", tuple((_hl_node(i, a), c) for (a, i), c in keyed))
+    object.__setattr__(lam, "terms", tuple((tuple.__new__(HLNode, key), c) for key, c in keyed))
     return lam
 
 
@@ -156,15 +156,18 @@ class SignatureNodes:
 
     Position t (counted from 1) holds the node written a_t; odd positions
     emit minus symbols and even positions emit plus symbols.  The scan runs
-    from the last position down to the first; ``position`` inverts ``nodes``,
-    keyed on (i, a) tuples, which hash faster than nodes.
+    from the last position down to the first.  ``padded`` is ``nodes`` with
+    None at both ends, so that position t is ``padded[t]`` for 0 <= t <= 2n+1,
+    and ``position`` inverts ``nodes``.
     """
 
     nodes: tuple[HLNode, ...]
+    padded: tuple = field(init=False, repr=False, compare=False)
     position: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "position", {(p.i, p.a): t for t, p in enumerate(self.nodes, 1)})
+        object.__setattr__(self, "padded", (None, *self.nodes, None))
+        object.__setattr__(self, "position", {p: t for t, p in enumerate(self.nodes, 1)})
 
     def word(self, lam: HLWeight) -> list[int]:
         """lam's signature word as alternating counts in scan order.
@@ -172,23 +175,20 @@ class SignatureNodes:
         Index r holds the coefficient at position 2n+1-r; index 0 is the zero
         minus before the plus at position 2n that opens the scan.
         """
-        size = len(self.nodes) + 1
+        size = len(self.padded) - 1
         counts = [0] * size
         position = self.position
         for p, c in lam.terms:
-            t = position.get((p.i, p.a))
+            t = position.get(p)
             if t:
                 counts[size - t] = c
         return counts
 
     def node_at(self, t: int) -> HLNode:
-        return self.nodes[t - 1]
+        return self.padded[t]
 
     def sign_at(self, t: int) -> str:
         return "+" if t % 2 == 0 else "-"
-
-    def __len__(self) -> int:
-        return len(self.nodes)
 
 
 class AffineModel:
@@ -199,31 +199,29 @@ class AffineModel:
         self.n = n
         self.crystal = MultisegmentCrystal(n)
         self.ext = ExtendedCrystal(self.crystal)
-        self._signature_nodes_cache: dict[tuple[int, int], SignatureNodes] = {}
-        self._base = tuple((b - a + 1, a + b - 2) for a, b in map(_ends, range(n * (n + 1) // 2)))
+        self._scans: dict[tuple[int, int], SignatureNodes] = {}
+        self._base = tuple((a + b - 2, b - a + 1) for a, b in map(_ends, range(n * (n + 1) // 2)))
 
     # -- the node lattice -------------------------------------------------
 
-    def _check_index(self, i: int) -> None:
-        if not 1 <= i <= self.n:
-            raise ValueError(f"operator index {i} out of range for rank {self.n}")
-
     def check_node(self, p: HLNode) -> None:
-        if not 1 <= p.i <= self.n:
-            raise ValueError(f"node {p} out of range for rank {self.n}")
+        a, i = p
+        self._locate(i, a)
 
     def dual_shift(self, p: HLNode, k: int = 1) -> HLNode:
         """Apply the dual shift k times; k may be negative."""
-        i = p.i if k % 2 == 0 else self.n + 1 - p.i
-        return HLNode(i, p.a + k * (self.n + 1))
+        a, i = p
+        return HLNode(self.n + 1 - i if k % 2 else i, a + k * (self.n + 1))
 
     def _place(self, position: int, k: int) -> tuple[int, int]:
-        """(i, a) of the segment at a multiplicity position in slot k: its base node, shifted k times."""
-        i, a = self._base[position]
-        return (self.n + 1 - i if k % 2 else i), a + k * (self.n + 1)
+        """The key (a, i) of the segment at a multiplicity position in slot k: its base node, shifted k times."""
+        a, i = self._base[position]
+        return a + k * (self.n + 1), (self.n + 1 - i if k % 2 else i)
 
     def _locate(self, i: int, a: int) -> tuple[int, int]:
-        """(slot, multiplicity position) of the node (i, a), for 1 <= i <= n; see the module docstring."""
+        """(slot, multiplicity position) of the node (i, a); see the module docstring."""
+        if not 1 <= i <= self.n:
+            raise ValueError(f"node ({i},{a}) out of range for rank {self.n}")
         step = self.n + 1
         q, r = divmod(a - i + 1, 2 * step)
         k = 2 * q + (r > 2 * (self.n - i))
@@ -232,10 +230,11 @@ class AffineModel:
 
     def block_of(self, p: HLNode) -> int:
         """The unique k whose block contains p."""
-        return self.segment_of_node(p)[1]
+        a, i = p
+        return self._locate(i, a)[0]
 
     def block_nodes(self, k: int) -> tuple[HLNode, ...]:
-        return tuple(sorted((_hl_node(*self._place(j, k)) for j in range(len(self._base))), key=_node_sort_key))
+        return tuple(sorted(_hl_node(self._place(j, k)) for j in range(len(self._base))))
 
     # -- correspondence with slotted multisegments ------------------------
 
@@ -243,12 +242,12 @@ class AffineModel:
         """Node of the segment [a,b] placed in slot k."""
         if seg.b > self.n:
             raise ValueError(f"segment {seg} does not fit inside rank {self.n}")
-        return _hl_node(*self._place(_index(seg.a, seg.b), k))
+        return _hl_node(self._place(_index(seg.a, seg.b), k))
 
     def segment_of_node(self, p: HLNode) -> tuple[Segment, int]:
         """The (segment, slot) pair a node stands for."""
-        self.check_node(p)
-        k, position = self._locate(p.i, p.a)
+        a, i = p
+        k, position = self._locate(i, a)
         return Segment(*_ends(position)), k
 
     def to_weight(self, c: ExtElement) -> HLWeight:
@@ -258,8 +257,7 @@ class AffineModel:
             self.crystal.validate(m)
             for position, mult in enumerate(m.mults):
                 if mult:
-                    i, a = self._place(position, k)
-                    keyed.append(((a, i), mult))
+                    keyed.append((self._place(position, k), mult))
         # distinct (slot, position) pairs give distinct nodes: nothing to merge
         return _sorted_weight(keyed)
 
@@ -267,8 +265,8 @@ class AffineModel:
         """Inverse of to_weight."""
         per_slot: dict[int, list[int]] = {}
         for p, c in lam.terms:
-            self.check_node(p)
-            k, position = self._locate(p.i, p.a)
+            a, i = p
+            k, position = self._locate(i, a)
             mults = per_slot.setdefault(k, [])
             mults.extend([0] * (position + 1 - len(mults)))
             mults[position] = c
@@ -291,7 +289,7 @@ class AffineModel:
     def dual_shift_weight(self, lam: HLWeight, k: int = 1) -> HLWeight:
         """Every node of lam, all of rank n, dual-shifted k times."""
         step, flip = self.n + 1, k % 2
-        return _sorted_weight([((p.a + k * step, step - p.i if flip else p.i), c) for p, c in lam.terms])
+        return _sorted_weight([((a + k * step, step - i if flip else i), c) for (a, i), c in lam.terms])
 
     # -- the direct operator rule -----------------------------------------
 
@@ -302,8 +300,9 @@ class AffineModel:
         holds (j, 2(i-1)+j+1); block k is its elementwise k-fold dual shift,
         which preserves positions.
         """
-        self._check_index(i)
-        cached = self._signature_nodes_cache.get((i, k))
+        if not 1 <= i <= self.n:
+            raise ValueError(f"operator index {i} out of range for rank {self.n}")
+        cached = self._scans.get((i, k))
         if cached is not None:
             return cached
         base = []
@@ -311,7 +310,7 @@ class AffineModel:
             base.append(HLNode(j, 2 * (i - 1) + j - 1))
             base.append(HLNode(j, 2 * (i - 1) + j + 1))
         sn = SignatureNodes(tuple(self.dual_shift(p, k) for p in base))
-        self._signature_nodes_cache[(i, k)] = sn
+        self._scans[(i, k)] = sn
         return sn
 
     def lowering(self, lam: HLWeight, i: int, k: int) -> HLWeight:
@@ -320,12 +319,13 @@ class AffineModel:
         Past the last position the unit disappears; with no surviving plus a
         unit appears at the first position.
         """
-        sn = self.signature_nodes(i, k)
+        sn = self._scans.get((i, k)) or self.signature_nodes(i, k)
+        nodes = sn.padded
         r = reduce_runs(sn.word(lam))[3]
         if r is None:
-            return lam._moved(None, sn.node_at(1))
-        t = len(sn) + 1 - r
-        return lam._moved(sn.node_at(t), sn.node_at(t + 1) if t < len(sn) else None)
+            return lam._moved(None, nodes[1])
+        t = len(nodes) - 1 - r
+        return lam._moved(nodes[t], nodes[t + 1])
 
     def raising(self, lam: HLWeight, i: int, k: int) -> HLWeight:
         """Move one unit from the rightmost surviving minus one position down.
@@ -333,12 +333,13 @@ class AffineModel:
         Past the first position the unit disappears; with no surviving minus
         a unit appears at the last position.
         """
-        sn = self.signature_nodes(i, k)
+        sn = self._scans.get((i, k)) or self.signature_nodes(i, k)
+        nodes = sn.padded
         r = reduce_runs(sn.word(lam))[2]
         if r is None:
-            return lam._moved(None, sn.node_at(len(sn)))
-        s = len(sn) + 1 - r
-        return lam._moved(sn.node_at(s), sn.node_at(s - 1) if s > 1 else None)
+            return lam._moved(None, nodes[-2])
+        s = len(nodes) - 1 - r
+        return lam._moved(nodes[s], nodes[s - 1])
 
 
 def format_hl_weight(lam: HLWeight) -> str:

@@ -1,7 +1,7 @@
 """Command-line front end: apply operators, run sweeps, export graphs.
 
 Exit codes are a stable contract: 0 success, 1 verification failure,
-2 usage or parse error, 3 I/O error.
+2 usage or parse error, 3 I/O error, 4 internal error (any other exception).
 """
 
 from __future__ import annotations
@@ -275,7 +275,7 @@ def _cmd_demo_n3(_args: argparse.Namespace) -> int:
         sn = model.signature_nodes(i, k)
         print(f"\noperator ({i},{k})")
         print("  position  node          sign  count")
-        for t in range(len(sn), 0, -1):
+        for t in range(len(sn.nodes), 0, -1):
             p = sn.node_at(t)
             print(f"  a_{t}       {_q_label(p):<13} {sn.sign_at(t)}     {lam.coeff(p)}")
         row = _reduced_row(model, lam, i, k)
@@ -320,6 +320,9 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
+    except Exception as exc:
+        print(f"error: internal: {type(exc).__name__}: {' '.join(str(exc).split())}", file=sys.stderr)
+        return 4
 
 
 def main_exit() -> None:

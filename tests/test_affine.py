@@ -1,5 +1,6 @@
 """Tests for the word-indexed node model and its signature-rule operators."""
 
+import pickle
 import random
 
 import pytest
@@ -53,7 +54,7 @@ def total(lam):
 def signature(model, lam, i, k):
     """lam's signature word along (i, k), one (sign, position) per symbol."""
     sn = model.signature_nodes(i, k)
-    return [(sign, len(sn) + 1 - r) for sign, r in expand(sn.word(lam))]
+    return [(sign, len(sn.nodes) + 1 - r) for sign, r in expand(sn.word(lam))]
 
 
 def test_node_parity_constraint():
@@ -62,6 +63,27 @@ def test_node_parity_constraint():
     for i, a in ((1, 1), (2, 0), (3, 3)):
         with pytest.raises(ValueError):
             M3.check_node(HLNode(i, a))
+
+
+def test_node_is_its_sort_key():
+    p = HLNode(3, -4)
+    assert p == (-4, 3) and (p.i, p.a) == (3, -4)
+    assert (str(p), repr(p)) == ("(3,-4)", "HLNode(i=3, a=-4)")
+    with pytest.raises(AttributeError):
+        p.i = 1
+    for bad in ((0, 1), (1, 1), (1.0, 2)):
+        with pytest.raises(ValueError):
+            HLNode(*bad)
+
+
+def test_nodes_and_weights_survive_pickle():
+    lam = parse_hl_weight(DEMO)
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+        back = pickle.loads(pickle.dumps(lam, protocol))
+        assert back == lam and hash(back) == hash(lam) and format_hl_weight(back) == DEMO
+        assert all(type(p) is HLNode for p in back.support())
+        p = pickle.loads(pickle.dumps(HLNode(2, -1), protocol))
+        assert type(p) is HLNode and (p.i, p.a) == (2, -1)
 
 
 def test_block_tables_frozen():
@@ -354,7 +376,7 @@ def test_operators_match_per_symbol_cancellation_on_large_coefficients():
                 plus = [t for sign, t in left if sign == "+"]
                 if plus:
                     want = lam.remove_node(sn.node_at(plus[0]))
-                    if plus[0] < len(sn):
+                    if plus[0] < len(sn.nodes):
                         want = want.add_node(sn.node_at(plus[0] + 1))
                 else:
                     want = lam.add_node(sn.node_at(1))
@@ -364,7 +386,7 @@ def test_operators_match_per_symbol_cancellation_on_large_coefficients():
                     if minus[-1] > 1:
                         want = want.add_node(sn.node_at(minus[-1] - 1))
                 else:
-                    want = lam.add_node(sn.node_at(len(sn)))
+                    want = lam.add_node(sn.node_at(len(sn.nodes)))
                 assert model.raising(lam, i, k) == want
 
 

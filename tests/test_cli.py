@@ -5,6 +5,7 @@ import subprocess
 import sys
 
 import extcrystal.cli as cli
+import extcrystal.verify as verify
 
 DEMO = "(3,-4),(1,-2),(3,-2),2*(2,-1),(2,1),(1,2),(2,3),2*(3,4),(2,5),(2,7)"
 
@@ -197,6 +198,18 @@ def test_verify_failure_exits_1(monkeypatch, capsys):
     assert code == 1
     assert "FAIL" in out
     assert "counterexample" in out
+
+
+def test_a_check_that_raises_exits_4_after_the_suites_before_it(monkeypatch, capsys):
+    def crash(cfg, item):
+        raise AssertionError("raised is not None")
+
+    suite = verify._SUITES["inverse-pairs"]
+    monkeypatch.setitem(verify._SUITES, "inverse-pairs", suite._replace(check=crash))
+    code, out, err = run_cli(capsys, "verify", "all", "--n", "1", "--window", "0..0", "--ht", "1")
+    assert code == 4
+    assert err == "error: internal: AssertionError: raised is not None\n"
+    assert out.splitlines() == ["crystal-axioms: PASS (10000 items)", "reduce-confluence: PASS (10000 items)"]
 
 
 def test_verify_jobs_flag_keeps_output_stable(capsys):

@@ -205,13 +205,14 @@ def test_star_epsilon_matches_star_raising_string_exhaustive():
             assert steps == crystal.epsilon_star(m, i)
 
 
-def test_phi_definition():
-    rng = random.Random(31)
-    lat = C3.lattice
-    for _ in range(100):
-        m = random_multisegment(rng, 3, 6)
+def test_phi_steps_with_the_operators():
+    # phi_i(f_i b) = phi_i(b) - 1, and phi_i(e_i b) = phi_i(b) + 1 where e_i b exists
+    for m in iter_multisegments(3, 5):
         for i in (1, 2, 3):
-            assert phi(C3, m, i) == C3.epsilon(m, i) + lat.pair(i, C3.weight(m))
+            assert phi(C3, C3.lowering(m, i), i) == phi(C3, m, i) - 1
+            up = C3.raising(m, i)
+            if up is not None:
+                assert phi(C3, up, i) == phi(C3, m, i) + 1
 
 
 def test_star_dual_hand_examples():

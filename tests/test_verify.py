@@ -1,6 +1,7 @@
 """Tests for the sweep plumbing: configs, suite registry, parallel runs."""
 
 import multiprocessing
+import signal
 from dataclasses import replace
 
 import pytest
@@ -83,6 +84,48 @@ def test_parallel_run_matches_serial():
         assert run_suite(name, serial) == run_suite(name, parallel)
 
 
+def _within(seconds, fn, *args):
+    """fn(*args), or TimeoutError after `seconds`: a pool whose workers cannot unpickle their items hangs."""
+
+    def expire(_signum, _frame):
+        raise TimeoutError(f"no result after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        return fn(*args)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def _shift_a_unit_in_the_word(monkeypatch):
+    word = SignatureNodes.word
+
+    def bad_word(self, lam):
+        counts = word(self, lam)
+        if counts[1]:
+            counts[1] -= 1
+            counts[2] += 1
+        return counts
+
+    monkeypatch.setattr(SignatureNodes, "word", bad_word)
+
+
+def test_parallel_node_suites_match_serial(monkeypatch):
+    # the items hold nodes and weights, which the pool pickles
+    serial = SweepConfig(n=2, window=(-1, 1), max_ht=4, jobs=1)
+    parallel = replace(serial, jobs=2)
+    for name in ("sig-seq", "cr-commutation"):
+        _, size, found = next(run_all(serial, (name,)))
+        assert size > 64 and found == []  # fewer items run serially
+        assert _within(120, run_suite, name, parallel) == found
+    if multiprocessing.get_start_method() == "fork":
+        _shift_a_unit_in_the_word(monkeypatch)
+        found = run_suite("sig-seq", serial)
+        assert found and _within(120, run_suite, "sig-seq", parallel) == found
+
+
 def test_randomized_suites_are_seed_deterministic():
     a = run_suite("crystal-axioms", SweepConfig(n=3, max_ht=6, seed=7, cases=40))
     b = run_suite("crystal-axioms", SweepConfig(n=3, max_ht=6, seed=7, cases=40))
@@ -150,16 +193,7 @@ def test_each_item_list_is_built_once_per_run(monkeypatch):
 
 
 def test_sig_seq_finds_a_unit_moved_to_the_neighbouring_count(monkeypatch):
-    word = SignatureNodes.word
-
-    def bad_word(self, lam):
-        counts = word(self, lam)
-        if counts[1]:
-            counts[1] -= 1
-            counts[2] += 1
-        return counts
-
-    monkeypatch.setattr(SignatureNodes, "word", bad_word)
+    _shift_a_unit_in_the_word(monkeypatch)
     violations = run_suite("sig-seq", SweepConfig(n=2, window=(0, 0), max_ht=2))
     assert violations and all(msg.startswith("signature-concat: ") for msg in violations)
 
