@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import argparse
 import json as jsonlib
-import os
 import re
 import sys
 
@@ -62,18 +61,6 @@ def _rank_type(text: str) -> int:
     return value
 
 
-def _resolve_jobs(value: int | None) -> int:
-    if value is not None:
-        return max(1, value)
-    env = os.environ.get("EXTCRYSTAL_JOBS", "").strip()
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            raise ValueError(f"EXTCRYSTAL_JOBS must be an integer, got {env!r}") from None
-    return 1
-
-
 def _merge_window_values(argv: list[str]) -> list[str]:
     """Join "--window -2..1" into one token so argparse accepts the dash."""
     out = []
@@ -112,7 +99,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--window", type=_window_type, default=(-2, 2), help="slot window a..b")
     p_verify.add_argument("--ht", type=_positive_type, default=4, help="height bound")
     p_verify.add_argument("--seed", type=_seed_type, default=0)
-    p_verify.add_argument("--jobs", type=int, default=None, help="worker processes (env EXTCRYSTAL_JOBS)")
+    p_verify.add_argument("--jobs", type=int, default=1, help="worker processes; below 1 runs serially")
     p_verify.set_defaults(func=_cmd_verify)
 
     p_graph = sub.add_parser("graph", help="explore the reachable graph from a seed element")
@@ -195,7 +182,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         window=args.window,
         max_ht=args.ht,
         seed=args.seed,
-        jobs=_resolve_jobs(args.jobs),
+        jobs=max(1, args.jobs),
     )
     names = base_suite_names() if args.suite == "all" else (args.suite,)
     failed = False

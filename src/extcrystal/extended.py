@@ -210,8 +210,9 @@ class ExtendedCrystal:
 
     def weight(self, c: ExtElement) -> RootLatticeElem:
         total = self.lattice.zero()
-        for k, _ in c.slots:
-            total = total + self.slot_weight(c, k)
+        for k, b in c.slots:
+            w = self.crystal.weight(b)
+            total = total - w if k % 2 else total + w
         return total
 
     def total_height(self, c: ExtElement) -> int:

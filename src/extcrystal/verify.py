@@ -7,7 +7,10 @@ a counterexample can be replayed with the ``apply`` subcommand.
 
 Suites are built from a deterministic item list plus a per-item check
 function, which lets a sweep fan out over worker processes; results are
-re-assembled in item order, so output never depends on scheduling.  A group
+re-assembled in item order, so output never depends on scheduling.  Serial
+and parallel sweeps take the same path, and ``jobs`` only says how many
+processes run the checks.  A worker that dies ends the sweep with
+``BrokenProcessPool`` instead of waiting for its results.  A group
 (``ext-properties``) names member suites instead of a check and reports
 their violations one suite after another.
 
@@ -259,16 +262,17 @@ def _check_weights(cfg: SweepConfig, c: ExtElement) -> list[str]:
         step = alpha if k % 2 else -alpha
         # height moves with the slot acted on: the k-branch edits slot k, the
         # other branch edits slot k+1 in the inverse direction
+        sel = ext.branch_selector(c, i, k)
         f = ext.lowering(c, i, k)
         if ext.weight(f) != w + step:
             out.append(_bad("lower-weight-step", cfg, at))
-        f_step = 1 if ext.branch_selector(c, i, k) >= 0 else -1
+        f_step = 1 if sel >= 0 else -1
         if ext.total_height(f) != ht + f_step:
             out.append(_bad("lower-height-step", cfg, at))
         e = ext.raising(c, i, k)
         if ext.weight(e) != w - step:
             out.append(_bad("raise-weight-step", cfg, at))
-        e_step = -1 if ext.branch_selector(c, i, k) > 0 else 1
+        e_step = -1 if sel > 0 else 1
         if ext.total_height(e) != ht + e_step:
             out.append(_bad("raise-height-step", cfg, at))
     return out
@@ -281,15 +285,17 @@ def _check_star_identities(cfg: SweepConfig, c: ExtElement) -> list[str]:
     flipped = ext.star_flip(c)
     for i, k in _ops(cfg):
         at = f"i={i} k={k} elem={text!r}"
-        if ext.star_lowering(c, i, k) != ext.raising(c, i, k - 1):
+        star_lowered = ext.star_lowering(c, i, k)
+        star_raised = ext.star_raising(c, i, k)
+        if star_lowered != ext.raising(c, i, k - 1):
             out.append(_bad("star-lower-as-raise", cfg, at))
-        if ext.star_raising(c, i, k) != ext.lowering(c, i, k - 1):
+        if star_raised != ext.lowering(c, i, k - 1):
             out.append(_bad("star-raise-as-lower", cfg, at))
         if ext.star_branch_selector(c, i, k) != -ext.branch_selector(c, i, k - 1):
             out.append(_bad("selector-flip", cfg, at))
-        if ext.star_lowering(c, i, k) != ext.star_flip(ext.lowering(flipped, i, -k)):
+        if star_lowered != ext.star_flip(ext.lowering(flipped, i, -k)):
             out.append(_bad("flip-conjugates-lower", cfg, at))
-        if ext.star_raising(c, i, k) != ext.star_flip(ext.raising(flipped, i, -k)):
+        if star_raised != ext.star_flip(ext.raising(flipped, i, -k)):
             out.append(_bad("flip-conjugates-raise", cfg, at))
     return out
 
@@ -313,6 +319,7 @@ def _check_shift_commutation(cfg: SweepConfig, c: ExtElement) -> list[str]:
     text = format_ext_element(c)
     out = []
     w = ext.weight(c)
+    images = [(i, k, ext.lowering(c, i, k), ext.raising(c, i, k)) for i, k in _ops(cfg)]
     for t in (-2, -1, 1, 2):
         moved = ext.shift(c, t)
         if ext.shift(moved, -t) != c:
@@ -320,11 +327,11 @@ def _check_shift_commutation(cfg: SweepConfig, c: ExtElement) -> list[str]:
         expect = -w if t % 2 else w
         if ext.weight(moved) != expect:
             out.append(_bad("shift-weight", cfg, f"t={t} elem={text!r}"))
-        for i, k in _ops(cfg):
+        for i, k, lowered, raised in images:
             at = f"i={i} k={k} t={t} elem={text!r}"
-            if ext.shift(ext.lowering(c, i, k), t) != ext.lowering(moved, i, k + t):
+            if ext.shift(lowered, t) != ext.lowering(moved, i, k + t):
                 out.append(_bad("shift-commutes-lower", cfg, at))
-            if ext.shift(ext.raising(c, i, k), t) != ext.raising(moved, i, k + t):
+            if ext.shift(raised, t) != ext.raising(moved, i, k + t):
                 out.append(_bad("shift-commutes-raise", cfg, at))
     return out
 
@@ -657,38 +664,33 @@ def run_suite(name: str, cfg: SweepConfig) -> list[str]:
 
 
 def _map(run, jobs: int, items):
-    """run over items, in item order, on jobs processes."""
-    if jobs > 1 and len(items) > 64:
-        import multiprocessing
+    """run over items, in item order, on jobs processes.
 
-        with multiprocessing.Pool(jobs) as pool:
-            return pool.map(run, items, chunksize=max(1, len(items) // (jobs * 8)))
+    A worker that dies raises BrokenProcessPool here instead of leaving the
+    sweep waiting for its results.
+    """
+    if jobs > 1 and len(items) > 64:
+        from concurrent.futures import ProcessPoolExecutor
+
+        with ProcessPoolExecutor(jobs) as pool:
+            return list(pool.map(run, items, chunksize=max(1, len(items) // (jobs * 8))))
     return map(run, items)
 
 
 def _sweep(suite: _Suite, cfg: SweepConfig, items) -> list[str]:
     """The suite's violations over items, in item order, on cfg.jobs processes.
 
-    A suite with a draw runs its check once per distinct case drawn in this
-    sweep and repeats that case's violations at every draw of it.  In
-    parallel the parent draws every item and the workers check the distinct
-    cases.
+    A suite with a draw draws every item, keeps one copy of each distinct
+    case, checks the distinct cases and repeats a case's violations at every
+    draw of it.  The other suites' items are distinct already.
     """
     run = functools.partial(suite.check, cfg)
     if suite.draw is None:
         return [msg for batch in _map(run, cfg.jobs, items) for msg in batch]
-    cases = map(functools.partial(suite.draw, cfg), items)
-    found: dict = {}
-    if cfg.jobs > 1:
-        cases = list(cases)
-        distinct = list(dict.fromkeys(cases))
-        found = dict(zip(distinct, _map(run, cfg.jobs, distinct)))
-    out: list[str] = []
-    for case in cases:
-        if case not in found:
-            found[case] = run(case)
-        out += found[case]
-    return out
+    distinct: dict = {}
+    drawn = [distinct.setdefault(case, case) for case in map(functools.partial(suite.draw, cfg), items)]
+    found = dict(zip(distinct, _map(run, cfg.jobs, distinct)))
+    return [msg for case in drawn for msg in found[case]]
 
 
 def run_all(cfg: SweepConfig, names):

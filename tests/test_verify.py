@@ -2,6 +2,7 @@
 
 import multiprocessing
 import signal
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import replace
 
 import pytest
@@ -9,7 +10,7 @@ import pytest
 import extcrystal.cli as cli
 import extcrystal.verify as verify
 from extcrystal.invariants import PairingRead
-from extcrystal.affine import HLWeight, SignatureNodes, format_hl_weight
+from extcrystal.affine import HLNode, HLWeight, SignatureNodes, format_hl_weight
 from extcrystal.extended import ExtendedCrystal
 from extcrystal.msegment import MultisegmentCrystal
 from extcrystal.verify import SweepConfig, _items_sig_seq, base_suite_names, run_all, run_suite
@@ -85,7 +86,7 @@ def test_parallel_run_matches_serial():
 
 
 def _within(seconds, fn, *args):
-    """fn(*args), or TimeoutError after `seconds`: a pool whose workers cannot unpickle their items hangs."""
+    """fn(*args), or TimeoutError after `seconds`, so a sweep that stalls fails its test, not the whole run."""
 
     def expire(_signum, _frame):
         raise TimeoutError(f"no result after {seconds} s")
@@ -124,6 +125,23 @@ def test_parallel_node_suites_match_serial(monkeypatch):
         _shift_a_unit_in_the_word(monkeypatch)
         found = run_suite("sig-seq", serial)
         assert found and _within(120, run_suite, "sig-seq", parallel) == found
+
+
+@pytest.mark.skipif(multiprocessing.get_start_method() != "fork", reason="workers must inherit the fault")
+def test_a_dying_worker_ends_the_sweep_and_exits_4(monkeypatch, capfd):
+    # pickle then rebuilds a node as HLNode.__new__(cls, (a, i)), which
+    # raises, so a worker dies while it unpickles its items
+    monkeypatch.delattr(HLNode, "__getnewargs__")
+    with pytest.raises(BrokenProcessPool):
+        _within(60, run_suite, "sig-seq", SweepConfig(n=2, window=(-1, 1), max_ht=5, jobs=2))
+    capfd.readouterr()
+    argv = ["verify", "sig-seq", "--n", "2", "--window", "-1..1", "--ht", "5", "--jobs", "2"]
+    assert _within(60, cli.main, argv) == 4
+    *before, last = capfd.readouterr().err.splitlines()
+    assert last.startswith("error: internal: BrokenProcessPool:")
+    # the worker's own traceback comes first
+    assert "Traceback (most recent call last):" in before
+    assert any(line.startswith("TypeError: ") for line in before)
 
 
 def test_randomized_suites_are_seed_deterministic():
