@@ -21,7 +21,7 @@ from .affine import (
 from .exploration import explore
 from .extended import format_ext_element, parse_ext_element
 from .msegment import format_multisegment
-from .parsing import ParseError
+from .rootdata import check_rank
 from .signature import reduce_runs
 from .verify import SweepConfig, base_suite_names, run_all
 
@@ -177,6 +177,7 @@ def _cmd_apply(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
+    check_rank(args.n)
     cfg = SweepConfig(
         n=args.n,
         window=args.window,
@@ -186,13 +187,19 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     )
     names = base_suite_names() if args.suite == "all" else (args.suite,)
     failed = False
-    for name, size, violations in run_all(cfg, names):
-        if violations:
-            failed = True
-            print(f"{name}: FAIL ({len(violations)} violation(s) over {size} items)")
-            print(f"  first counterexample: {violations[0]}")
-        else:
-            print(f"{name}: PASS ({size} items)")
+    try:
+        for name, size, violations in run_all(cfg, names):
+            if violations:
+                failed = True
+                print(f"{name}: FAIL ({len(violations)} violation(s) over {size} items)")
+                print(f"  first counterexample: {violations[0]}")
+            else:
+                print(f"{name}: PASS ({size} items)")
+    except OSError:
+        raise  # an I/O error, such as a closed stdout, exits 3
+    except Exception as exc:
+        # the input was refused above, so anything else a sweep raises is a fault of the program
+        return _internal(exc)
     return 1 if failed else 0
 
 
@@ -298,18 +305,20 @@ def main(argv: list[str] | None = None) -> int:
         return code if isinstance(code, int) else 2
     try:
         return args.func(args)
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
+    except ValueError as exc:  # ParseError among them
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except Exception as exc:
-        print(f"error: internal: {type(exc).__name__}: {' '.join(str(exc).split())}", file=sys.stderr)
-        return 4
+        return _internal(exc)
+
+
+def _internal(exc: Exception) -> int:
+    """Report an exception the program itself raised; its exit code is 4."""
+    print(f"error: internal: {type(exc).__name__}: {' '.join(str(exc).split())}", file=sys.stderr)
+    return 4
 
 
 def main_exit() -> None:

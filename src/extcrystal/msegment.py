@@ -24,13 +24,12 @@ length-one segment out of existence deletes it.
 
 The star involution is one sweep of tropical braid 3-moves on the
 multiplicities (Lusztig; Berenstein-Fomin-Zelevinsky), so its cost depends on
-the rank only (see ``star``).
+the rank only (see ``MultisegmentCrystal.star``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import combinations
 from math import isqrt
 from operator import itemgetter
@@ -207,27 +206,6 @@ def _table(positions: tuple[int, ...]):
 _NO_SURVIVORS = (0, 0, None, None)
 
 
-# the enumerated sweeps ask for the star of a few elements over and over:
-# verify ext-properties at rank 3, window -2..2, height 4 makes 509 161 hits
-# over 119 misses
-@lru_cache(maxsize=1 << 16)
-def star(crystal: MultisegmentCrystal, m: Multisegment) -> Multisegment:
-    """The star involution: Lusztig's 3-move, read tropically, once per triple.
-
-    x_ij, the multiplicity of [i,j-1], is the Lusztig datum of the root e_i - e_j.
-    Each triple i < j < l of 1..n+1 sets, with p = min(x_ij, x_jl), (x_ij, x_il,
-    x_jl) to (x_ij + x_il - p, p, x_jl + x_il - p): a transition map between reduced
-    words of w0 (Lusztig, JAMS 3 (1990); Berenstein-Fomin-Zelevinsky, Adv. Math. 122 (1996)).
-    """
-    crystal.validate(m)
-    x = list(m.mults + crystal._zeros[len(m.mults) :])
-    for ij, il, jl in crystal._moves:
-        a, b, c = x[ij], x[il], x[jl]
-        p = a if a < c else c
-        x[ij], x[il], x[jl] = a + b - p, p, c + b - p
-    return _of(x)
-
-
 class MultisegmentCrystal(AbstractCrystal):
     """B(infinity) of type A_n realized on multisegments inside {1..n}.
 
@@ -368,8 +346,21 @@ class MultisegmentCrystal(AbstractCrystal):
     def height(self, b: Multisegment) -> int:
         return b.height()
 
-    def star(self, b: Multisegment) -> Multisegment:
-        return star(self, b)
+    def star(self, m: Multisegment) -> Multisegment:
+        """The star involution: Lusztig's 3-move, read tropically, once per triple.
+
+        x_ij, the multiplicity of [i,j-1], is the Lusztig datum of the root e_i - e_j.
+        Each triple i < j < l of 1..n+1 sets, with p = min(x_ij, x_jl), (x_ij, x_il,
+        x_jl) to (x_ij + x_il - p, p, x_jl + x_il - p): a transition map between reduced
+        words of w0 (Lusztig, JAMS 3 (1990); Berenstein-Fomin-Zelevinsky, Adv. Math. 122 (1996)).
+        """
+        self.validate(m)
+        x = list(m.mults + self._zeros[len(m.mults) :])
+        for ij, il, jl in self._moves:
+            a, b, c = x[ij], x[il], x[jl]
+            p = a if a < c else c
+            x[ij], x[il], x[jl] = a + b - p, p, c + b - p
+        return _of(x)
 
 
 def format_multisegment(m: Multisegment) -> str:

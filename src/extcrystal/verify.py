@@ -6,13 +6,16 @@ quote elements in the same text grammar the command-line parsers accept, so
 a counterexample can be replayed with the ``apply`` subcommand.
 
 Suites are built from a deterministic item list plus a per-item check
-function, which lets a sweep fan out over worker processes; results are
-re-assembled in item order, so output never depends on scheduling.  Serial
-and parallel sweeps take the same path, and ``jobs`` only says how many
-processes run the checks.  A worker that dies ends the sweep with
-``BrokenProcessPool`` instead of waiting for its results.  A group
-(``ext-properties``) names member suites instead of a check and reports
-their violations one suite after another.
+function.  A check yields one ``(property, where)`` pair per violation, and
+the runner alone writes it as the message ``property: n=N where``; checks
+that compare operator expressions at every (i, k) of the window list
+``(property, got, want)`` triples for ``_per_op``.  A sweep can fan out over
+worker processes; results are re-assembled in item order, so output never
+depends on scheduling.  Serial and parallel sweeps take the same path, and
+``jobs`` only says how many processes run the checks.  A worker that dies
+ends the sweep with ``BrokenProcessPool`` instead of waiting for its
+results.  A group (``ext-properties``) names member suites instead of a
+check and reports their violations one suite after another.
 
 The items of a randomized suite are case indices, and its draw turns an
 index into the case the check reads.  A check is a pure function of its
@@ -79,15 +82,23 @@ def _case_rng(cfg: SweepConfig, idx: int) -> random.Random:
     return random.Random(cfg.seed * 0x9E3779B1 + idx)
 
 
-def _bad(prop: str, cfg: SweepConfig, detail: str) -> str:
-    return f"{prop}: n={cfg.n} {detail}"
-
-
 def _ops(cfg: SweepConfig):
     lo, hi = cfg.window
     for k in range(lo, hi + 1):
         for i in range(1, cfg.n + 1):
             yield i, k
+
+
+def _per_op(cfg: SweepConfig, where: str, props):
+    """(property, "i=I k=K where") for each failed comparison of the window's operators.
+
+    props(i, k) yields (property, got, want) triples, and one with got != want
+    fails.  The operators come in ``_ops`` order, each one's triples in props' order.
+    """
+    for i, k in _ops(cfg):
+        for prop, got, want in props(i, k):
+            if got != want:
+                yield prop, f"i={i} k={k} {where}"
 
 
 # ----------------------------------------------------------------------
@@ -98,11 +109,10 @@ def _draw_multisegment(cfg: SweepConfig, idx: int) -> Multisegment:
     return random_multisegment(_case_rng(cfg, idx), cfg.n, cfg.max_ht)
 
 
-def _check_crystal_axioms(cfg: SweepConfig, m: Multisegment) -> list[str]:
+def _check_crystal_axioms(cfg: SweepConfig, m: Multisegment):
     cry = _affine(cfg.n).crystal
-    text = format_multisegment(m)
+    at = f"elem={format_multisegment(m)!r}"
     w = cry.weight(m)
-    out: list[str] = []
     # the plain and the starred family obey the same axioms
     families = (
         ("", cry.lowering, cry.raising, cry.epsilon),
@@ -111,47 +121,42 @@ def _check_crystal_axioms(cfg: SweepConfig, m: Multisegment) -> list[str]:
     # (epsilon, lowering, raising) of m per family and index, for the star checks
     reads = {}
     for i in cry.indices():
-        at = f"i={i} elem={text!r}"
         lowered = w - cry.lattice.alpha(i)
         for family, lower, lift, eps in families:
             e0 = eps(m, i)
             f = lower(m, i)
-            if lift(f, i) != m:
-                out.append(_bad(family + "raise-of-lower", cfg, at))
-            if eps(f, i) != e0 + 1:
-                out.append(_bad(family + "lower-counter-step", cfg, at))
-            if cry.weight(f) != lowered:
-                out.append(_bad(family + "lower-weight-step", cfg, at))
             e = lift(m, i)
-            if (e is None) != (e0 == 0):
-                out.append(_bad(family + "raise-definedness", cfg, at))
-            if e is not None and lower(e, i) != m:
-                out.append(_bad(family + "lower-of-raise", cfg, at))
             steps, cur = 0, e
             while cur is not None:
                 steps += 1
                 cur = lift(cur, i)
-            if steps != e0:
-                out.append(_bad(family + "raise-string-length", cfg, at))
             reads[family, i] = e0, f, e
+            for prop, got, want in (
+                ("raise-of-lower", lift(f, i), m),
+                ("lower-counter-step", eps(f, i), e0 + 1),
+                ("lower-weight-step", cry.weight(f), lowered),
+                ("raise-definedness", e is None, e0 == 0),
+                ("lower-of-raise", m if e is None else lower(e, i), m),
+                ("raise-string-length", steps, e0),
+            ):
+                if got != want:
+                    yield family + prop, f"i={i} {at}"
 
     st = cry.star(m)
     if cry.star(st) != m:
-        out.append(_bad("star-involution", cfg, f"elem={text!r}"))
+        yield "star-involution", at
     if cry.weight(st) != w:
-        out.append(_bad("star-weight", cfg, f"elem={text!r}"))
+        yield "star-weight", at
     for i in cry.indices():
         eps, low, rai = reads["", i]
-        if reads["star-", i][0] != cry.epsilon(st, i):
-            out.append(_bad("star-counter-swap", cfg, f"i={i} elem={text!r}"))
-        if cry.star(low) != cry.star_lowering(st, i):
-            out.append(_bad("star-lower-conjugation", cfg, f"i={i} elem={text!r}"))
-        # the raising path that defines star may take any index that admits a raise
-        if eps > 0:
-            rebuilt = cry.star_lowering(cry.star(rai), i)
-            if rebuilt != st:
-                out.append(_bad("star-branch-free", cfg, f"i={i} elem={text!r}"))
-    return out
+        for prop, got, want in (
+            ("star-counter-swap", reads["star-", i][0], cry.epsilon(st, i)),
+            ("star-lower-conjugation", cry.star(low), cry.star_lowering(st, i)),
+            # the raising path that defines star may take any index that admits a raise
+            ("star-branch-free", cry.star_lowering(cry.star(rai), i) if eps > 0 else st, st),
+        ):
+            if got != want:
+                yield prop, f"i={i} {at}"
 
 
 def cancel_in_random_order(word: list, rng: random.Random) -> list:
@@ -165,7 +170,7 @@ def cancel_in_random_order(word: list, rng: random.Random) -> list:
         del work[j : j + 2]
 
 
-def _check_reduce_confluence(cfg: SweepConfig, idx: int) -> list[str]:
+def _check_reduce_confluence(cfg: SweepConfig, idx: int):
     rng = _case_rng(cfg, idx)
     length = rng.randrange(0, 2 * cfg.max_ht + 5)
     word = "".join(rng.choice("+-") for _ in range(length))
@@ -183,12 +188,10 @@ def _check_reduce_confluence(cfg: SweepConfig, idx: int) -> list[str]:
     survivors = cancel_in_random_order(expand(counts), rng)
     minus = [at for sign, at in survivors if sign == "-"]
     plus = [at for sign, at in survivors if sign == "+"]
-    out: list[str] = []
     if reduce_runs(counts) != (len(minus), len(plus), minus[-1] if minus else None, plus[0] if plus else None):
-        out.append(_bad("reduce-confluence", cfg, f"sig={word!r}"))
+        yield "reduce-confluence", f"sig={word!r}"
     if signs(survivors) != "-" * len(minus) + "+" * len(plus):
-        out.append(_bad("reduce-shape", cfg, f"sig={word!r}"))
-    return out
+        yield "reduce-shape", f"sig={word!r}"
 
 
 # ----------------------------------------------------------------------
@@ -199,161 +202,130 @@ def _items_ext(cfg: SweepConfig) -> list[ExtElement]:
     return list(iter_ext_elements(_affine(cfg.n).ext, cfg.window, cfg.max_ht))
 
 
-def _check_inverse_pairs(cfg: SweepConfig, c: ExtElement) -> list[str]:
+def _check_inverse_pairs(cfg: SweepConfig, c: ExtElement):
     ext = _affine(cfg.n).ext
-    text = format_ext_element(c)
-    out = []
-    for i, k in _ops(cfg):
-        at = f"i={i} k={k} elem={text!r}"
-        if ext.raising(ext.lowering(c, i, k), i, k) != c:
-            out.append(_bad("raise-of-lower", cfg, at))
-        if ext.lowering(ext.raising(c, i, k), i, k) != c:
-            out.append(_bad("lower-of-raise", cfg, at))
-        if ext.star_raising(ext.star_lowering(c, i, k), i, k) != c:
-            out.append(_bad("star-raise-of-lower", cfg, at))
-        if ext.star_lowering(ext.star_raising(c, i, k), i, k) != c:
-            out.append(_bad("star-lower-of-raise", cfg, at))
-    return out
+
+    def props(i, k):
+        yield "raise-of-lower", ext.raising(ext.lowering(c, i, k), i, k), c
+        yield "lower-of-raise", ext.lowering(ext.raising(c, i, k), i, k), c
+        yield "star-raise-of-lower", ext.star_raising(ext.star_lowering(c, i, k), i, k), c
+        yield "star-lower-of-raise", ext.star_lowering(ext.star_raising(c, i, k), i, k), c
+
+    yield from _per_op(cfg, f"elem={format_ext_element(c)!r}", props)
 
 
-def _check_counters(cfg: SweepConfig, c: ExtElement) -> list[str]:
+def _check_counters(cfg: SweepConfig, c: ExtElement):
     ext = _affine(cfg.n).ext
     cry = ext.crystal
     text = format_ext_element(c)
-    out = []
-    for i, k in _ops(cfg):
-        at = f"i={i} k={k} elem={text!r}"
+
+    def props(i, k):
         sel = ext.branch_selector(c, i, k)
-        if ext.branch_selector(ext.lowering(c, i, k), i, k) != sel + 1:
-            out.append(_bad("lower-selector-step", cfg, at))
-        if ext.branch_selector(ext.raising(c, i, k), i, k) != sel - 1:
-            out.append(_bad("raise-selector-step", cfg, at))
+        yield "lower-selector-step", ext.branch_selector(ext.lowering(c, i, k), i, k), sel + 1
+        yield "raise-selector-step", ext.branch_selector(ext.raising(c, i, k), i, k), sel - 1
         ssel = ext.star_branch_selector(c, i, k)
-        if ext.star_branch_selector(ext.star_lowering(c, i, k), i, k) != ssel + 1:
-            out.append(_bad("star-lower-selector-step", cfg, at))
-        if ext.star_branch_selector(ext.star_raising(c, i, k), i, k) != ssel - 1:
-            out.append(_bad("star-raise-selector-step", cfg, at))
+        yield "star-lower-selector-step", ext.star_branch_selector(ext.star_lowering(c, i, k), i, k), ssel + 1
+        yield "star-raise-selector-step", ext.star_branch_selector(ext.star_raising(c, i, k), i, k), ssel - 1
+
+    yield from _per_op(cfg, f"elem={text!r}", props)
     if len(c.slots) == 1:
         k0, b = c.slots[0]
         for i in cry.indices():
-            at = f"i={i} k={k0} elem={text!r}"
             if ext.lowering(c, i, k0) != ext.inject(cry.lowering(b, i), k0):
-                out.append(_bad("slot-embedding-lower", cfg, at))
+                yield "slot-embedding-lower", f"i={i} k={k0} elem={text!r}"
             if cry.epsilon(b, i) > 0 and ext.raising(c, i, k0) != ext.inject(cry.raising(b, i), k0):
-                out.append(_bad("slot-embedding-raise", cfg, at))
+                yield "slot-embedding-raise", f"i={i} k={k0} elem={text!r}"
             if ext.star_lowering(c, i, k0) != ext.inject(cry.star_lowering(b, i), k0):
-                out.append(_bad("slot-embedding-star-lower", cfg, at))
-            if cry.epsilon_star(b, i) > 0 and ext.star_raising(c, i, k0) != ext.inject(
-                cry.star_raising(b, i), k0
-            ):
-                out.append(_bad("slot-embedding-star-raise", cfg, at))
-    return out
+                yield "slot-embedding-star-lower", f"i={i} k={k0} elem={text!r}"
+            if cry.epsilon_star(b, i) > 0 and ext.star_raising(c, i, k0) != ext.inject(cry.star_raising(b, i), k0):
+                yield "slot-embedding-star-raise", f"i={i} k={k0} elem={text!r}"
 
 
-def _check_weights(cfg: SweepConfig, c: ExtElement) -> list[str]:
+def _check_weights(cfg: SweepConfig, c: ExtElement):
     ext = _affine(cfg.n).ext
     w = ext.weight(c)
     ht = ext.total_height(c)
-    text = format_ext_element(c)
-    out = []
-    for i, k in _ops(cfg):
-        at = f"i={i} k={k} elem={text!r}"
+
+    def props(i, k):
         alpha = ext.lattice.alpha(i)
         step = alpha if k % 2 else -alpha
         # height moves with the slot acted on: the k-branch edits slot k, the
         # other branch edits slot k+1 in the inverse direction
         sel = ext.branch_selector(c, i, k)
         f = ext.lowering(c, i, k)
-        if ext.weight(f) != w + step:
-            out.append(_bad("lower-weight-step", cfg, at))
-        f_step = 1 if sel >= 0 else -1
-        if ext.total_height(f) != ht + f_step:
-            out.append(_bad("lower-height-step", cfg, at))
+        yield "lower-weight-step", ext.weight(f), w + step
+        yield "lower-height-step", ext.total_height(f), ht + (1 if sel >= 0 else -1)
         e = ext.raising(c, i, k)
-        if ext.weight(e) != w - step:
-            out.append(_bad("raise-weight-step", cfg, at))
-        e_step = -1 if sel > 0 else 1
-        if ext.total_height(e) != ht + e_step:
-            out.append(_bad("raise-height-step", cfg, at))
-    return out
+        yield "raise-weight-step", ext.weight(e), w - step
+        yield "raise-height-step", ext.total_height(e), ht + (-1 if sel > 0 else 1)
+
+    yield from _per_op(cfg, f"elem={format_ext_element(c)!r}", props)
 
 
-def _check_star_identities(cfg: SweepConfig, c: ExtElement) -> list[str]:
+def _check_star_identities(cfg: SweepConfig, c: ExtElement):
     ext = _affine(cfg.n).ext
-    text = format_ext_element(c)
-    out = []
     flipped = ext.star_flip(c)
-    for i, k in _ops(cfg):
-        at = f"i={i} k={k} elem={text!r}"
+
+    def props(i, k):
         star_lowered = ext.star_lowering(c, i, k)
         star_raised = ext.star_raising(c, i, k)
-        if star_lowered != ext.raising(c, i, k - 1):
-            out.append(_bad("star-lower-as-raise", cfg, at))
-        if star_raised != ext.lowering(c, i, k - 1):
-            out.append(_bad("star-raise-as-lower", cfg, at))
-        if ext.star_branch_selector(c, i, k) != -ext.branch_selector(c, i, k - 1):
-            out.append(_bad("selector-flip", cfg, at))
-        if star_lowered != ext.star_flip(ext.lowering(flipped, i, -k)):
-            out.append(_bad("flip-conjugates-lower", cfg, at))
-        if star_raised != ext.star_flip(ext.raising(flipped, i, -k)):
-            out.append(_bad("flip-conjugates-raise", cfg, at))
-    return out
+        yield "star-lower-as-raise", star_lowered, ext.raising(c, i, k - 1)
+        yield "star-raise-as-lower", star_raised, ext.lowering(c, i, k - 1)
+        yield "selector-flip", ext.star_branch_selector(c, i, k), -ext.branch_selector(c, i, k - 1)
+        yield "flip-conjugates-lower", star_lowered, ext.star_flip(ext.lowering(flipped, i, -k))
+        yield "flip-conjugates-raise", star_raised, ext.star_flip(ext.raising(flipped, i, -k))
+
+    yield from _per_op(cfg, f"elem={format_ext_element(c)!r}", props)
 
 
-def _check_star_flip(cfg: SweepConfig, c: ExtElement) -> list[str]:
+def _check_star_flip(cfg: SweepConfig, c: ExtElement):
     ext = _affine(cfg.n).ext
-    text = format_ext_element(c)
-    out = []
     flipped = ext.star_flip(c)
-    if ext.star_flip(flipped) != c:
-        out.append(_bad("flip-involution", cfg, f"elem={text!r}"))
-    if ext.weight(flipped) != ext.weight(c):
-        out.append(_bad("flip-weight", cfg, f"elem={text!r}"))
-    if ext.total_height(flipped) != ext.total_height(c):
-        out.append(_bad("flip-height", cfg, f"elem={text!r}"))
-    return out
+    for prop, got, want in (
+        ("flip-involution", ext.star_flip(flipped), c),
+        ("flip-weight", ext.weight(flipped), ext.weight(c)),
+        ("flip-height", ext.total_height(flipped), ext.total_height(c)),
+    ):
+        if got != want:
+            yield prop, f"elem={format_ext_element(c)!r}"
 
 
-def _check_shift_commutation(cfg: SweepConfig, c: ExtElement) -> list[str]:
+def _check_shift_commutation(cfg: SweepConfig, c: ExtElement):
     ext = _affine(cfg.n).ext
-    text = format_ext_element(c)
-    out = []
+    at = f"elem={format_ext_element(c)!r}"
     w = ext.weight(c)
-    images = [(i, k, ext.lowering(c, i, k), ext.raising(c, i, k)) for i, k in _ops(cfg)]
+    images = {(i, k): (ext.lowering(c, i, k), ext.raising(c, i, k)) for i, k in _ops(cfg)}
     for t in (-2, -1, 1, 2):
         moved = ext.shift(c, t)
         if ext.shift(moved, -t) != c:
-            out.append(_bad("shift-inverse", cfg, f"t={t} elem={text!r}"))
-        expect = -w if t % 2 else w
-        if ext.weight(moved) != expect:
-            out.append(_bad("shift-weight", cfg, f"t={t} elem={text!r}"))
-        for i, k, lowered, raised in images:
-            at = f"i={i} k={k} t={t} elem={text!r}"
-            if ext.shift(lowered, t) != ext.lowering(moved, i, k + t):
-                out.append(_bad("shift-commutes-lower", cfg, at))
-            if ext.shift(raised, t) != ext.raising(moved, i, k + t):
-                out.append(_bad("shift-commutes-raise", cfg, at))
-    return out
+            yield "shift-inverse", f"t={t} {at}"
+        if ext.weight(moved) != (-w if t % 2 else w):
+            yield "shift-weight", f"t={t} {at}"
+
+        def props(i, k):
+            lowered, raised = images[i, k]
+            yield "shift-commutes-lower", ext.shift(lowered, t), ext.lowering(moved, i, k + t)
+            yield "shift-commutes-raise", ext.shift(raised, t), ext.raising(moved, i, k + t)
+
+        yield from _per_op(cfg, f"t={t} {at}", props)
 
 
-def _check_connectedness(cfg: SweepConfig, c: ExtElement) -> list[str]:
+def _check_connectedness(cfg: SweepConfig, c: ExtElement):
     ext = _affine(cfg.n).ext
-    text = format_ext_element(c)
-    out = []
+    at = f"elem={format_ext_element(c)!r}"
     path = ext.path_to_highest(c)
     if len(path) != ext.total_height(c):
-        out.append(_bad("path-length", cfg, f"elem={text!r}"))
+        yield "path-length", at
     cur = c
     for i, k in path:
         cur = ext.raising(cur, i, k)
     if not cur.is_highest():
-        out.append(_bad("path-reaches-highest", cfg, f"elem={text!r}"))
+        yield "path-reaches-highest", at
     rebuilt = HIGHEST
     for i, k in reversed(path):
         rebuilt = ext.lowering(rebuilt, i, k)
     if rebuilt != c:
-        out.append(_bad("path-replay", cfg, f"elem={text!r}"))
-    return out
+        yield "path-replay", at
 
 
 # ----------------------------------------------------------------------
@@ -368,7 +340,7 @@ def _items_sl2(cfg: SweepConfig) -> range:
     return range((cfg.max_ht + 1) ** (hi - lo + 1))
 
 
-def _check_sl2(cfg: SweepConfig, code: int) -> list[str]:
+def _check_sl2(cfg: SweepConfig, code: int):
     lo, hi = cfg.window
     base = cfg.max_ht + 1
     entries: dict[int, int] = {}
@@ -377,13 +349,11 @@ def _check_sl2(cfg: SweepConfig, code: int) -> list[str]:
         if digit:
             entries[k] = digit
     c = ExtElement(tuple(entries.items()))
-    out = []
     for k in range(lo, hi + 1):
         got = dict(_SL2_EXT.lowering(c, 1, k).slots)
         expect = {kk: v for kk, v in explicit_lowering(entries, k).items() if v}
         if got != expect:
-            out.append(_bad("sl2-oracle", cfg, f"k={k} elem={entries!r}"))
-    return out
+            yield "sl2-oracle", f"k={k} elem={entries!r}"
 
 
 # ----------------------------------------------------------------------
@@ -398,52 +368,44 @@ def _items_affine(cfg: SweepConfig) -> list[ExtElement]:
     return list(iter_ext_elements(_affine(cfg.n).ext, (lo, hi + 1), cfg.max_ht))
 
 
-def _check_cr_commutation(cfg: SweepConfig, c: ExtElement) -> list[str]:
+def _check_cr_commutation(cfg: SweepConfig, c: ExtElement):
     model = _affine(cfg.n)
     ext = model.ext
     lam = model.to_weight(c)
-    text = format_ext_element(c)
-    out = []
-    for i, k in _ops(cfg):
-        at = f"i={i} k={k} elem={text!r}"
-        if model.lowering(lam, i, k) != model.to_weight(ext.lowering(c, i, k)):
-            out.append(_bad("conversion-commutes-lower", cfg, at))
-        if model.raising(lam, i, k) != model.to_weight(ext.raising(c, i, k)):
-            out.append(_bad("conversion-commutes-raise", cfg, at))
-    return out
+
+    def props(i, k):
+        yield "conversion-commutes-lower", model.lowering(lam, i, k), model.to_weight(ext.lowering(c, i, k))
+        yield "conversion-commutes-raise", model.raising(lam, i, k), model.to_weight(ext.raising(c, i, k))
+
+    yield from _per_op(cfg, f"elem={format_ext_element(c)!r}", props)
 
 
-def _check_hl_inverse(cfg: SweepConfig, c: ExtElement) -> list[str]:
+def _check_hl_inverse(cfg: SweepConfig, c: ExtElement):
     model = _affine(cfg.n)
     lam = model.to_weight(c)
-    text = format_hl_weight(lam)
-    out = []
-    for i, k in _ops(cfg):
-        at = f"i={i} k={k} elem={text!r}"
-        if model.raising(model.lowering(lam, i, k), i, k) != lam:
-            out.append(_bad("raise-of-lower", cfg, at))
-        if model.lowering(model.raising(lam, i, k), i, k) != lam:
-            out.append(_bad("lower-of-raise", cfg, at))
-    return out
+
+    def props(i, k):
+        yield "raise-of-lower", model.raising(model.lowering(lam, i, k), i, k), lam
+        yield "lower-of-raise", model.lowering(model.raising(lam, i, k), i, k), lam
+
+    yield from _per_op(cfg, f"elem={format_hl_weight(lam)!r}", props)
 
 
-def _check_dual_commutation(cfg: SweepConfig, c: ExtElement) -> list[str]:
+def _check_dual_commutation(cfg: SweepConfig, c: ExtElement):
     model = _affine(cfg.n)
-    ext = model.ext
+    shift = model.dual_shift_weight
     lam = model.to_weight(c)
-    text = format_hl_weight(lam)
-    out = []
+    at = f"elem={format_hl_weight(lam)!r}"
     for t in (-1, 1):
-        if model.to_weight(ext.shift(c, t)) != model.dual_shift_weight(lam, t):
-            out.append(_bad("conversion-commutes-shift", cfg, f"t={t} elem={text!r}"))
-    moved = model.dual_shift_weight(lam, 1)
-    for i, k in _ops(cfg):
-        at = f"i={i} k={k} elem={text!r}"
-        if model.dual_shift_weight(model.lowering(lam, i, k), 1) != model.lowering(moved, i, k + 1):
-            out.append(_bad("dual-shift-commutes-lower", cfg, at))
-        if model.dual_shift_weight(model.raising(lam, i, k), 1) != model.raising(moved, i, k + 1):
-            out.append(_bad("dual-shift-commutes-raise", cfg, at))
-    return out
+        if model.to_weight(model.ext.shift(c, t)) != shift(lam, t):
+            yield "conversion-commutes-shift", f"t={t} {at}"
+    moved = shift(lam, 1)
+
+    def props(i, k):
+        yield "dual-shift-commutes-lower", shift(model.lowering(lam, i, k), 1), model.lowering(moved, i, k + 1)
+        yield "dual-shift-commutes-raise", shift(model.raising(lam, i, k), 1), model.raising(moved, i, k + 1)
+
+    yield from _per_op(cfg, at, props)
 
 
 # (k, nodes, counts): a weight on the nodes of blocks k and k+1, by coefficient
@@ -473,23 +435,19 @@ def _items_sig_seq(cfg: SweepConfig) -> list[_SigSeqItem]:
     return items
 
 
-def _check_sig_seq(cfg: SweepConfig, item: _SigSeqItem) -> list[str]:
+def _check_sig_seq(cfg: SweepConfig, item: _SigSeqItem):
     k, nodes, counts = item
     lam = HLWeight(tuple(zip(nodes, counts)))
     model = _affine(cfg.n)
     cry = model.crystal
     c = model.to_extended(lam)
     low, high = model.ext.slot(c, k), model.ext.slot(c, k + 1)
-    out = []
     for i in range(1, cfg.n + 1):
         # the node word, closed by a zero plus, is the starred word of slot k+1
         # followed by the plain word of slot k
         expect = [*cry.count_words(high, i)[1], *cry.count_words(low, i)[0]]
         if model.signature_nodes(i, k).word(lam) + [0] != expect:
-            out.append(
-                _bad("signature-concat", cfg, f"i={i} k={k} elem={format_hl_weight(lam)!r}")
-            )
-    return out
+            yield "signature-concat", f"i={i} k={k} elem={format_hl_weight(lam)!r}"
 
 
 # ----------------------------------------------------------------------
@@ -500,14 +458,12 @@ def _items_root_axiom(cfg: SweepConfig) -> list[tuple[int, int]]:
     return [(i, k) for i in range(1, cfg.n + 1) for k in range(-5, 6)]
 
 
-def _check_root_axiom(cfg: SweepConfig, item: tuple[int, int]) -> list[str]:
+def _check_root_axiom(cfg: SweepConfig, item: tuple[int, int]):
     i, k = item
     ext = _affine(cfg.n).ext
     c = ext.inject(ext.crystal.lowering(ext.crystal.highest, i))
-    expect = 1 if abs(k) == 1 else 0
-    if d_invariant(ext, c, i, k) != expect:
-        return [_bad("root-axiom", cfg, f"i={i} k={k} elem={format_ext_element(c)!r}")]
-    return []
+    if d_invariant(ext, c, i, k) != (1 if abs(k) == 1 else 0):
+        yield "root-axiom", f"i={i} k={k} elem={format_ext_element(c)!r}"
 
 
 def _items_duality_datum(cfg: SweepConfig) -> list[tuple[int, int, int]]:
@@ -520,14 +476,12 @@ def _items_duality_datum(cfg: SweepConfig) -> list[tuple[int, int, int]]:
     ]
 
 
-def _check_duality_datum(cfg: SweepConfig, item: tuple[int, int, int]) -> list[str]:
+def _check_duality_datum(cfg: SweepConfig, item: tuple[int, int, int]):
     i, j, k = item
     ext = _affine(cfg.n).ext
     c = ext.inject(ext.crystal.lowering(ext.crystal.highest, j))
-    expect = -CartanA(cfg.n).entry(i, j) if k == 0 else 0
-    if d_invariant(ext, c, i, k) != expect:
-        return [_bad("duality-datum", cfg, f"i={i} j={j} k={k}")]
-    return []
+    if d_invariant(ext, c, i, k) != (-CartanA(cfg.n).entry(i, j) if k == 0 else 0):
+        yield "duality-datum", f"i={i} j={j} k={k}"
 
 
 def _random_query(cfg: SweepConfig, idx: int):
@@ -547,57 +501,49 @@ def _draw_shifted_query(cfg: SweepConfig, idx: int) -> tuple[ExtElement, int, in
     return c, i, k, rng.randrange(-3, 4)
 
 
-def _check_bilinear(cfg: SweepConfig, query: tuple[ExtElement, int, int]) -> list[str]:
+def _check_bilinear(cfg: SweepConfig, query: tuple[ExtElement, int, int]):
     c, i, k = query
     read = pairing_read(_affine(cfg.n).ext, c, i, k)
     left, right = read.lambda_left(), read.lambda_right()
-    out = []
-    at = f"i={i} k={k} elem={format_ext_element(c)!r}"
-    if left + right != 2 * read.d_invariant():
-        out.append(_bad("bilinear", cfg, at))
-    if (left - right) % 2:
-        out.append(_bad("parity", cfg, at))
-    return out
+    for prop, got, want in (("bilinear", left + right, 2 * read.d_invariant()), ("parity", (left - right) % 2, 0)):
+        if got != want:
+            yield prop, f"i={i} k={k} elem={format_ext_element(c)!r}"
 
 
-def _check_shift_covariance(cfg: SweepConfig, query: tuple[ExtElement, int, int, int]) -> list[str]:
+def _check_shift_covariance(cfg: SweepConfig, query: tuple[ExtElement, int, int, int]):
     c, i, k, t = query
     ext = _affine(cfg.n).ext
     read = pairing_read(ext, c, i, k)
     moved = pairing_read(ext, ext.shift(c, t), i, k + t)
-    out = []
-    at = f"i={i} k={k} t={t} elem={format_ext_element(c)!r}"
-    if moved.d_invariant() != read.d_invariant():
-        out.append(_bad("shift-covariance-d", cfg, at))
-    if moved.lambda_left() != read.lambda_left():
-        out.append(_bad("shift-covariance-left", cfg, at))
-    if moved.lambda_right() != read.lambda_right():
-        out.append(_bad("shift-covariance-right", cfg, at))
-    return out
+    for prop, got, want in (
+        ("shift-covariance-d", moved.d_invariant(), read.d_invariant()),
+        ("shift-covariance-left", moved.lambda_left(), read.lambda_left()),
+        ("shift-covariance-right", moved.lambda_right(), read.lambda_right()),
+    ):
+        if got != want:
+            yield prop, f"i={i} k={k} t={t} elem={format_ext_element(c)!r}"
 
 
 # ----------------------------------------------------------------------
 # graph
 
 
-def _check_graph_count(cfg: SweepConfig, _item: int) -> list[str]:
+def _check_graph_count(cfg: SweepConfig, _item: int):
     ext = _affine(cfg.n).ext
     graph = explore(ext, HIGHEST, cfg.window, cfg.max_ht)
-    out = []
     expect = count_ext_elements(cfg.n, cfg.window, cfg.max_ht)
     if len(graph.nodes) != expect:
-        out.append(_bad("graph-node-count", cfg, f"got={len(graph.nodes)} want={expect}"))
+        yield "graph-node-count", f"got={len(graph.nodes)} want={expect}"
     if set(graph.nodes) != set(iter_ext_elements(ext, cfg.window, cfg.max_ht)):
-        out.append(_bad("graph-node-set", cfg, "reachable set differs from enumeration"))
+        yield "graph-node-set", "reachable set differs from enumeration"
     ids = graph.node_ids()
     nodes = graph.nodes
     for src, dst, i, k in graph.edges:
         if ids[ext.lowering(nodes[src], i, k)] != dst:
-            out.append(_bad("graph-edge", cfg, f"i={i} k={k} src={format_ext_element(nodes[src])!r}"))
+            yield "graph-edge", f"i={i} k={k} src={format_ext_element(nodes[src])!r}"
     again = explore(ext, HIGHEST, cfg.window, cfg.max_ht)
     if again.to_dot() != graph.to_dot():
-        out.append(_bad("graph-determinism", cfg, "repeated run differs"))
-    return out
+        yield "graph-determinism", "repeated run differs"
 
 
 # ----------------------------------------------------------------------
@@ -677,6 +623,11 @@ def _map(run, jobs: int, items):
     return map(run, items)
 
 
+def _violations(check, cfg: SweepConfig, case) -> list[str]:
+    """check's findings on case as messages, each "property: n=N where"."""
+    return [f"{prop}: n={cfg.n} {where}" for prop, where in check(cfg, case)]
+
+
 def _sweep(suite: _Suite, cfg: SweepConfig, items) -> list[str]:
     """The suite's violations over items, in item order, on cfg.jobs processes.
 
@@ -684,7 +635,7 @@ def _sweep(suite: _Suite, cfg: SweepConfig, items) -> list[str]:
     case, checks the distinct cases and repeats a case's violations at every
     draw of it.  The other suites' items are distinct already.
     """
-    run = functools.partial(suite.check, cfg)
+    run = functools.partial(_violations, suite.check, cfg)
     if suite.draw is None:
         return [msg for batch in _map(run, cfg.jobs, items) for msg in batch]
     distinct: dict = {}

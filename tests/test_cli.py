@@ -6,6 +6,8 @@ import sys
 
 import extcrystal.cli as cli
 import extcrystal.verify as verify
+from extcrystal.extended import ExtElement, ExtendedCrystal
+from extcrystal.msegment import parse_multisegment
 
 DEMO = "(3,-4),(1,-2),(3,-2),2*(2,-1),(2,1),(1,2),(2,3),2*(3,4),(2,5),(2,7)"
 
@@ -210,6 +212,30 @@ def test_a_check_that_raises_exits_4_after_the_suites_before_it(monkeypatch, cap
     assert code == 4
     assert err == "error: internal: AssertionError: raised is not None\n"
     assert out.splitlines() == ["crystal-axioms: PASS (10000 items)", "reduce-confluence: PASS (10000 items)"]
+
+
+def test_an_operator_writing_past_the_rank_exits_4_after_the_suites_before_it(monkeypatch, capsys):
+    # star-identities lowers the flipped element, which validates it: a ValueError
+    # raised by the program's own result, not by the input
+    monkeypatch.setattr(ExtendedCrystal, "star_flip", lambda self, c: ExtElement(((0, parse_multisegment("[1,2]")),)))
+    code, out, err = run_cli(capsys, "verify", "all", "--n", "1", "--window", "0..0", "--ht", "1")
+    assert (code, err) == (4, "error: internal: ValueError: segment [1,2] does not fit inside rank 1\n")
+    assert out.splitlines() == [
+        "crystal-axioms: PASS (10000 items)",
+        "reduce-confluence: PASS (10000 items)",
+        "inverse-pairs: PASS (2 items)",
+        "counters: PASS (2 items)",
+        "weights: PASS (2 items)",
+    ]
+
+
+def test_verify_refuses_a_rank_past_the_limit_before_it_sweeps(monkeypatch, capsys):
+    def sweep(cfg, names):
+        raise AssertionError("swept")
+
+    monkeypatch.setattr(cli, "run_all", sweep)
+    code, out, err = run_cli(capsys, "verify", "all", "--n", "65", "--window", "0..0", "--ht", "1")
+    assert (code, out, err) == (2, "", "error: rank must be an integer between 1 and 64, got 65\n")
 
 
 def test_verify_jobs_flag_keeps_output_stable(capsys):

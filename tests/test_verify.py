@@ -1,4 +1,4 @@
-"""Tests for the sweep plumbing: configs, suite registry, parallel runs."""
+"""Tests for the sweep plumbing: configs, suite registry, parallel runs, messages under injected faults."""
 
 import multiprocessing
 import signal
@@ -10,9 +10,11 @@ import pytest
 import extcrystal.cli as cli
 import extcrystal.verify as verify
 from extcrystal.invariants import PairingRead
-from extcrystal.affine import HLNode, HLWeight, SignatureNodes, format_hl_weight
+from extcrystal.affine import AffineModel, HLNode, HLWeight, SignatureNodes, format_hl_weight
 from extcrystal.extended import ExtendedCrystal
 from extcrystal.msegment import MultisegmentCrystal
+from extcrystal.signature import reduce_runs
+from extcrystal.sl2 import Sl2Crystal
 from extcrystal.verify import SweepConfig, _items_sig_seq, base_suite_names, run_all, run_suite
 
 EXT_MEMBERS = (
@@ -246,7 +248,7 @@ def _left_form_skewed_at_slot_one(monkeypatch):
 def _every_draw_checked(name, cfg):
     """The suite's violations with the check run on every draw, in draw order."""
     suite = verify._SUITES[name]
-    return [msg for idx in suite.items(cfg) for msg in suite.check(cfg, suite.draw(cfg, idx))]
+    return [msg for idx in suite.items(cfg) for msg in verify._violations(suite.check, cfg, suite.draw(cfg, idx))]
 
 
 # workers see a monkeypatched fault only if they are forked from this process
@@ -287,3 +289,258 @@ def test_a_sweep_checks_each_distinct_draw_once(monkeypatch):
     # nothing is remembered from one sweep to the next
     assert run_suite("crystal-axioms", cfg) == []
     assert checked == distinct * 2
+
+
+# ----------------------------------------------------------------------
+# every suite's messages under injected faults, frozen
+
+
+def _lower_keeps_two_slot_elements_at_two(monkeypatch):
+    lowering = ExtendedCrystal.lowering
+
+    def bad(self, c, i, k):
+        return c if i == 2 and len(c.slots) == 2 else lowering(self, c, i, k)
+
+    monkeypatch.setattr(ExtendedCrystal, "lowering", bad)
+
+
+def _node_raise_keeps_the_weight_at_slot_zero(monkeypatch):
+    raising = AffineModel.raising
+    monkeypatch.setattr(AffineModel, "raising", lambda self, lam, i, k: lam if k == 0 else raising(self, lam, i, k))
+
+
+def _flip_mirrors_two_slot_elements_through_one_half(monkeypatch):
+    star_flip = ExtendedCrystal.star_flip
+
+    def bad(self, c):
+        return self.shift(star_flip(self, c), 1) if len(c.slots) == 2 else star_flip(self, c)
+
+    monkeypatch.setattr(ExtendedCrystal, "star_flip", bad)
+
+
+def _reduction_reads_five_counts(monkeypatch):
+    # the name reduce-confluence calls; the operators keep the true kernel
+    monkeypatch.setattr(verify, "reduce_runs", lambda counts: reduce_runs(list(counts)[:5]))
+
+
+def _rank_one_lowering_skips_three(monkeypatch):
+    lowering = Sl2Crystal.lowering
+    monkeypatch.setattr(Sl2Crystal, "lowering", lambda self, b, i: lowering(self, b, i) + (b == 2))
+
+
+def _pairing_d_one_too_high_at_slot_two(monkeypatch):
+    d_invariant = PairingRead.d_invariant
+    monkeypatch.setattr(PairingRead, "d_invariant", lambda self: d_invariant(self) + (self.k == 2))
+
+
+_FAULTS = {
+    fault.__name__: fault
+    for fault in (
+        _lower_keeps_two_slot_elements_at_two,
+        _node_raise_keeps_the_weight_at_slot_zero,
+        _left_form_skewed_at_slot_one,
+        _break_shift_and_path,
+        _shift_a_unit_in_the_word,
+        _star_raise_fails_at_height_three,
+        _flip_mirrors_two_slot_elements_through_one_half,
+        _reduction_reads_five_counts,
+        _rank_one_lowering_skips_three,
+        _pairing_d_one_too_high_at_slot_two,
+    )
+}
+
+_FROZEN_CFG = SweepConfig(n=3, window=(-1, 0), max_ht=3, seed=4, cases=2000)
+
+
+def _summaries(cfg):
+    """Per base suite: (size, count, first message, last message), the size alone
+    if it passes, or the repr of what it raised."""
+    names, out = base_suite_names(), {}
+    while len(out) < len(names):
+        try:
+            for name, size, found in run_all(cfg, names[len(out) :]):
+                out[name] = (size, len(found), found[0], found[-1]) if found else size
+        except Exception as exc:
+            # run_all ends with the suite that raised; go on from the next one
+            out[names[len(out)]] = repr(exc)
+    return out
+
+
+# at _FROZEN_CFG: each suite's size, and under each fault every suite that does not
+# pass, so a change to how the checks report must keep each message as it was
+_FROZEN_SIZES = {
+    "crystal-axioms": 2000,
+    "reduce-confluence": 2000,
+    "inverse-pairs": 114,
+    "counters": 114,
+    "weights": 114,
+    "star-identities": 114,
+    "star-flip": 114,
+    "shift-commutation": 114,
+    "connectedness": 114,
+    "ext-properties": 114,
+    "sl2": 16,
+    "cr-commutation": 283,
+    "hl-inverse": 283,
+    "dual-commutation": 283,
+    "sig-seq": 910,
+    "root-axiom": 33,
+    "duality-datum": 66,
+    "bilinear": 2000,
+    "shift-covariance": 2000,
+    "graph-count": 1,
+}
+_FROZEN = {
+    "_lower_keeps_two_slot_elements_at_two": {
+        "inverse-pairs": (
+            114, 233,
+            "lower-of-raise: n=3 i=2 k=0 elem='0:[1]'",
+            "lower-of-raise: n=3 i=2 k=0 elem='-1:[3],[2],[1]'",
+        ),
+        "counters": (
+            114, 114,
+            "lower-selector-step: n=3 i=2 k=-1 elem='0:[1];-1:[1]'",
+            "lower-selector-step: n=3 i=2 k=0 elem='0:[3];-1:[3],[2]'",
+        ),
+        "weights": (
+            114, 228,
+            "lower-weight-step: n=3 i=2 k=-1 elem='0:[1];-1:[1]'",
+            "lower-height-step: n=3 i=2 k=0 elem='0:[3];-1:[3],[2]'",
+        ),
+        "star-identities": (
+            114, 228,
+            "star-raise-as-lower: n=3 i=2 k=-1 elem='0:[1];-1:[1]'",
+            "flip-conjugates-lower: n=3 i=2 k=0 elem='0:[3];-1:[3],[2]'",
+        ),
+        "connectedness": (114, 9, "path-replay: n=3 elem='0:2*[2];-1:[1]'", "path-replay: n=3 elem='0:[2],[1];-1:[3]'"),
+        "ext-properties": (
+            114, 812,
+            "lower-of-raise: n=3 i=2 k=0 elem='0:[1]'",
+            "path-replay: n=3 elem='0:[2],[1];-1:[3]'",
+        ),
+        "cr-commutation": (
+            283, 342,
+            "conversion-commutes-lower: n=3 i=2 k=-1 elem='1:[1];0:[1]'",
+            "conversion-commutes-lower: n=3 i=2 k=0 elem='0:[3];-1:[3],[2]'",
+        ),
+        "graph-count": (
+            1, 30,
+            'graph-node-count: n=3 got=112 want=114',
+            "graph-edge: n=3 i=2 k=-1 src='0:[3],[2];-1:[3]'",
+        ),
+    },
+    "_node_raise_keeps_the_weight_at_slot_zero": {
+        "cr-commutation": (
+            283, 849,
+            "conversion-commutes-raise: n=3 i=1 k=0 elem='1'",
+            "conversion-commutes-raise: n=3 i=3 k=0 elem='-1:[3],[2],[1]'",
+        ),
+        "hl-inverse": (
+            283, 1698,
+            "raise-of-lower: n=3 i=1 k=0 elem='0'",
+            "lower-of-raise: n=3 i=3 k=0 elem='(3,-4),(3,-2),(3,0)'",
+        ),
+        "dual-commutation": (
+            283, 1698,
+            "dual-shift-commutes-raise: n=3 i=1 k=-1 elem='0'",
+            "dual-shift-commutes-raise: n=3 i=3 k=0 elem='(3,-4),(3,-2),(3,0)'",
+        ),
+    },
+    "_left_form_skewed_at_slot_one": {
+        "bilinear": (2000, 1018, "bilinear: n=3 i=2 k=1 elem='1'", "parity: n=3 i=3 k=1 elem='1'"),
+        "shift-covariance": (
+            2000, 647,
+            "shift-covariance-left: n=3 i=2 k=1 t=-2 elem='1'",
+            "shift-covariance-left: n=3 i=3 k=1 t=1 elem='1'",
+        ),
+    },
+    "_break_shift_and_path": {
+        "shift-commutation": (
+            114, 1164,
+            "shift-commutes-lower: n=3 i=2 k=-1 t=2 elem='0:[1]'",
+            "shift-commutes-raise: n=3 i=3 k=0 t=2 elem='-1:[3],[2],[1]'",
+        ),
+        "connectedness": (114, 18, "path-length: n=3 elem='0:[1]'", "path-replay: n=3 elem='-1:[3]'"),
+        "ext-properties": (
+            114, 1182,
+            "shift-commutes-lower: n=3 i=2 k=-1 t=2 elem='0:[1]'",
+            "path-replay: n=3 elem='-1:[3]'",
+        ),
+        "shift-covariance": (
+            2000, 23,
+            "shift-covariance-left: n=3 i=3 k=0 t=2 elem='0:[3];-1:[3]'",
+            "shift-covariance-right: n=3 i=2 k=1 t=2 elem='0:[1];-1:[1,2]'",
+        ),
+    },
+    "_shift_a_unit_in_the_word": {
+        "cr-commutation": (
+            283, 574,
+            "conversion-commutes-lower: n=3 i=1 k=0 elem='1:[1]'",
+            "conversion-commutes-raise: n=3 i=3 k=-1 elem='0:[3];-1:[3],[2]'",
+        ),
+        "hl-inverse": (
+            283, 1066,
+            "lower-of-raise: n=3 i=1 k=-1 elem='0'",
+            "lower-of-raise: n=3 i=3 k=0 elem='(3,-4),(3,-2),(3,0)'",
+        ),
+        "sig-seq": (
+            910, 546,
+            "signature-concat: n=3 i=1 k=-1 elem='2*(3,-4),(1,0)'",
+            "signature-concat: n=3 i=3 k=0 elem='3*(3,8)'",
+        ),
+    },
+    "_star_raise_fails_at_height_three": {
+        "crystal-axioms": (
+            2000, 658,
+            "star-raise-definedness: n=3 i=2 elem='[1,2],[2]'",
+            "star-raise-of-lower: n=3 i=2 elem='[1,2]'",
+        ),
+        "inverse-pairs": "AssertionError('negative branch selector guarantees a starred raise')",
+        "counters": "AssertionError('negative branch selector guarantees a starred raise')",
+        "weights": "AssertionError('negative branch selector guarantees a starred raise')",
+        "star-identities": "AssertionError('positive starred selector guarantees a starred raise')",
+        "shift-commutation": "AssertionError('negative branch selector guarantees a starred raise')",
+        "ext-properties": "AssertionError('negative branch selector guarantees a starred raise')",
+        "cr-commutation": "AssertionError('negative branch selector guarantees a starred raise')",
+        "graph-count": "AssertionError('negative branch selector guarantees a starred raise')",
+    },
+    "_flip_mirrors_two_slot_elements_through_one_half": {
+        "star-identities": (
+            114, 996,
+            "flip-conjugates-lower: n=3 i=1 k=-1 elem='0:[1]'",
+            "flip-conjugates-lower: n=3 i=2 k=0 elem='-1:[3],[2],[1]'",
+        ),
+        "star-flip": (114, 54, "flip-weight: n=3 elem='0:[2];-1:[1]'", "flip-weight: n=3 elem='0:[3];-1:[3],[2]'"),
+        "ext-properties": (
+            114, 1050,
+            "flip-conjugates-lower: n=3 i=1 k=-1 elem='0:[1]'",
+            "flip-weight: n=3 elem='0:[3];-1:[3],[2]'",
+        ),
+    },
+    "_reduction_reads_five_counts": {
+        "reduce-confluence": (2000, 814, "reduce-confluence: n=3 sig='--+--+'", "reduce-confluence: n=3 sig='+-+---+'"),
+    },
+    "_rank_one_lowering_skips_three": {
+        "sl2": (16, 7, 'sl2-oracle: n=3 k=-1 elem={-1: 2}', 'sl2-oracle: n=3 k=0 elem={-1: 3, 0: 2}'),
+    },
+    "_pairing_d_one_too_high_at_slot_two": {
+        "root-axiom": (33, 3, "root-axiom: n=3 i=1 k=2 elem='0:[1]'", "root-axiom: n=3 i=3 k=2 elem='0:[3]'"),
+        "duality-datum": (66, 6, 'duality-datum: n=3 i=1 j=2 k=2', 'duality-datum: n=3 i=3 j=2 k=2'),
+        "shift-covariance": (
+            2000, 184,
+            "shift-covariance-d: n=3 i=3 k=-1 t=3 elem='0:[2]'",
+            "shift-covariance-d: n=3 i=3 k=1 t=1 elem='1'",
+        ),
+    },
+}
+
+
+@pytest.mark.parametrize("fault", _FAULTS)
+def test_every_suite_reports_a_fault_as_it_did(monkeypatch, fault):
+    _FAULTS[fault](monkeypatch)
+    assert _summaries(_FROZEN_CFG) == {**_FROZEN_SIZES, **_FROZEN[fault]}
+
+
+def test_every_suite_finds_one_of_the_faults():
+    found = {name for rows in _FROZEN.values() for name, row in rows.items() if isinstance(row, tuple)}
+    assert found == set(base_suite_names())
