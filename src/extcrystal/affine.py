@@ -11,14 +11,18 @@ segment [a,b] in slot k maps to the k-fold dual shift of the node
 2q + (r > 2(n-i)) with q, r = divmod(a-i+1, 2(n+1)).  Transporting the
 extended-crystal operators through this correspondence gives a direct rule on
 formal sums of nodes with nonnegative coefficients, the highest weights: the
-operator along (i, k) scans a fixed ordered list of 2n nodes, reads their
-coefficients as the alternating counts of a signature word (see
-``signature``), cancels adjacent (+,-) pairs, and moves one unit of
-coefficient between neighbouring list positions.  A node is the tuple (a, i),
-its own sort key.  The operators splice that unit into the weight's sorted
-terms in one pass, and the conversions sort their nodes once, unchecked;
-``add_node``, ``remove_node`` and weights built from outside input go through
-the validating constructor, which merges, checks and sorts.
+operator along (i, k) scans a fixed ordered list of 2n nodes, reads the
+weight's coefficients there as the alternating counts of a signature word
+(see ``signature``), cancels adjacent (+,-) pairs, and moves one unit of
+coefficient between neighbouring list positions.  The word is sparse: one
+walk of the weight's terms keeps those on the list, in scan order, with a
+zero count between two of the same sign, so an operator reads and reduces
+only what the weight holds there; with nothing there it just adds a unit at
+an end of the list.  A node is the tuple (a, i), its own sort key.  The
+operators splice that unit into the weight's sorted terms in one pass, and
+the conversions sort their nodes once, unchecked; ``add_node``,
+``remove_node`` and weights built from outside input go through the
+validating constructor, which merges, checks and sorts.
 """
 
 from __future__ import annotations
@@ -169,20 +173,46 @@ class SignatureNodes:
         object.__setattr__(self, "padded", (None, *self.nodes, None))
         object.__setattr__(self, "position", {p: t for t, p in enumerate(self.nodes, 1)})
 
+    def read(self, lam: HLWeight) -> tuple[list[int], list[int]]:
+        """lam's sparse signature word: (counts, at), from one walk of its terms.
+
+        counts alternates minus and plus counts in scan order, as the dense
+        ``word`` does, but holds only lam's terms on the scan, with a zero
+        count between two of the same sign; at[r] is the position of
+        counts[r], 0 for such a zero.  With no term on the scan both are empty.
+        """
+        position = self.position
+        hits = []
+        for p, c in lam.terms:
+            t = position.get(p)
+            if t:
+                hits.append((t, c))
+        if not hits:
+            return [], []
+        hits.sort(reverse=True)
+        counts, at = [], []
+        for t, c in hits:
+            # a count's index and position differ in parity: minuses sit at
+            # odd positions and even indices
+            if not (len(counts) ^ t) & 1:
+                counts.append(0)
+                at.append(0)
+            counts.append(c)
+            at.append(t)
+        return counts, at
+
     def word(self, lam: HLWeight) -> list[int]:
-        """lam's signature word as alternating counts in scan order.
+        """lam's signature word as alternating counts in scan order, built from ``read``.
 
         Index r holds the coefficient at position 2n+1-r; index 0 is the zero
         minus before the plus at position 2n that opens the scan.
         """
         size = len(self.padded) - 1
-        counts = [0] * size
-        position = self.position
-        for p, c in lam.terms:
-            t = position.get(p)
+        dense = [0] * size
+        for c, t in zip(*self.read(lam)):
             if t:
-                counts[size - t] = c
-        return counts
+                dense[size - t] = c
+        return dense
 
     def node_at(self, t: int) -> HLNode:
         return self.padded[t]
@@ -313,18 +343,30 @@ class AffineModel:
         self._scans[(i, k)] = sn
         return sn
 
+    def _read(self, lam: HLWeight, i: int, k: int) -> tuple[tuple, int, int]:
+        """(padded, minus, plus): the (i, k) scan's padded nodes and two positions on it.
+
+        minus is the position of lam's rightmost surviving minus and plus that
+        of its leftmost surviving plus; only lam's terms on the scan are read
+        and reduced.  With no surviving minus, minus is 2n+1, and with no
+        surviving plus, plus is 0; padded holds None there, so an operator
+        then only adds its unit.
+        """
+        sn = self._scans.get((i, k)) or self.signature_nodes(i, k)
+        nodes = sn.padded
+        counts, at = sn.read(lam)
+        if not counts:
+            return nodes, len(nodes) - 1, 0
+        _, _, minus_at, plus_at = reduce_runs(counts)
+        return nodes, len(nodes) - 1 if minus_at is None else at[minus_at], 0 if plus_at is None else at[plus_at]
+
     def lowering(self, lam: HLWeight, i: int, k: int) -> HLWeight:
         """Move one unit from the leftmost surviving plus to the next position up.
 
         Past the last position the unit disappears; with no surviving plus a
         unit appears at the first position.
         """
-        sn = self._scans.get((i, k)) or self.signature_nodes(i, k)
-        nodes = sn.padded
-        r = reduce_runs(sn.word(lam))[3]
-        if r is None:
-            return lam._moved(None, nodes[1])
-        t = len(nodes) - 1 - r
+        nodes, _, t = self._read(lam, i, k)
         return lam._moved(nodes[t], nodes[t + 1])
 
     def raising(self, lam: HLWeight, i: int, k: int) -> HLWeight:
@@ -333,12 +375,7 @@ class AffineModel:
         Past the first position the unit disappears; with no surviving minus
         a unit appears at the last position.
         """
-        sn = self._scans.get((i, k)) or self.signature_nodes(i, k)
-        nodes = sn.padded
-        r = reduce_runs(sn.word(lam))[2]
-        if r is None:
-            return lam._moved(None, nodes[-2])
-        s = len(nodes) - 1 - r
+        nodes, s, _ = self._read(lam, i, k)
         return lam._moved(nodes[s], nodes[s - 1])
 
 

@@ -99,7 +99,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--window", type=_window_type, default=(-2, 2), help="slot window a..b")
     p_verify.add_argument("--ht", type=_positive_type, default=4, help="height bound")
     p_verify.add_argument("--seed", type=_seed_type, default=0)
-    p_verify.add_argument("--jobs", type=int, default=1, help="worker processes; below 1 runs serially")
+    p_verify.add_argument("--jobs", type=int, default=1, help="worker processes, at most one per CPU; below 1 runs serially")
     p_verify.set_defaults(func=_cmd_verify)
 
     p_graph = sub.add_parser("graph", help="explore the reachable graph from a seed element")

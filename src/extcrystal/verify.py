@@ -12,18 +12,20 @@ that compare operator expressions at every (i, k) of the window list
 ``(property, got, want)`` triples for ``_per_op``.  A sweep can fan out over
 worker processes; results are re-assembled in item order, so output never
 depends on scheduling.  Serial and parallel sweeps take the same path, and
-``jobs`` only says how many processes run the checks.  A worker that dies
-ends the sweep with ``BrokenProcessPool`` instead of waiting for its
-results.  A group (``ext-properties``) names member suites instead of a
-check and reports their violations one suite after another.
+``jobs`` only says how many processes run the checks, at most one per CPU.
+A worker that dies ends the sweep with ``BrokenProcessPool`` instead of
+waiting for its results.  A group (``ext-properties``) names member suites
+instead of a check and reports their violations one suite after another.
 
 The items of a randomized suite are case indices, and its draw turns an
-index into the case the check reads.  A check is a pure function of its
-case, so a sweep checks each distinct draw once and repeats its violations
+index into a case.  A check is a pure function of the part of the case it
+reads, so a sweep checks each distinct part once and repeats its violations
 at every draw of it: every draw is still counted and reported, in draw
-order.  What a sweep remembers dies with it.  ``reduce-confluence`` has no
-draw: its check keeps drawing from the case generator after the word, so
-two equal words are not equal cases.
+order.  ``bilinear`` reads the (c, i, k) of ``shift-covariance``'s case
+(c, i, k, t), so the two share a draw, and a run draws once for consecutive
+suites with the same draw.  What a sweep remembers dies with it.
+``reduce-confluence`` has no draw: its check keeps drawing from the case
+generator after the word, so two equal words are not equal cases.
 
 ``run_all(cfg, names)`` is the one runner: it yields each named suite's
 size and violations.  The size is the length of the list the suite swept,
@@ -34,6 +36,7 @@ list, so no list is built twice in a run and only one is live at a time.
 from __future__ import annotations
 
 import functools
+import os
 import random
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
@@ -492,13 +495,13 @@ def _random_query(cfg: SweepConfig, idx: int):
     return c, i, k, rng
 
 
-def _draw_query(cfg: SweepConfig, idx: int) -> tuple[ExtElement, int, int]:
-    return _random_query(cfg, idx)[:3]
-
-
 def _draw_shifted_query(cfg: SweepConfig, idx: int) -> tuple[ExtElement, int, int, int]:
     c, i, k, rng = _random_query(cfg, idx)
     return c, i, k, rng.randrange(-3, 4)
+
+
+def _unshifted(query: tuple[ExtElement, int, int, int]) -> tuple[ExtElement, int, int]:
+    return query[:3]
 
 
 def _check_bilinear(cfg: SweepConfig, query: tuple[ExtElement, int, int]):
@@ -562,12 +565,14 @@ class _Suite(NamedTuple):
     """A sweep: its item list, and the check run on each item (a group: member names).
 
     A randomized suite also has a draw, which turns an item (a case index)
-    into the case its check reads; the sweep checks each distinct case once.
+    into a case, and may say which part of the case its check reads; the
+    sweep checks each distinct part once.
     """
 
     items: Callable
     check: Callable | tuple[str, ...]
     draw: Callable | None = None
+    reads: Callable | None = None
 
 
 _SUITES = {
@@ -594,7 +599,7 @@ _SUITES = {
     "sig-seq": _Suite(_items_sig_seq, _check_sig_seq),
     "root-axiom": _Suite(_items_root_axiom, _check_root_axiom),
     "duality-datum": _Suite(_items_duality_datum, _check_duality_datum),
-    "bilinear": _Suite(_items_cases, _check_bilinear, _draw_query),
+    "bilinear": _Suite(_items_cases, _check_bilinear, _draw_shifted_query, _unshifted),
     "shift-covariance": _Suite(_items_cases, _check_shift_covariance, _draw_shifted_query),
     "graph-count": _Suite(_items_single, _check_graph_count),
 }
@@ -610,11 +615,13 @@ def run_suite(name: str, cfg: SweepConfig) -> list[str]:
 
 
 def _map(run, jobs: int, items):
-    """run over items, in item order, on jobs processes.
+    """run over items, in item order, on jobs processes, at most one per CPU.
 
-    A worker that dies raises BrokenProcessPool here instead of leaving the
-    sweep waiting for its results.
+    The pool starts all its workers at once, so jobs is capped at
+    ``os.cpu_count()``.  A worker that dies raises BrokenProcessPool here
+    instead of leaving the sweep waiting for its results.
     """
+    jobs = min(jobs, os.cpu_count() or 1)
     if jobs > 1 and len(items) > 64:
         from concurrent.futures import ProcessPoolExecutor
 
@@ -628,39 +635,53 @@ def _violations(check, cfg: SweepConfig, case) -> list[str]:
     return [f"{prop}: n={cfg.n} {where}" for prop, where in check(cfg, case)]
 
 
-def _sweep(suite: _Suite, cfg: SweepConfig, items) -> list[str]:
-    """The suite's violations over items, in item order, on cfg.jobs processes.
+def _interned(cases) -> list:
+    """cases as a list in which equal cases are one object."""
+    distinct: dict = {}
+    return [distinct.setdefault(case, case) for case in cases]
 
-    A suite with a draw draws every item, keeps one copy of each distinct
-    case, checks the distinct cases and repeats a case's violations at every
-    draw of it.  The other suites' items are distinct already.
+
+def _sweep(suite: _Suite, cfg: SweepConfig, cases: list) -> list[str]:
+    """The suite's violations over cases, in order, on cfg.jobs processes.
+
+    The cases of a suite with a draw are its drawn cases: the sweep checks
+    each distinct part its check reads once and repeats that part's
+    violations at every draw of it.  The other suites' cases are their
+    items, distinct already.
     """
     run = functools.partial(_violations, suite.check, cfg)
     if suite.draw is None:
-        return [msg for batch in _map(run, cfg.jobs, items) for msg in batch]
-    distinct: dict = {}
-    drawn = [distinct.setdefault(case, case) for case in map(functools.partial(suite.draw, cfg), items)]
+        return [msg for batch in _map(run, cfg.jobs, cases) for msg in batch]
+    if suite.reads is not None:
+        cases = _interned(map(suite.reads, cases))
+    distinct = dict.fromkeys(cases)
     found = dict(zip(distinct, _map(run, cfg.jobs, distinct)))
-    return [msg for case in drawn for msg in found[case]]
+    return [msg for case in cases for msg in found[case]]
 
 
 def run_all(cfg: SweepConfig, names):
     """Yield (name, size, violations) for each named suite, in the order given.
 
     size is the length of the item list the suite swept.  Consecutive suites
-    with the same item function sweep one list, so only one list is live at a
+    with the same item function sweep one list, and those among them with
+    the same draw one list of drawn cases, so only one of each is live at a
     time.  A group reports its members' violations one suite after another,
     reusing the results of members already run.
     """
     done: dict[str, list[str]] = {}
-    items_fn = items = None
+    items_fn = items = draw = drawn = None
     for name in names:
         suite = _SUITES[name]
         if suite.items is not items_fn:
-            items = None  # drop the last list before building the next
+            items = draw = drawn = None  # drop the last lists before building the next
             items_fn, items = suite.items, suite.items(cfg)
         members = suite.check if isinstance(suite.check, tuple) else (name,)
         for member in members:
-            if member not in done:
-                done[member] = _sweep(_SUITES[member], cfg, items)
+            if member in done:
+                continue
+            swept = _SUITES[member]
+            if swept.draw is not None and swept.draw is not draw:
+                drawn = None
+                draw, drawn = swept.draw, _interned(map(functools.partial(swept.draw, cfg), items))
+            done[member] = _sweep(swept, cfg, items if swept.draw is None else drawn)
         yield name, len(items), [msg for member in members for msg in done[member]]

@@ -17,7 +17,7 @@ from extcrystal.enumeration import iter_ext_elements, random_ext_element
 from extcrystal.extended import ExtendedCrystal, format_ext_element, parse_ext_element
 from extcrystal.msegment import MultisegmentCrystal, Segment
 from extcrystal.parsing import ParseError
-from extcrystal.signature import expand
+from extcrystal.signature import expand, reduce_runs
 
 M3 = AffineModel(3)
 EXT3 = ExtendedCrystal(MultisegmentCrystal(3))
@@ -442,6 +442,60 @@ def test_node_operator_splice_edge_cases(case):
     assert got == want
     assert format_hl_weight(got) == frozen
     assert_canonical(got)
+
+
+def reference_moves(model, lam, i, k):
+    """(lowering, raising) of lam along (i, k) by the definition: the full word of 2n+1 counts, reduced."""
+    nodes = model.signature_nodes(i, k).nodes
+    held = dict(lam.terms)
+    # index r holds position 2n+1-r; index 0 is the zero minus above position 2n
+    word = [0] + [held.get(p, 0) for p in reversed(nodes)]
+    _, _, minus_at, plus_at = reduce_runs(word)
+    padded = (None, *nodes, None)
+    top = len(nodes) + 1
+
+    def moved(drop, put):
+        counts = dict(held)
+        if drop is not None:
+            counts[drop] -= 1
+        if put is not None:
+            counts[put] = counts.get(put, 0) + 1
+        return HLWeight.from_counts(counts)
+
+    t = 0 if plus_at is None else top - plus_at
+    s = top if minus_at is None else top - minus_at
+    return moved(padded[t], padded[t + 1]), moved(padded[s], padded[s - 1])
+
+
+def sparse_read_inputs(model, i, k, rng):
+    """Weights that reach every case of the sparse read along (i, k)."""
+    n = model.n
+    scan = model.signature_nodes(i, k).nodes
+    near = [p for j in (k - 1, k, k + 1, k + 2) for p in model.block_nodes(j)]
+    off = [p for p in near if p not in scan]
+    both = sorted({*scan, *model.signature_nodes(i, k + 1).nodes, *model.signature_nodes(i, k - 1).nodes})
+    out = [ZERO_WEIGHT, HLWeight.from_counts({p: rng.randint(1, 9) for p in rng.sample(off, 4)})]
+    for c in (1, 3, BIG):
+        # two positions of one sign with nothing between them, alone and among other terms
+        for t in range(3, 2 * n + 1):
+            pair = {scan[t - 1]: c, scan[t - 3]: rng.choice((1, 2, BIG))}
+            out.append(HLWeight.from_counts(pair))
+            out.append(HLWeight.from_counts({**pair, **{p: c for p in rng.sample(off, 2)}}))
+    for _ in range(20):
+        # terms on this scan and on the scans of the neighbouring k, small and 20-digit
+        picked = rng.sample(both, rng.randint(1, 8))
+        out.append(HLWeight.from_counts({p: rng.choice((1, 2, 5, BIG, BIG + 7)) for p in picked}))
+    return out
+
+
+def test_operators_read_the_scan_as_the_full_word_does():
+    model = AffineModel(8)
+    rng = random.Random(8)
+    for k in range(-2, 3):
+        for i in range(1, 9):
+            for lam in sparse_read_inputs(model, i, k, rng):
+                want = reference_moves(model, lam, i, k)
+                assert (model.lowering(lam, i, k), model.raising(lam, i, k)) == want, (i, k, str(lam))
 
 
 def in_base_block(n, p):

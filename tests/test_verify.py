@@ -1,6 +1,7 @@
 """Tests for the sweep plumbing: configs, suite registry, parallel runs, messages under injected faults."""
 
 import multiprocessing
+import os
 import signal
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import replace
@@ -87,6 +88,45 @@ def test_parallel_run_matches_serial():
         assert run_suite(name, serial) == run_suite(name, parallel)
 
 
+def test_jobs_are_capped_at_the_cpu_count(monkeypatch, capsys):
+    import concurrent.futures
+
+    sizes = []
+
+    class RecordingPool:
+        """Records the pool size it is asked for and maps in this process: no worker starts."""
+
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items, chunksize=1):
+            return map(fn, items)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    cfg = SweepConfig(n=2, window=(-1, 1), max_ht=3)
+    want = run_suite("inverse-pairs", cfg)
+    assert sizes == []
+    for jobs, size in ((2, 2), (3, 3), (4, 3), (10**9, 3)):
+        assert run_suite("inverse-pairs", replace(cfg, jobs=jobs)) == want
+        assert sizes.pop() == size and sizes == []
+    args = ["verify", "inverse-pairs", "--n", "2", "--window", "-1..1", "--ht", "3"]
+    assert cli.main(args) == 0
+    serial = capsys.readouterr().out
+    assert cli.main([*args, "--jobs", str(10**9)]) == 0
+    assert capsys.readouterr().out == serial and sizes == [3]
+    # an unknown CPU count runs serially
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    sizes.clear()
+    assert run_suite("inverse-pairs", replace(cfg, jobs=8)) == want and sizes == []
+
+
 def _within(seconds, fn, *args):
     """fn(*args), or TimeoutError after `seconds`, so a sweep that stalls fails its test, not the whole run."""
 
@@ -103,16 +143,22 @@ def _within(seconds, fn, *args):
 
 
 def _shift_a_unit_in_the_word(monkeypatch):
-    word = SignatureNodes.word
+    """One unit at position 2n read at position 2n-1, in the read the operators and the dense word share."""
+    read = SignatureNodes.read
 
-    def bad_word(self, lam):
-        counts = word(self, lam)
-        if counts[1]:
-            counts[1] -= 1
-            counts[2] += 1
-        return counts
+    def bad_read(self, lam):
+        counts, at = read(self, lam)
+        top = len(self.nodes)
+        held = dict(zip(at, counts))
+        if held.get(top):
+            held[top] -= 1
+            held[top - 1] = held.get(top - 1, 0) + 1
+            # the dense word: a zero minus, then every position from 2n down
+            at = [0, *range(top, 0, -1)]
+            counts = [held.get(t, 0) for t in at]
+        return counts, at
 
-    monkeypatch.setattr(SignatureNodes, "word", bad_word)
+    monkeypatch.setattr(SignatureNodes, "read", bad_read)
 
 
 def test_parallel_node_suites_match_serial(monkeypatch):
@@ -248,7 +294,9 @@ def _left_form_skewed_at_slot_one(monkeypatch):
 def _every_draw_checked(name, cfg):
     """The suite's violations with the check run on every draw, in draw order."""
     suite = verify._SUITES[name]
-    return [msg for idx in suite.items(cfg) for msg in verify._violations(suite.check, cfg, suite.draw(cfg, idx))]
+    reads = suite.reads or (lambda case: case)
+    cases = (reads(suite.draw(cfg, idx)) for idx in suite.items(cfg))
+    return [msg for case in cases for msg in verify._violations(suite.check, cfg, case)]
 
 
 # workers see a monkeypatched fault only if they are forked from this process
