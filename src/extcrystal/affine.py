@@ -18,16 +18,16 @@ coefficient between neighbouring list positions.  The word is sparse: one
 walk of the weight's terms keeps those on the list, in scan order, with a
 zero count between two of the same sign, so an operator reads and reduces
 only what the weight holds there; with nothing there it just adds a unit at
-an end of the list.  A node is the tuple (a, i), its own sort key.  The
-operators splice that unit into the weight's sorted terms in one pass, and
-the conversions sort their nodes once, unchecked; ``add_node``,
-``remove_node`` and weights built from outside input go through the
-validating constructor, which merges, checks and sorts.
+an end of the list.  A node is the tuple (a, i), its own sort key, and a
+weight is the tuple of its (node, coefficient) terms in node order, so both
+compare and hash as plain tuples.  The operators splice that unit into the
+weight's terms in one pass, and the conversions sort their nodes once,
+unchecked; ``add_node``, ``remove_node`` and weights built from outside input
+go through the validating constructor, which merges, checks and sorts.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from operator import itemgetter
 
 from .extended import ExtElement, ExtendedCrystal, _from_slots
@@ -65,41 +65,46 @@ class HLNode(tuple):
         return f"HLNode(i={self[1]}, a={self[0]})"
 
 
-@dataclass(frozen=True)
-class HLWeight:
-    """Formal sum of nodes with positive integer coefficients."""
+class HLWeight(tuple):
+    """Formal sum of nodes with positive integer coefficients: the sorted tuple of its (node, coefficient) terms."""
 
-    terms: tuple[tuple[HLNode, int], ...] = ()
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
+    def __new__(cls, terms=()) -> "HLWeight":
         merged: dict[HLNode, int] = {}
-        for p, c in self.terms:
+        for p, c in terms:
             if not isinstance(c, int):
                 raise ValueError(f"coefficient of {p} must be an integer, got {c!r}")
             merged[p] = merged.get(p, 0) + c
         for p, c in merged.items():
             if c < 0:
                 raise ValueError(f"negative coefficient {c} at node {p}")
-        canon = tuple(sorted((p, c) for p, c in merged.items() if c > 0))
-        object.__setattr__(self, "terms", canon)
+        return tuple.__new__(cls, sorted((p, c) for p, c in merged.items() if c > 0))
+
+    @property
+    def terms(self) -> tuple[tuple[HLNode, int], ...]:
+        return self[:]
+
+    def __repr__(self) -> str:
+        return f"HLWeight(terms={self[:]!r})"
 
     @staticmethod
     def from_counts(counts: dict[HLNode, int]) -> "HLWeight":
         return HLWeight(tuple(counts.items()))
 
     def coeff(self, p: HLNode) -> int:
-        for q, c in self.terms:
+        for q, c in self:
             if q == p:
                 return c
         return 0
 
     def add_node(self, p: HLNode, count: int = 1) -> "HLWeight":
-        return HLWeight(self.terms + ((p, count),))
+        return HLWeight(self + ((p, count),))
 
     def remove_node(self, p: HLNode, count: int = 1) -> "HLWeight":
         if self.coeff(p) < count:
             raise ValueError(f"cannot remove {count} of {p}: coefficient is {self.coeff(p)}")
-        return HLWeight(self.terms + ((p, -count),))
+        return HLWeight(self + ((p, -count),))
 
     def _moved(self, drop: HLNode | None, put: HLNode | None) -> "HLWeight":
         """One unit fewer at node drop and one more at put; None skips either.
@@ -109,7 +114,7 @@ class HLWeight:
         drop must be present.
         """
         out = []
-        for term in self.terms:
+        for term in self:
             p, c = term
             if put is not None and p >= put:
                 if p == put:
@@ -124,15 +129,13 @@ class HLWeight:
             out.append(term)
         if put is not None:
             out.append((put, 1))
-        lam = object.__new__(HLWeight)
-        object.__setattr__(lam, "terms", tuple(out))
-        return lam
+        return tuple.__new__(HLWeight, out)
 
     def support(self) -> tuple[HLNode, ...]:
-        return tuple(p for p, _ in self.terms)
+        return tuple(p for p, _ in self)
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self
 
     def __str__(self) -> str:
         return format_hl_weight(self)
@@ -149,12 +152,9 @@ def _hl_node(key: tuple[int, int]) -> HLNode:
 def _sorted_weight(keyed: list) -> HLWeight:
     """Unchecked weight of ((a, i), coefficient) entries at distinct nodes with positive coefficients."""
     keyed.sort()
-    lam = object.__new__(HLWeight)
-    object.__setattr__(lam, "terms", tuple((tuple.__new__(HLNode, key), c) for key, c in keyed))
-    return lam
+    return tuple.__new__(HLWeight, [(tuple.__new__(HLNode, key), c) for key, c in keyed])
 
 
-@dataclass(frozen=True)
 class SignatureNodes:
     """The ordered nodes one operator scans, first position last in the scan.
 
@@ -165,13 +165,12 @@ class SignatureNodes:
     and ``position`` inverts ``nodes``.
     """
 
-    nodes: tuple[HLNode, ...]
-    padded: tuple = field(init=False, repr=False, compare=False)
-    position: dict = field(init=False, repr=False, compare=False)
+    __slots__ = ("nodes", "padded", "position")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "padded", (None, *self.nodes, None))
-        object.__setattr__(self, "position", {p: t for t, p in enumerate(self.nodes, 1)})
+    def __init__(self, nodes: tuple[HLNode, ...]):
+        self.nodes = nodes
+        self.padded = (None, *nodes, None)
+        self.position = {p: t for t, p in enumerate(nodes, 1)}
 
     def read(self, lam: HLWeight) -> tuple[list[int], list[int]]:
         """lam's sparse signature word: (counts, at), from one walk of its terms.
@@ -183,7 +182,7 @@ class SignatureNodes:
         """
         position = self.position
         hits = []
-        for p, c in lam.terms:
+        for p, c in lam:
             t = position.get(p)
             if t:
                 hits.append((t, c))
@@ -283,9 +282,9 @@ class AffineModel:
     def to_weight(self, c: ExtElement) -> HLWeight:
         """Total node count of a slotted multisegment element."""
         keyed = []
-        for k, m in c.slots:
+        for k, m in c:
             self.crystal.validate(m)
-            for position, mult in enumerate(m.mults):
+            for position, mult in enumerate(m[:]):
                 if mult:
                     keyed.append((self._place(position, k), mult))
         # distinct (slot, position) pairs give distinct nodes: nothing to merge
@@ -294,7 +293,7 @@ class AffineModel:
     def to_extended(self, lam: HLWeight) -> ExtElement:
         """Inverse of to_weight."""
         per_slot: dict[int, list[int]] = {}
-        for p, c in lam.terms:
+        for p, c in lam:
             a, i = p
             k, position = self._locate(i, a)
             mults = per_slot.setdefault(k, [])
@@ -312,14 +311,14 @@ class AffineModel:
 
     def weight(self, lam: HLWeight) -> RootLatticeElem:
         total = self.crystal.lattice.zero()
-        for p, c in lam.terms:
-            total = total + RootLatticeElem(tuple(c * x for x in self.node_weight(p).coeffs))
+        for p, c in lam:
+            total = total + RootLatticeElem(c * x for x in self.node_weight(p))
         return total
 
     def dual_shift_weight(self, lam: HLWeight, k: int = 1) -> HLWeight:
         """Every node of lam, all of rank n, dual-shifted k times."""
         step, flip = self.n + 1, k % 2
-        return _sorted_weight([((a + k * step, step - i if flip else i), c) for (a, i), c in lam.terms])
+        return _sorted_weight([((a + k * step, step - i if flip else i), c) for (a, i), c in lam])
 
     # -- the direct operator rule -----------------------------------------
 
@@ -384,7 +383,7 @@ def format_hl_weight(lam: HLWeight) -> str:
     if lam.is_zero():
         return "0"
     parts = []
-    for p, c in lam.terms:
+    for p, c in lam:
         parts.append(f"{c}*{p}" if c > 1 else str(p))
     return ",".join(parts)
 

@@ -38,7 +38,7 @@ class ExploreGraph:
 
     def to_json(self) -> str:
         nodes = [
-            {"id": idx, "slots": {str(k): format_multisegment(b) for k, b in c.slots}}
+            {"id": idx, "slots": {str(k): format_multisegment(b) for k, b in c}}
             for idx, c in enumerate(self.nodes)
         ]
         edges = [{"src": src, "dst": dst, "i": i, "k": k} for src, dst, i, k in self.edges]

@@ -1,13 +1,14 @@
 """The extended crystal built on top of any B(infinity) realization.
 
 An element assigns a B(infinity) element to every integer slot, all but
-finitely many being highest; only the non-highest slots are stored.  The
-operator along (i, k) couples slot k with the starred structure of slot k+1:
-the branch selector epsilon(b_k, i) - epsilon*(b_{k+1}, i) decides whether
-lowering acts by plain lowering on slot k or by starred raising on slot k+1,
-and raising takes the opposite branches.  The starred operator family couples
-slot k with slot k-1 instead and is driven by the selector
-epsilon*(b_k, i) - epsilon(b_{k-1}, i).
+finitely many being highest; it is the tuple of its non-highest (slot,
+element) pairs in descending slot order, so it compares and hashes as a
+plain tuple.  The operator along (i, k) couples slot k with the starred
+structure of slot k+1: the branch selector epsilon(b_k, i) -
+epsilon*(b_{k+1}, i) decides whether lowering acts by plain lowering on slot
+k or by starred raising on slot k+1, and raising takes the opposite
+branches.  The starred operator family couples slot k with slot k-1 instead
+and is driven by the selector epsilon*(b_k, i) - epsilon(b_{k-1}, i).
 
 Each operator makes one pass over the slots to find its two slots and the
 range of the slot tuple they occupy.  It reads the upper slot with the
@@ -28,41 +29,45 @@ moves the total weight by (-1)^(k+1) alpha_i.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .crystal import AbstractCrystal
 from .msegment import format_multisegment
 from .parsing import ParseError
 from .rootdata import RootLatticeElem
 
 
-@dataclass(frozen=True)
-class ExtElement:
-    """Finitely supported slot assignment, stored as (slot, element) pairs.
+class ExtElement(tuple):
+    """Finitely supported slot assignment: the tuple of its (slot, element) pairs.
 
     Slots are kept in decreasing order and never hold a highest element.
     """
 
-    slots: tuple[tuple[int, object], ...] = ()
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        canon = tuple(sorted(self.slots, key=lambda kv: -kv[0]))
+    def __new__(cls, slots=()) -> "ExtElement":
+        canon = sorted(slots, key=lambda kv: -kv[0])
         ks = [k for k, _ in canon]
         if len(set(ks)) != len(ks):
             raise ValueError(f"duplicate slot index in {ks}")
-        object.__setattr__(self, "slots", canon)
+        return tuple.__new__(cls, canon)
+
+    @property
+    def slots(self) -> tuple[tuple[int, object], ...]:
+        return self[:]
+
+    def __repr__(self) -> str:
+        return f"ExtElement(slots={self[:]!r})"
 
     def support(self) -> tuple[int, ...]:
-        return tuple(k for k, _ in self.slots)
+        return tuple(k for k, _ in self)
 
     def slot(self, k: int, default=None):
-        for kk, b in self.slots:
+        for kk, b in self:
             if kk == k:
                 return b
         return default
 
     def is_highest(self) -> bool:
-        return not self.slots
+        return not self
 
 
 HIGHEST = ExtElement()
@@ -70,9 +75,7 @@ HIGHEST = ExtElement()
 
 def _from_slots(slots: tuple) -> ExtElement:
     """The element over slots that already descend, with no highest entry; nothing is checked."""
-    out = object.__new__(ExtElement)
-    object.__setattr__(out, "slots", slots)
-    return out
+    return tuple.__new__(ExtElement, slots)
 
 
 # what _reads gives for a highest slot instead of reading it: counter 0, no handle
@@ -112,11 +115,11 @@ class ExtendedCrystal:
         return c.slot(k, self.crystal.highest)
 
     def _splice(self, c: ExtElement, at: int, stop: int, hi, lo) -> ExtElement:
-        """c with c.slots[at:stop] replaced by the (slot, element) entries hi and lo; None leaves one out."""
+        """c with c[at:stop] replaced by the (slot, element) entries hi and lo; None leaves one out."""
         mid = () if hi is None else (hi,)
         if lo is not None:
             mid += (lo,)
-        return _from_slots(c.slots[:at] + mid + c.slots[stop:])
+        return _from_slots(c[:at] + mid + c[stop:])
 
     def _entry(self, k: int, b):
         """The entry of slot k holding a raised b, or None when b is highest.
@@ -142,23 +145,22 @@ class ExtendedCrystal:
     def _reads(self, c: ExtElement, i: int, top: int):
         """One pass over c for the operators on slots top and top - 1.
 
-        Returns (at, stop, hi, lo, star, plain): c.slots[at:stop] holds those
+        Returns (at, stop, hi, lo, star, plain): c[at:stop] holds those
         two slots, hi and lo are their (slot, element) entries (None where
         highest), star is the starred read of hi's element and plain the
         plain read of lo's.  A highest slot is not read: its counters are 0
         in every B(infinity).
         """
-        slots = c.slots
-        at, end = 0, len(slots)
-        while at < end and slots[at][0] > top:
+        at, end = 0, len(c)
+        while at < end and c[at][0] > top:
             at += 1
         stop, hi, lo, star, plain = at, None, None, _UNREAD, _UNREAD
-        if stop < end and slots[stop][0] == top:
-            hi = slots[stop]
+        if stop < end and c[stop][0] == top:
+            hi = c[stop]
             star = self.crystal.star_read(hi[1], i)
             stop += 1
-        if stop < end and slots[stop][0] == top - 1:
-            lo = slots[stop]
+        if stop < end and c[stop][0] == top - 1:
+            lo = c[stop]
             plain = self.crystal.plain_read(lo[1], i)
             stop += 1
         return at, stop, hi, lo, star, plain
@@ -210,21 +212,21 @@ class ExtendedCrystal:
 
     def weight(self, c: ExtElement) -> RootLatticeElem:
         total = self.lattice.zero()
-        for k, b in c.slots:
+        for k, b in c:
             w = self.crystal.weight(b)
             total = total - w if k % 2 else total + w
         return total
 
     def total_height(self, c: ExtElement) -> int:
-        return sum(self.crystal.height(b) for _, b in c.slots)
+        return sum(self.crystal.height(b) for _, b in c)
 
     def star_flip(self, c: ExtElement) -> ExtElement:
         """Mirror the slots through zero and star each entry; an involution."""
-        return ExtElement(tuple((-k, self.crystal.star(b)) for k, b in c.slots))
+        return ExtElement(tuple((-k, self.crystal.star(b)) for k, b in c))
 
     def shift(self, c: ExtElement, t: int) -> ExtElement:
         """Move every slot up by t."""
-        return ExtElement(tuple((k + t, b) for k, b in c.slots))
+        return ExtElement(tuple((k + t, b) for k, b in c))
 
     def path_to_highest(self, c: ExtElement) -> list[tuple[int, int]]:
         """A raising word (i, k) pairs that drives c to the highest element.
@@ -239,7 +241,7 @@ class ExtendedCrystal:
         while not c.is_highest():
             if len(path) == steps:
                 raise AssertionError(f"{c} is not highest after {steps} raises")
-            l = c.slots[0][0]
+            l = c[0][0]
             b = self.slot(c, l)
             for i in self.crystal.indices():
                 if self.crystal.epsilon(b, i) > 0:
@@ -255,16 +257,17 @@ def format_ext_element(c: ExtElement) -> str:
     """Canonical text form "k:slot;k:slot" by decreasing slot; highest is "1"."""
     if c.is_highest():
         return "1"
-    return ";".join(f"{k}:{format_multisegment(b)}" for k, b in c.slots)
+    return ";".join(f"{k}:{format_multisegment(b)}" for k, b in c)
 
 
 def parse_ext_element(text: str, ext: ExtendedCrystal) -> ExtElement:
     """Parse the "k:slot;k:slot" text form; "" and "1" denote the highest element.
 
-    Each slot goes through the crystal's own parser, which refuses a segment
-    past the rank before building anything.  A slot it refuses with a
-    ValueError that is not a ParseError is reported once every chunk has
-    parsed, at position 0, as an invalid slot is.
+    Each slot goes through the crystal's own parser, which skips whitespace
+    itself, so its parse errors keep their place in the text, and which
+    refuses a segment past the rank before building anything.  A slot it
+    refuses with a ValueError that is not a ParseError is reported once every
+    chunk has parsed, at position 0, as an invalid slot is.
     """
     if text.strip() in ("", "1"):
         return HIGHEST
@@ -282,7 +285,7 @@ def parse_ext_element(text: str, ext: ExtendedCrystal) -> ExtElement:
         if k in mapping:
             raise ParseError(text, offset, f"duplicate slot {k}")
         try:
-            mapping[k] = ext.crystal.parse(payload.strip())
+            mapping[k] = ext.crystal.parse(payload)
         except ParseError as exc:
             raise ParseError(text, offset + len(head) + 1 + exc.pos, exc.message) from None
         except ValueError as exc:

@@ -71,7 +71,7 @@ def pairing_read(ext: ExtendedCrystal, c: ExtElement, i: int, k: int) -> Pairing
         raise ValueError(f"operator index {i} out of range for rank {cry.n}")
     x = r = s = y = 0
     rel = []
-    for t, b in c.slots:
+    for t, b in c:
         term = pair(i, cry.weight(b))
         rel.append((t, -term if (t - k) % 2 else term))
         if t == k + 1:

@@ -3,7 +3,8 @@
 A segment [a,b] is an integer interval with 1 <= a <= b <= n and weight
 -(alpha_a + ... + alpha_b).  A multisegment is a finite multiset of segments;
 the empty multisegment is the highest-weight element, and a multisegment is
-stored as the tuple of its multiplicities.
+the tuple of its multiplicities, one per segment in a fixed order, so it
+compares and hashes as a plain tuple.
 
 Both operator families act through signature words:
 
@@ -36,7 +37,7 @@ from operator import itemgetter
 
 from .crystal import AbstractCrystal
 from .parsing import Scanner, parse_counted
-from .rootdata import RootLattice, RootLatticeElem, check_rank
+from .rootdata import MAX_RANK, RootLattice, RootLatticeElem, check_rank
 from .signature import reduce_runs
 
 
@@ -76,18 +77,20 @@ def _ends(j: int) -> tuple[int, int]:
     return j - b * (b - 1) // 2 + 1, b
 
 
-@dataclass(frozen=True, init=False)
-class Multisegment:
-    """Finite multiset of segments; ``segments`` lists them largest first in the left order.
+class Multisegment(tuple):
+    """Finite multiset of segments: the tuple of its multiplicities.
 
-    ``mults[_index(a, b)]`` counts the copies of [a,b], with trailing zeros
-    trimmed, so equal multisets have equal tuples whatever the rank.
+    ``m[_index(a, b)]`` counts the copies of [a,b], with trailing zeros
+    trimmed, so equal multisets are equal tuples whatever the rank.  It is not
+    iterable, so pytest never walks two of them to report a failing ``==``;
+    code reads it by index, and ``mults`` is a plain copy.
     """
 
-    mults: tuple[int, ...]
+    __slots__ = ()
+    __iter__ = None
 
-    def __init__(self, segments=()):
-        object.__setattr__(self, "mults", Multisegment.from_counts((seg, 1) for seg in segments).mults)
+    def __new__(cls, segments=()) -> "Multisegment":
+        return Multisegment.from_counts((seg, 1) for seg in segments)
 
     @staticmethod
     def from_counts(pairs) -> "Multisegment":
@@ -99,11 +102,23 @@ class Multisegment:
             mults[j] += mult
         return _of(mults)
 
+    @property
+    def mults(self) -> tuple[int, ...]:
+        return self[:]
+
+    def __reduce__(self):
+        # pickle rebuilds the tuple unchecked: __new__ takes segments
+        return tuple.__new__, (Multisegment, self[:])
+
+    def __repr__(self) -> str:
+        return f"Multisegment(mults={self[:]!r})"
+
     def _moved(self, drop: int | None, put: int | None) -> "Multisegment":
         """One copy fewer at position drop and one more at put; None skips either."""
-        mults = list(self.mults)
+        mults = [*self[:]]
         if put is not None:
-            mults.extend([0] * (put + 1 - len(mults)))
+            if put >= len(mults):
+                mults.extend([0] * (put + 1 - len(mults)))
             mults[put] += 1
         if drop is not None:
             mults[drop] -= 1
@@ -115,7 +130,7 @@ class Multisegment:
         The left order walks the ends downwards and, within one end, the
         starts upwards, which is the storage order block by block.
         """
-        mults, out = self.mults, []
+        mults, out = self[:], []
         hi = len(mults)
         b = _ends(hi - 1)[1] if mults else 0
         while b:
@@ -131,7 +146,7 @@ class Multisegment:
         return tuple(seg for seg, mult in self.counts() for _ in range(mult))
 
     def is_empty(self) -> bool:
-        return not self.mults
+        return not self
 
     def height(self) -> int:
         return sum(mult * (b - a + 1) for a, b, mult in self.entries())
@@ -146,12 +161,9 @@ class Multisegment:
     def replace_one(self, old: Segment, new: Segment | None) -> "Multisegment":
         """Remove one copy of old and insert new unless new is None."""
         j = _index(old.a, old.b)
-        if j >= len(self.mults) or not self.mults[j]:
+        if j >= len(self) or not self[j]:
             raise ValueError(f"segment {old} does not occur in {self}")
         return self._moved(j, None if new is None else _index(new.a, new.b))
-
-    def __len__(self) -> int:
-        return sum(self.mults)
 
     def __str__(self) -> str:
         return format_multisegment(self)
@@ -161,9 +173,7 @@ def _of(mults: list[int]) -> Multisegment:
     """The multisegment with these multiplicities; trims the list's trailing zeros in place."""
     while mults and not mults[-1]:
         mults.pop()
-    out = object.__new__(Multisegment)
-    object.__setattr__(out, "mults", tuple(mults))
-    return out
+    return tuple.__new__(Multisegment, mults)
 
 
 EMPTY = Multisegment()
@@ -238,7 +248,7 @@ class MultisegmentCrystal(AbstractCrystal):
     def validate(self, b) -> None:
         if not isinstance(b, Multisegment):
             raise ValueError(f"expected a multisegment, got {b!r}")
-        self._check_top(len(b.mults) - 1)
+        self._check_top(len(b) - 1)
 
     def _check_top(self, j: int) -> None:
         """Refuse a multisegment whose top segment sits at position j, past rank n."""
@@ -262,16 +272,15 @@ class MultisegmentCrystal(AbstractCrystal):
             getter, positions, low = table[i]
         except KeyError:
             raise ValueError(f"operator index {i} out of range for rank {self.n}") from None
-        mults = b.mults
-        if len(mults) <= low:  # every position the word reads lies past the stored end
+        if len(b) <= low:  # every position the word reads lies past the stored end
             return _NO_SURVIVORS, positions
-        if len(mults) >= len(self._zeros):
+        if len(b) >= len(self._zeros):
             self.validate(b)
-        return reduce_runs(getter(mults + self._zeros[len(mults) :])), positions
+        return reduce_runs(getter(b + self._zeros[len(b) :])), positions
 
     def count_words(self, b: Multisegment, i: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
         """b's plain and starred words along i as alternating counts, in scan order."""
-        padded = b.mults + self._zeros[len(b.mults) :]
+        padded = b + self._zeros[len(b) :]
         return self._plain[i][0](padded), self._starred[i][0](padded)
 
     def plain_read(self, b: Multisegment, i: int):
@@ -355,7 +364,7 @@ class MultisegmentCrystal(AbstractCrystal):
         words of w0 (Lusztig, JAMS 3 (1990); Berenstein-Fomin-Zelevinsky, Adv. Math. 122 (1996)).
         """
         self.validate(m)
-        x = list(m.mults + self._zeros[len(m.mults) :])
+        x = list(m + self._zeros[len(m) :])
         for ij, il, jl in self._moves:
             a, b, c = x[ij], x[il], x[jl]
             p = a if a < c else c
@@ -373,8 +382,12 @@ def format_multisegment(m: Multisegment) -> str:
 
 
 def parse_multisegment(text: str) -> Multisegment:
-    """Parse the text form: comma-separated segments with optional "k*" prefixes."""
-    return Multisegment.from_counts(_parse_pairs(text))
+    """Parse the text form: comma-separated segments with optional "k*" prefixes.
+
+    No crystal holds a segment past MAX_RANK, so one is a ParseError at the
+    segment, before any multiplicity is allocated by its position.
+    """
+    return Multisegment.from_counts(parse_counted(text, ("", "1"), _read_fitting_segment, "multiplicity"))
 
 
 def _parse_pairs(text: str) -> list[tuple[Segment, int]]:
@@ -391,3 +404,10 @@ def _read_segment(sc: Scanner) -> Segment:
         b = sc.take_int()
     sc.expect("]")
     return Segment(a, b)
+
+
+def _read_fitting_segment(sc: Scanner) -> Segment:
+    seg = _read_segment(sc)
+    if seg.b > MAX_RANK:
+        raise ValueError(f"segment {seg} does not fit inside rank {MAX_RANK}")
+    return seg

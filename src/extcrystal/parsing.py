@@ -51,7 +51,11 @@ class Scanner:
         if self.pos == start or not self.text[start:self.pos].lstrip("+-"):
             self.pos = start
             raise self.error("expected an integer")
-        return int(self.text[start:self.pos])
+        try:
+            return int(self.text[start:self.pos])
+        except ValueError:  # more digits than the interpreter converts
+            self.pos = start
+            raise self.error("integer has too many digits") from None
 
 
 def parse_counted(text: str, empty: tuple[str, ...], read_item, noun: str) -> list[tuple[object, int]]:

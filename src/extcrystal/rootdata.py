@@ -1,8 +1,8 @@
 """Cartan data of finite type A_n and exact root-lattice arithmetic.
 
-Root-lattice elements are stored in simple-root coordinates: an integer
-vector (c_1, ..., c_n) stands for sum_j c_j alpha_j.  The rank is a runtime
-parameter, kept small because everything downstream is desk-scale.
+A root-lattice element is the tuple of its simple-root coordinates: the
+integer vector (c_1, ..., c_n) stands for sum_j c_j alpha_j.  The rank is a
+runtime parameter, kept small because everything downstream is desk-scale.
 """
 
 from __future__ import annotations
@@ -34,46 +34,48 @@ class CartanA:
         return -1 if abs(i - j) == 1 else 0
 
 
-@dataclass(frozen=True)
-class RootLatticeElem:
-    """Integer vector of coefficients in the simple roots alpha_1..alpha_n."""
+class RootLatticeElem(tuple):
+    """Integer vector of coefficients in the simple roots alpha_1..alpha_n: the tuple of them."""
 
-    coeffs: tuple[int, ...]
+    __slots__ = ()
+
+    def __repr__(self) -> str:
+        return f"RootLatticeElem(coeffs={self[:]!r})"
 
     @property
     def rank(self) -> int:
-        return len(self.coeffs)
+        return len(self)
 
     def coeff(self, j: int) -> int:
         """Coefficient of alpha_j, with j counted from 1."""
-        if not 1 <= j <= self.rank:
-            raise ValueError(f"coefficient index {j} out of range for rank {self.rank}")
-        return self.coeffs[j - 1]
+        if not 1 <= j <= len(self):
+            raise ValueError(f"coefficient index {j} out of range for rank {len(self)}")
+        return self[j - 1]
 
     def __add__(self, other: RootLatticeElem) -> RootLatticeElem:
         self._check_same_rank(other)
-        return RootLatticeElem(tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
+        return tuple.__new__(RootLatticeElem, [a + b for a, b in zip(self, other)])
 
     def __sub__(self, other: RootLatticeElem) -> RootLatticeElem:
         self._check_same_rank(other)
-        return RootLatticeElem(tuple(a - b for a, b in zip(self.coeffs, other.coeffs)))
+        return tuple.__new__(RootLatticeElem, [a - b for a, b in zip(self, other)])
 
     def __neg__(self) -> RootLatticeElem:
-        return RootLatticeElem(tuple(-a for a in self.coeffs))
+        return tuple.__new__(RootLatticeElem, [-a for a in self])
 
     def height(self) -> int:
         """Sum of the simple-root coefficients."""
-        return sum(self.coeffs)
+        return sum(self)
 
     def is_zero(self) -> bool:
-        return all(a == 0 for a in self.coeffs)
+        return not any(self)
 
     def _check_same_rank(self, other: RootLatticeElem) -> None:
-        if self.rank != other.rank:
-            raise ValueError(f"rank mismatch: {self.rank} vs {other.rank}")
+        if len(self) != len(other):
+            raise ValueError(f"rank mismatch: {len(self)} vs {len(other)}")
 
     def __str__(self) -> str:
-        return "(" + ",".join(str(a) for a in self.coeffs) + ")"
+        return "(" + ",".join(map(str, self)) + ")"
 
 
 @dataclass(frozen=True)
@@ -108,12 +110,11 @@ class RootLattice:
         self._check_index(i)
         if v.rank != self.n:
             raise ValueError(f"rank mismatch: lattice {self.n}, element {v.rank}")
-        c = v.coeffs
-        total = 2 * c[i - 1]
+        total = 2 * v[i - 1]
         if i >= 2:
-            total -= c[i - 2]
+            total -= v[i - 2]
         if i <= self.n - 1:
-            total -= c[i]
+            total -= v[i]
         return total
 
     def _check_index(self, i: int) -> None:

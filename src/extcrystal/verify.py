@@ -231,8 +231,8 @@ def _check_counters(cfg: SweepConfig, c: ExtElement):
         yield "star-raise-selector-step", ext.star_branch_selector(ext.star_raising(c, i, k), i, k), ssel - 1
 
     yield from _per_op(cfg, f"elem={text!r}", props)
-    if len(c.slots) == 1:
-        k0, b = c.slots[0]
+    if len(c) == 1:
+        k0, b = c[0]
         for i in cry.indices():
             if ext.lowering(c, i, k0) != ext.inject(cry.lowering(b, i), k0):
                 yield "slot-embedding-lower", f"i={i} k={k0} elem={text!r}"
@@ -353,7 +353,7 @@ def _check_sl2(cfg: SweepConfig, code: int):
             entries[k] = digit
     c = ExtElement(tuple(entries.items()))
     for k in range(lo, hi + 1):
-        got = dict(_SL2_EXT.lowering(c, 1, k).slots)
+        got = dict(_SL2_EXT.lowering(c, 1, k))
         expect = {kk: v for kk, v in explicit_lowering(entries, k).items() if v}
         if got != expect:
             yield "sl2-oracle", f"k={k} elem={entries!r}"

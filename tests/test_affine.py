@@ -15,7 +15,7 @@ from extcrystal.affine import (
 )
 from extcrystal.enumeration import iter_ext_elements, random_ext_element
 from extcrystal.extended import ExtendedCrystal, format_ext_element, parse_ext_element
-from extcrystal.msegment import MultisegmentCrystal, Segment
+from extcrystal.msegment import Multisegment, MultisegmentCrystal, Segment
 from extcrystal.parsing import ParseError
 from extcrystal.signature import expand, reduce_runs
 
@@ -84,6 +84,12 @@ def test_nodes_and_weights_survive_pickle():
         assert all(type(p) is HLNode for p in back.support())
         p = pickle.loads(pickle.dumps(HLNode(2, -1), protocol))
         assert type(p) is HLNode and (p.i, p.a) == (2, -1)
+        # the pool pickles every value kind; Multisegment's __new__ takes segments
+        c = parse_ext_element("1:99999999999999999999*[1,3],[2];-2:[3]", EXT3)
+        for value in (lam, c, c.slot(1), MultisegmentCrystal(3).highest, EXT3.weight(c)):
+            back = pickle.loads(pickle.dumps(value, protocol))
+            assert back == value and type(back) is type(value)
+        assert all(type(m) is Multisegment for _, m in pickle.loads(pickle.dumps(c, protocol)).slots)
 
 
 def test_block_tables_frozen():

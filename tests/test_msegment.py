@@ -108,6 +108,20 @@ def test_parse_errors_carry_position():
         assert err.value.pos == pos
 
 
+def test_rank_free_parser_refuses_a_segment_past_the_largest_rank():
+    # a multiplicity list up to the segment's position would grow with the
+    # square of its end: [59048] alone ran out of memory
+    assert len(parse_multisegment("[64]")) == 2080
+    for text, pos, seg in (
+        ("[65]", 0, "[65]"),
+        ("[99999999999999999999]", 0, "[99999999999999999999]"),
+        ("[1],3*[2,70]", 6, "[2,70]"),
+    ):
+        with pytest.raises(ParseError) as err:
+            parse_multisegment(text)
+        assert (err.value.pos, err.value.message) == (pos, f"segment {seg} does not fit inside rank 64")
+
+
 def test_parse_format_round_trip_random():
     rng = random.Random(11)
     for _ in range(300):
