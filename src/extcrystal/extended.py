@@ -31,7 +31,7 @@ from __future__ import annotations
 
 from .crystal import AbstractCrystal
 from .msegment import format_multisegment
-from .parsing import ParseError
+from .parsing import DIGITS, ParseError
 from .rootdata import RootLatticeElem
 
 
@@ -205,11 +205,6 @@ class ExtendedCrystal:
         b = cry.lowering(cry.highest, i) if below is None else cry.lower_with(below[1], i, below_read)
         return self._splice(c, at, stop, here, (k - 1, b))
 
-    def slot_weight(self, c: ExtElement, k: int) -> RootLatticeElem:
-        """Weight of slot k with the alternating sign (-1)^k."""
-        w = self.crystal.weight(self.slot(c, k))
-        return -w if k % 2 else w
-
     def weight(self, c: ExtElement) -> RootLatticeElem:
         total = self.lattice.zero()
         for k, b in c:
@@ -221,12 +216,16 @@ class ExtendedCrystal:
         return sum(self.crystal.height(b) for _, b in c)
 
     def star_flip(self, c: ExtElement) -> ExtElement:
-        """Mirror the slots through zero and star each entry; an involution."""
-        return ExtElement(tuple((-k, self.crystal.star(b)) for k, b in c))
+        """Mirror the slots through zero and star each entry; an involution.
+
+        Mirroring reverses the descending slot order, and star keeps every
+        entry non-highest, as it keeps the weight.
+        """
+        return _from_slots(tuple((-k, self.crystal.star(b)) for k, b in reversed(c)))
 
     def shift(self, c: ExtElement, t: int) -> ExtElement:
-        """Move every slot up by t."""
-        return ExtElement(tuple((k + t, b) for k, b in c))
+        """Move every slot up by t, which keeps their order."""
+        return _from_slots(tuple((k + t, b) for k, b in c))
 
     def path_to_highest(self, c: ExtElement) -> list[tuple[int, int]]:
         """A raising word (i, k) pairs that drives c to the highest element.
@@ -278,10 +277,13 @@ def parse_ext_element(text: str, ext: ExtendedCrystal) -> ExtElement:
         head, sep, payload = chunk.partition(":")
         if not sep:
             raise ParseError(text, offset, "expected 'slot:value'")
+        slot = head.strip()
         try:
-            k = int(head.strip())
+            if not DIGITS.issuperset(slot.lstrip("+-")):  # int() also reads "1_0" and "٣"
+                raise ValueError
+            k = int(slot)
         except ValueError:
-            raise ParseError(text, offset, f"invalid slot index {head.strip()!r}") from None
+            raise ParseError(text, offset, f"invalid slot index {slot!r}") from None
         if k in mapping:
             raise ParseError(text, offset, f"duplicate slot {k}")
         try:

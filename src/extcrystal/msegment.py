@@ -24,8 +24,9 @@ segment [i,i], and raising edits the opposite end or annihilates.  Raising a
 length-one segment out of existence deletes it.
 
 The star involution is one sweep of tropical braid 3-moves on the
-multiplicities (Lusztig; Berenstein-Fomin-Zelevinsky), so its cost depends on
-the rank only (see ``MultisegmentCrystal.star``).
+multiplicities (Lusztig; Berenstein-Fomin-Zelevinsky): it reads all C(n+1, 3)
+moves but writes only those that change something (see
+``MultisegmentCrystal.star``).
 """
 
 from __future__ import annotations
@@ -141,29 +142,11 @@ class Multisegment(tuple):
             hi, b = lo, b - 1
         return out
 
-    @property
-    def segments(self) -> tuple[Segment, ...]:
-        return tuple(seg for seg, mult in self.counts() for _ in range(mult))
-
     def is_empty(self) -> bool:
         return not self
 
     def height(self) -> int:
         return sum(mult * (b - a + 1) for a, b, mult in self.entries())
-
-    def counts(self) -> list[tuple[Segment, int]]:
-        """(segment, multiplicity) pairs, largest segment first in the left order."""
-        return [(Segment(a, b), mult) for a, b, mult in self.entries()]
-
-    def add(self, seg: Segment) -> "Multisegment":
-        return self._moved(None, _index(seg.a, seg.b))
-
-    def replace_one(self, old: Segment, new: Segment | None) -> "Multisegment":
-        """Remove one copy of old and insert new unless new is None."""
-        j = _index(old.a, old.b)
-        if j >= len(self) or not self[j]:
-            raise ValueError(f"segment {old} does not occur in {self}")
-        return self._moved(j, None if new is None else _index(new.a, new.b))
 
     def __str__(self) -> str:
         return format_multisegment(self)
@@ -362,13 +345,26 @@ class MultisegmentCrystal(AbstractCrystal):
         Each triple i < j < l of 1..n+1 sets, with p = min(x_ij, x_jl), (x_ij, x_il,
         x_jl) to (x_ij + x_il - p, p, x_jl + x_il - p): a transition map between reduced
         words of w0 (Lusztig, JAMS 3 (1990); Berenstein-Fomin-Zelevinsky, Adv. Math. 122 (1996)).
+
+        The sweep reads all C(n+1, 3) moves but writes only those that change
+        something.  A move is the identity exactly when x_il = min(x_ij, x_jl),
+        so with x_il = 0 it writes only when x_ij and x_jl are both non-zero.
         """
         self.validate(m)
         x = list(m + self._zeros[len(m) :])
         for ij, il, jl in self._moves:
-            a, b, c = x[ij], x[il], x[jl]
-            p = a if a < c else c
-            x[ij], x[il], x[jl] = a + b - p, p, c + b - p
+            b = x[il]
+            if b:
+                a, c = x[ij], x[jl]
+                p = a if a < c else c
+                x[ij], x[il], x[jl] = a + b - p, p, c + b - p
+            else:
+                a = x[ij]
+                if a:
+                    c = x[jl]
+                    if c:
+                        p = a if a < c else c
+                        x[ij], x[il], x[jl] = a - p, p, c - p
         return _of(x)
 
 

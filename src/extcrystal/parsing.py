@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+# the digits of every integer in the grammars; str.isdigit also takes "²" and "١"
+DIGITS = frozenset("0123456789")
+
 
 class ParseError(ValueError):
     """Malformed text input, with the zero-based offset of the problem."""
@@ -46,7 +49,7 @@ class Scanner:
         start = self.pos
         if self.pos < len(self.text) and self.text[self.pos] in "+-":
             self.pos += 1
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
+        while self.pos < len(self.text) and self.text[self.pos] in DIGITS:
             self.pos += 1
         if self.pos == start or not self.text[start:self.pos].lstrip("+-"):
             self.pos = start
@@ -72,7 +75,7 @@ def parse_counted(text: str, empty: tuple[str, ...], read_item, noun: str) -> li
     pairs: list[tuple[object, int]] = []
     while True:
         count = 1
-        if sc.peek().isdigit():
+        if sc.peek() in DIGITS:
             at = sc.pos
             count = sc.take_int()
             if count < 1:

@@ -18,6 +18,7 @@ from extcrystal.extended import ExtendedCrystal, format_ext_element, parse_ext_e
 from extcrystal.msegment import Multisegment, MultisegmentCrystal, Segment
 from extcrystal.parsing import ParseError
 from extcrystal.signature import expand, reduce_runs
+from support import add
 
 M3 = AffineModel(3)
 EXT3 = ExtendedCrystal(MultisegmentCrystal(3))
@@ -160,7 +161,7 @@ def test_node_weight_matches_signed_segment_weight():
                 continue
             p = HLNode(i, a)
             seg, k = M3.segment_of_node(p)
-            w = crystal.weight(crystal.highest.add(seg))
+            w = crystal.weight(add(crystal.highest, seg))
             want = lat - w if k % 2 else lat + w
             assert M3.node_weight(p) == want
 

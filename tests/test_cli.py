@@ -309,6 +309,13 @@ def test_gammainv_refuses_a_node_past_the_rank(capsys):
     assert (code, out, err) == (2, "", "error: node (4,1) out of range for rank 3\n")
 
 
+def test_apply_refuses_digits_outside_0_to_9(capsys):
+    code, out, err = run_cli(capsys, "apply", "gammainv", "(١,٠)", "--n", "3")
+    assert (code, out) == (2, "") and "position 1: expected an integer" in err
+    code, out, err = run_cli(capsys, "apply", "shift", "1_0:[1]", "1", "--n", "3")
+    assert (code, out) == (2, "") and "position 0: invalid slot index '1_0'" in err
+
+
 def test_out_of_rank_segment_is_refused_before_it_is_built(capsys):
     # [1,100000] sits at position 5e9 of a multiplicity tuple; the rank check
     # comes first, with the message validate gives for a small segment

@@ -7,6 +7,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from extcrystal.affine import parse_hl_weight
 from extcrystal.extended import ExtendedCrystal, format_ext_element, parse_ext_element
 from extcrystal.msegment import MultisegmentCrystal, format_multisegment, parse_multisegment
 from extcrystal.parsing import ParseError
@@ -78,7 +79,8 @@ def parses_or_fails_inside(parse, text):
         assert 0 <= err.pos <= len(text), (text, err.pos)
 
 
-alphabet_text = st.text(alphabet="[],*:;-0123456789 ", max_size=30)
+# "_", "²" and "١" are not digits of the grammar, though int() or str.isdigit takes them
+alphabet_text = st.text(alphabet="[],*:;-0123456789 _²١", max_size=30)
 
 
 @FUZZ
@@ -86,6 +88,8 @@ alphabet_text = st.text(alphabet="[],*:;-0123456789 ", max_size=30)
 @example("[59048]")
 @example("[99999999999999999999]")
 @example("2*[1,65],[1]")
+@example("[١]")
+@example("[²]")
 def test_multisegment_parser_fails_only_with_a_parse_error_inside_the_text(text):
     parses_or_fails_inside(parse_multisegment, text)
 
@@ -95,6 +99,8 @@ def test_multisegment_parser_fails_only_with_a_parse_error_inside_the_text(text)
 @example("0:[59048]")
 @example("0:[1,100000];1:[x]")
 @example("99999999999999999999:[5]")
+@example("1_0:[1]")
+@example("٣:[1]")
 def test_slot_element_parser_fails_only_with_a_parse_error_inside_the_text(text):
     parses_or_fails_inside(lambda t: parse_ext_element(t, EXT), text)
 
@@ -110,3 +116,23 @@ def test_a_parse_error_points_into_the_text():
         with pytest.raises(ParseError, match="integer has too many digits") as err:
             parse_multisegment(text)
         assert err.value.pos == pos
+
+
+def test_integers_are_ascii_digits():
+    # str.isdigit takes "١" (Arabic-Indic one) and "²", and int() takes both
+    # "١" and the "_" of "1_0"; the grammars take 0-9 and their sign only
+    for parse, text, pos in (
+        (parse_multisegment, "[١]", 1),
+        (parse_multisegment, "[²]", 1),
+        (parse_multisegment, "[1,٣]", 3),
+        (parse_hl_weight, "(١,٠)", 1),
+        (parse_hl_weight, "(1,-٠)", 3),
+    ):
+        with pytest.raises(ParseError, match="expected an integer") as err:
+            parse(text)
+        assert err.value.pos == pos
+    for text, pos in (("1_0:[1]", 0), ("٣:[1]", 0), ("0:[1];+1_0:[2]", 6)):
+        with pytest.raises(ParseError, match="invalid slot index") as err:
+            parse_ext_element(text, EXT)
+        assert err.value.pos == pos
+    assert parse_ext_element(" +3 :[1];-3:[2]", EXT) == parse_ext_element("3:[1];-3:[2]", EXT)

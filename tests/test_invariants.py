@@ -7,6 +7,7 @@ from extcrystal.extended import ExtendedCrystal, format_ext_element, parse_ext_e
 from extcrystal.invariants import d_invariant, lambda_left, lambda_right
 from extcrystal.msegment import MultisegmentCrystal, parse_multisegment
 from extcrystal.rootdata import CartanA
+from support import slot_weight
 
 EXT3 = ExtendedCrystal(MultisegmentCrystal(3))
 
@@ -132,7 +133,7 @@ def test_closed_forms_match_the_docstring_with_the_extended_sign():
             for i in range(1, n + 1):
                 x, r = ext.epsilon_star(c, i, k + 1), ext.epsilon(c, i, k)
                 s, y = ext.epsilon_star(c, i, k), ext.epsilon(c, i, k - 1)
-                rel = {t: (-1) ** (k % 2) * pair(i, ext.slot_weight(c, t)) for t in c.support()}
+                rel = {t: (-1) ** (k % 2) * pair(i, slot_weight(ext, c, t)) for t in c.support()}
                 left = 2 * max(x, r) + sum(-v if t > k else v for t, v in rel.items())
                 right = 2 * max(y, s) + sum(-v if t < k else v for t, v in rel.items())
                 d = max(x, r) + max(y, s) + rel.get(k, 0)

@@ -17,6 +17,7 @@ from extcrystal.msegment import (
 from extcrystal.parsing import ParseError
 from extcrystal.signature import expand
 from extcrystal.verify import cancel_in_random_order
+from support import add, counts, replace_one, segments
 
 C3 = MultisegmentCrystal(3)
 
@@ -48,12 +49,12 @@ def test_storage_order_is_canonical():
     # descending in (end, -start): [2,3] before [3,3]? no: [3] has end 3 and
     # larger start, so [2,3] sorts first only by start tiebreak; hand order:
     #   [2,3] (3,-2) > [3] (3,-3) > [1,2] (2,-1) > [1] (1,-1)
-    assert m.segments == (Segment(2, 3), Segment(3, 3), Segment(1, 2), Segment(1, 1))
+    assert segments(m) == (Segment(2, 3), Segment(3, 3), Segment(1, 2), Segment(1, 1))
 
 
 def test_counts_groups_repeats():
     m = parse_multisegment("2*[1],[1,2]")
-    assert m.counts() == [(Segment(1, 2), 1), (Segment(1, 1), 2)]
+    assert counts(m) == [(Segment(1, 2), 1), (Segment(1, 1), 2)]
     assert m.height() == 4
     assert not m.is_empty()
     assert EMPTY.is_empty()
@@ -68,14 +69,14 @@ def test_multisegment_is_not_iterable():
 
 def test_add_and_replace_one():
     m = parse_multisegment("[1,2]")
-    grown = m.add(Segment(1, 1))
+    grown = add(m, Segment(1, 1))
     assert format_multisegment(grown) == "[1,2],[1]"
-    swapped = grown.replace_one(Segment(1, 2), Segment(2, 2))
+    swapped = replace_one(grown, Segment(1, 2), Segment(2, 2))
     assert format_multisegment(swapped) == "[2],[1]"
-    dropped = grown.replace_one(Segment(1, 1), None)
+    dropped = replace_one(grown, Segment(1, 1), None)
     assert dropped == m
     with pytest.raises(ValueError):
-        m.replace_one(Segment(3, 3), None)
+        replace_one(m, Segment(3, 3), None)
 
 
 def test_format_empty_is_unit_symbol():
@@ -378,26 +379,26 @@ def test_operators_match_per_symbol_cancellation_exhaustive():
         for m in inputs:
             for i in crystal.indices():
                 # the words by their definition, from the segments in left order
-                plain = [("-" if s.a == i else "+", s) for s in m.segments if s.a in (i, i + 1)]
-                starred = sorted((s for s in m.segments if s.b in (i - 1, i)), key=lambda s: (s.a, -s.b), reverse=True)
+                plain = [("-" if s.a == i else "+", s) for s in segments(m) if s.a in (i, i + 1)]
+                starred = sorted((s for s in segments(m) if s.b in (i - 1, i)), key=lambda s: (s.a, -s.b), reverse=True)
                 starred = [("+" if s.b == i else "-", s) for s in starred]
 
                 minus, plus = _survivors(plain, rng)
                 assert crystal.epsilon(m, i) == len(minus)
-                want = m.replace_one(plus[0], Segment(i, plus[0].b)) if plus else m.add(Segment(i, i))
+                want = replace_one(m, plus[0], Segment(i, plus[0].b)) if plus else add(m, Segment(i, i))
                 assert crystal.lowering(m, i) == want
                 if minus:
                     seg = minus[-1]
-                    want = m.replace_one(seg, Segment(i + 1, seg.b) if seg.b > i else None)
+                    want = replace_one(m, seg, Segment(i + 1, seg.b) if seg.b > i else None)
                 assert crystal.raising(m, i) == (want if minus else None)
 
                 minus, plus = _survivors(starred, rng)
                 assert crystal.epsilon_star(m, i) == len(plus)
-                want = m.replace_one(minus[-1], Segment(minus[-1].a, i)) if minus else m.add(Segment(i, i))
+                want = replace_one(m, minus[-1], Segment(minus[-1].a, i)) if minus else add(m, Segment(i, i))
                 assert crystal.star_lowering(m, i) == want
                 if plus:
                     seg = plus[0]
-                    want = m.replace_one(seg, Segment(seg.a, i - 1) if seg.a < i else None)
+                    want = replace_one(m, seg, Segment(seg.a, i - 1) if seg.a < i else None)
                 assert crystal.star_raising(m, i) == (want if plus else None)
 
 
@@ -420,6 +421,48 @@ def test_star_is_star_lowering_along_the_reversed_raising_path():
             for i in reversed(path):
                 want = crystal.star_lowering(want, i)
             assert crystal.star(m) == want
+
+
+def _full_sweep(crystal, m, skip=lambda a, b, c: False):
+    """star by its definition: every move of crystal._moves in order, unless skip(x_ij, x_il, x_jl)."""
+    n = crystal.n
+    x = [*m.mults, *[0] * (n * (n + 1) // 2 - len(m))]
+    for ij, il, jl in crystal._moves:
+        a, b, c = x[ij], x[il], x[jl]
+        if not skip(a, b, c):
+            p = min(a, c)
+            x[ij], x[il], x[jl] = a + b - p, p, c + b - p
+    while x and not x[-1]:
+        x.pop()
+    return tuple(x)
+
+
+def test_star_writes_what_the_full_sweep_writes():
+    # rank 2 has the one move on ([1], [1,2], [2]); one input per branch of the sweep
+    c2 = MultisegmentCrystal(2)
+    hand = {
+        "3*[1],2*[2]": "2*[1,2],[1]",  # x_il = 0 < x_ij, x_jl: the move writes
+        "4*[1],2*[1,2],2*[2]": "2*[1,2],2*[2],4*[1]",  # x_il = min(x_ij, x_jl) > 0
+        "1": "1",  # all zero
+        "[1]": "[1]",  # x_il = x_jl = 0
+        "[2]": "[2]",  # x_il = x_ij = 0
+    }
+    cases = []
+    for text, want in hand.items():
+        m = parse_multisegment(text)
+        assert format_multisegment(c2.star(m)) == want
+        cases.append((c2, m))
+    cases += [(MultisegmentCrystal(n), m) for n in range(1, 5) for m in iter_multisegments(n, 7)]
+    deep, c8 = random.Random(97), MultisegmentCrystal(8)
+    cases += [(c8, _deep_multisegment(deep, 8, 60)) for _ in range(50)]
+    cases += list(_huge_count_vectors(73))
+    full = [_full_sweep(crystal, m) for crystal, m in cases]
+    for (crystal, m), want in zip(cases, full):
+        assert crystal.star(m).mults == want
+    # the comparison has teeth: a sweep that skips a move that is not the
+    # identity differs from the full one on these inputs
+    for skip in (lambda a, b, c: not b, lambda a, b, c: not a):
+        assert any(_full_sweep(crystal, m, skip) != want for (crystal, m), want in zip(cases, full))
 
 
 # The draws as first written: a pool of Segment objects filtered by height on
