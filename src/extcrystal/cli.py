@@ -27,7 +27,17 @@ from .verify import SweepConfig, base_suite_names, run_all
 
 OPS = ("F", "E", "Fstar", "Estar", "Fhl", "Ehl", "shift", "starflip", "gamma", "gammainv", "star")
 
-_WINDOW_RE = re.compile(r"(-?\d+)\.\.(-?\d+)")
+# an integer argument: an optional sign and ASCII digits, as in the text
+# grammars (parsing.DIGITS); int() also reads "١" and "1_0"
+_INT = r"[+-]?[0-9]+"
+_INT_RE = re.compile(_INT)
+_WINDOW_RE = re.compile(rf"({_INT})\.\.({_INT})")
+
+
+def _int_type(text: str) -> int:
+    if not _INT_RE.fullmatch(text.strip()):
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
+    return int(text)
 
 
 def _window_type(text: str) -> tuple[int, int]:
@@ -41,21 +51,21 @@ def _window_type(text: str) -> tuple[int, int]:
 
 
 def _seed_type(text: str) -> int:
-    value = int(text)
+    value = _int_type(text)
     if not 0 <= value < 2**64:
         raise argparse.ArgumentTypeError("seed must fit in 64 unsigned bits")
     return value
 
 
 def _positive_type(text: str) -> int:
-    value = int(text)
+    value = _int_type(text)
     if value < 0:
         raise argparse.ArgumentTypeError("bound must be non-negative")
     return value
 
 
 def _rank_type(text: str) -> int:
-    value = int(text)
+    value = _int_type(text)
     if value < 1:
         raise argparse.ArgumentTypeError("rank must be at least 1")
     return value
@@ -88,7 +98,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_apply = sub.add_parser("apply", help="apply one operator to an element given as text")
     p_apply.add_argument("op", choices=OPS)
     p_apply.add_argument("target", help="element text; '' or '1' is the highest element")
-    p_apply.add_argument("ints", nargs="*", type=int, help="operator arguments (i k, or t)")
+    p_apply.add_argument("ints", nargs="*", type=_int_type, help="operator arguments (i k, or t)")
     p_apply.add_argument("--n", type=_rank_type, required=True, help="rank")
     p_apply.add_argument("--format", choices=("text", "json"), default="text")
     p_apply.set_defaults(func=_cmd_apply)
@@ -99,7 +109,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--window", type=_window_type, default=(-2, 2), help="slot window a..b")
     p_verify.add_argument("--ht", type=_positive_type, default=4, help="height bound")
     p_verify.add_argument("--seed", type=_seed_type, default=0)
-    p_verify.add_argument("--jobs", type=int, default=1, help="worker processes, at most one per CPU; below 1 runs serially")
+    p_verify.add_argument("--jobs", type=_int_type, default=1, help="worker processes, at most one per CPU; below 1 runs serially")
     p_verify.set_defaults(func=_cmd_verify)
 
     p_graph = sub.add_parser("graph", help="explore the reachable graph from a seed element")

@@ -21,7 +21,13 @@ The items of a randomized suite are case indices, and its draw turns an
 index into a case.  A check is a pure function of the part of the case it
 reads, so a sweep checks each distinct part once and repeats its violations
 at every draw of it: every draw is still counted and reported, in draw
-order.  ``bilinear`` reads the (c, i, k) of ``shift-covariance``'s case
+order.  A suite may name its space, the exact size of a set that holds
+every case its draw can return (for ``crystal-axioms``, the multisegments
+of rank n up to the height bound).  The sweep draws lazily; once its
+distinct draws number the space, it checks them, and if none fails it stops
+drawing, because the rest of the draws could only repeat passing cases.
+Otherwise it draws the rest, so the output is the same either way.
+``bilinear`` reads the (c, i, k) of ``shift-covariance``'s case
 (c, i, k, t), so the two share a draw, and a run draws once for consecutive
 suites with the same draw.  What a sweep remembers dies with it.
 ``reduce-confluence`` has no draw: its check keeps drawing from the case
@@ -110,6 +116,18 @@ def _per_op(cfg: SweepConfig, where: str, props):
 
 def _draw_multisegment(cfg: SweepConfig, idx: int) -> Multisegment:
     return random_multisegment(_case_rng(cfg, idx), cfg.n, cfg.max_ht)
+
+
+def _multisegment_space(cfg: SweepConfig) -> int | None:
+    """How many multisegments of rank n have height <= max_ht: every one the draw can return.
+
+    None when cfg.cases draws cannot cover them, because r*[1] for r = 0..max_ht
+    alone are max_ht + 1 of them; so a large height bound costs no count.
+    """
+    if cfg.max_ht >= cfg.cases:
+        return None
+    # the elements of a one-slot window are the multisegments
+    return count_ext_elements(cfg.n, (0, 0), cfg.max_ht)
 
 
 def _check_crystal_axioms(cfg: SweepConfig, m: Multisegment):
@@ -566,17 +584,21 @@ class _Suite(NamedTuple):
 
     A randomized suite also has a draw, which turns an item (a case index)
     into a case, and may say which part of the case its check reads; the
-    sweep checks each distinct part once.
+    sweep checks each distinct part once.  It may also name its space:
+    space(cfg) is the exact size of a set that holds every case the draw can
+    return, or None when the draws cannot cover it.  Once that many distinct
+    cases are drawn, the rest of the draws can only repeat them.
     """
 
     items: Callable
     check: Callable | tuple[str, ...]
     draw: Callable | None = None
     reads: Callable | None = None
+    space: Callable | None = None
 
 
 _SUITES = {
-    "crystal-axioms": _Suite(_items_cases, _check_crystal_axioms, _draw_multisegment),
+    "crystal-axioms": _Suite(_items_cases, _check_crystal_axioms, _draw_multisegment, space=_multisegment_space),
     # its check draws from the case generator after the word, so equal words
     # are not equal cases: no draw, every item is checked
     "reduce-confluence": _Suite(_items_cases, _check_reduce_confluence),
@@ -635,28 +657,51 @@ def _violations(check, cfg: SweepConfig, case) -> list[str]:
     return [f"{prop}: n={cfg.n} {where}" for prop, where in check(cfg, case)]
 
 
-def _interned(cases) -> list:
-    """cases as a list in which equal cases are one object."""
-    distinct: dict = {}
-    return [distinct.setdefault(case, case) for case in cases]
+class _Draws:
+    """A draw over an item list, drawn as far as asked, in item order.
+
+    ``cases`` holds the draws so far, equal cases as one object, and
+    ``distinct`` each of them once, in first-drawn order.
+    """
+
+    def __init__(self, draw: Callable, cfg: SweepConfig, items) -> None:
+        self.cases: list = []
+        self.distinct: dict = {}
+        self._rest = map(functools.partial(draw, cfg), items)
+
+    def extend(self, stop: int | None = None) -> None:
+        """Draw until stop distinct cases are held, or every item is drawn."""
+        for case in self._rest:
+            self.cases.append(self.distinct.setdefault(case, case))
+            if len(self.distinct) == stop:
+                return
 
 
-def _sweep(suite: _Suite, cfg: SweepConfig, cases: list) -> list[str]:
+def _sweep(suite: _Suite, cfg: SweepConfig, cases) -> list[str]:
     """The suite's violations over cases, in order, on cfg.jobs processes.
 
-    The cases of a suite with a draw are its drawn cases: the sweep checks
-    each distinct part its check reads once and repeats that part's
-    violations at every draw of it.  The other suites' cases are their
-    items, distinct already.
+    The cases of a suite with a draw are its _Draws: the sweep checks each
+    distinct part its check reads once, in first-drawn order, and repeats
+    that part's violations at every draw of it.  When the distinct draws
+    number the suite's space, every case the draw can return is drawn; if
+    none of them fails, the rest of the draws are never made.  The other
+    suites' cases are their items, distinct already.
     """
     run = functools.partial(_violations, suite.check, cfg)
     if suite.draw is None:
         return [msg for batch in _map(run, cfg.jobs, cases) for msg in batch]
-    if suite.reads is not None:
-        cases = _interned(map(suite.reads, cases))
-    distinct = dict.fromkeys(cases)
-    found = dict(zip(distinct, _map(run, cfg.jobs, distinct)))
-    return [msg for case in cases for msg in found[case]]
+    space = suite.space(cfg) if suite.space is not None else None
+    cases.extend(space)
+    covered = len(cases.distinct) == space
+    if not covered:
+        cases.extend()
+    reads = suite.reads or (lambda case: case)
+    parts = list(dict.fromkeys(map(reads, cases.distinct)))
+    found = dict(zip(parts, _map(run, cfg.jobs, parts)))
+    if covered and not any(found.values()):
+        return []
+    cases.extend()  # a covered space: the rest repeats checked cases
+    return [msg for case in cases.cases for msg in found[reads(case)]]
 
 
 def run_all(cfg: SweepConfig, names):
@@ -681,7 +726,6 @@ def run_all(cfg: SweepConfig, names):
                 continue
             swept = _SUITES[member]
             if swept.draw is not None and swept.draw is not draw:
-                drawn = None
-                draw, drawn = swept.draw, _interned(map(functools.partial(swept.draw, cfg), items))
+                draw, drawn = swept.draw, _Draws(swept.draw, cfg, items)
             done[member] = _sweep(swept, cfg, items if swept.draw is None else drawn)
         yield name, len(items), [msg for member in members for msg in done[member]]

@@ -3,6 +3,9 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
+
+import pytest
 
 import extcrystal.cli as cli
 import extcrystal.verify as verify
@@ -314,6 +317,40 @@ def test_apply_refuses_digits_outside_0_to_9(capsys):
     assert (code, out) == (2, "") and "position 1: expected an integer" in err
     code, out, err = run_cli(capsys, "apply", "shift", "1_0:[1]", "1", "--n", "3")
     assert (code, out) == (2, "") and "position 0: invalid slot index '1_0'" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("apply", "shift", "1:[1]", "١", "--n", "2"),
+        ("apply", "shift", "1:[1]", "-١", "--n", "2"),
+        ("apply", "F", "", "1", "0", "--n", "٣"),
+        ("verify", "sl2", "--n", "١", "--window", "0..0", "--ht", "1"),
+        ("verify", "sl2", "--n", "1_0", "--window", "0..0", "--ht", "1"),
+        ("verify", "sl2", "--n", "1", "--window", "٠..٠", "--ht", "1"),
+        ("verify", "sl2", "--n", "1", "--window", "-١..0", "--ht", "1"),
+        ("verify", "sl2", "--n", "1", "--window", "0..0", "--ht", "٢"),
+        ("verify", "sl2", "--n", "1", "--window", "0..0", "--ht", "1", "--seed", "٣"),
+        ("verify", "sl2", "--n", "1", "--window", "0..0", "--ht", "1", "--jobs", "٢"),
+        ("graph", "", "--n", "1", "--window", "0..0", "--ht", "1_0"),
+    ],
+)
+def test_integer_arguments_refuse_digits_outside_0_to_9(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "") and "error: argument" in err
+
+
+def test_integer_arguments_take_a_sign(capsys):
+    assert run_cli(capsys, "apply", "shift", "1:[1]", "-1", "--n", "2")[:2] == (0, "0:[1]")
+    assert run_cli(capsys, "apply", "shift", "1:[1]", "+1", "--n", "2")[:2] == (0, "2:[1]")
+    args = ("verify", "sl2", "--n", "+1", "--window", "-1..+0", "--ht", "+1", "--seed", "+3", "--jobs", "-2")
+    assert run_cli(capsys, *args)[:2] == (0, "sl2: PASS (4 items)")
+
+
+def test_verify_all_at_rank_3_prints_the_recorded_output(capsys):
+    golden = Path(__file__).parent / "golden" / "verify-all-rank3-seed1.txt"
+    code = cli.main(["verify", "all", "--n", "3", "--window", "-1..0", "--ht", "3", "--seed", "1"])
+    assert (code, capsys.readouterr().out) == (0, golden.read_text(encoding="utf-8"))
 
 
 def test_out_of_rank_segment_is_refused_before_it_is_built(capsys):

@@ -12,6 +12,7 @@ import extcrystal.cli as cli
 import extcrystal.verify as verify
 from extcrystal.invariants import PairingRead
 from extcrystal.affine import AffineModel, HLNode, HLWeight, SignatureNodes, format_hl_weight
+from extcrystal.enumeration import iter_multisegments
 from extcrystal.extended import ExtendedCrystal
 from extcrystal.msegment import MultisegmentCrystal
 from extcrystal.signature import reduce_runs
@@ -337,6 +338,64 @@ def test_a_sweep_checks_each_distinct_draw_once(monkeypatch):
     # nothing is remembered from one sweep to the next
     assert run_suite("crystal-axioms", cfg) == []
     assert checked == distinct * 2
+
+
+def _recording(monkeypatch, name, field):
+    """The cases (draw: the indices) that the named suite's draw or check is called on."""
+    suite = verify._SUITES[name]
+    seen = []
+    wrapped = getattr(suite, field)
+
+    def recording(cfg, case):
+        seen.append(case)
+        return wrapped(cfg, case)
+
+    monkeypatch.setitem(verify._SUITES, name, suite._replace(**{field: recording}))
+    return seen
+
+
+# crystal-axioms at n=3, window -1..0, seed 1: at height 3 its 10 000 draws
+# cover the 29 multisegments, at height 4 they hold 61 of the 62
+_COVERED = SweepConfig(n=3, window=(-1, 0), max_ht=3, seed=1)
+_UNCOVERED = replace(_COVERED, max_ht=4)
+
+
+def test_a_sweep_stops_drawing_once_every_case_is_drawn_and_passes(monkeypatch):
+    drawn = _recording(monkeypatch, "crystal-axioms", "draw")
+    checked = _recording(monkeypatch, "crystal-axioms", "check")
+    assert next(run_all(_COVERED, ("crystal-axioms",))) == ("crystal-axioms", 10000, [])
+    assert drawn == list(range(len(drawn))) and len(drawn) < 10000
+    every = list(iter_multisegments(3, 3))
+    assert len(every) == 29 and len(checked) == 29 and set(checked) == set(every)
+    drawn.clear()
+    checked.clear()
+    assert run_suite("crystal-axioms", _UNCOVERED) == []
+    assert drawn == list(range(10000)) and len(checked) == 61
+
+
+@pytest.mark.parametrize("cfg", [_COVERED, _UNCOVERED], ids=["covered", "uncovered"])
+@pytest.mark.parametrize("fault", [None, _star_raise_fails_at_height_three], ids=["sound", "star-raise-fault"])
+def test_a_sweep_that_stops_reports_what_checking_every_draw_does(monkeypatch, cfg, fault):
+    if fault is not None:
+        fault(monkeypatch)
+    want = _every_draw_checked("crystal-axioms", cfg)
+    assert bool(want) == (fault is not None)
+    for jobs in _JOBS:
+        assert run_suite("crystal-axioms", replace(cfg, jobs=jobs)) == want, jobs
+
+
+def test_the_multisegment_space_holds_every_draw():
+    space = verify._SUITES["crystal-axioms"].space
+    for n in range(1, 5):
+        for ht in range(7):
+            assert space(SweepConfig(n=n, max_ht=ht)) == len(list(iter_multisegments(n, ht))), (n, ht)
+    for n, ht in ((1, 6), (3, 4), (4, 6)):
+        cfg = SweepConfig(n=n, max_ht=ht, seed=5)
+        every = set(iter_multisegments(n, ht))
+        assert all(verify._draw_multisegment(cfg, idx) in every for idx in range(2000)), (n, ht)
+    # past cfg.cases - 1 the heights alone outnumber the draws, so nothing is counted
+    assert space(SweepConfig(n=64, max_ht=10**12)) is None
+    assert space(SweepConfig(n=1, max_ht=50, cases=50)) is None
 
 
 # ----------------------------------------------------------------------
