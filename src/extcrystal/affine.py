@@ -257,21 +257,10 @@ class AffineModel:
         i, a = (step - i if k % 2 else i), a - k * step
         return k, _index((a - i + 3) // 2, (a + i + 1) // 2)
 
-    def block_of(self, p: HLNode) -> int:
-        """The unique k whose block contains p."""
-        a, i = p
-        return self._locate(i, a)[0]
-
     def block_nodes(self, k: int) -> tuple[HLNode, ...]:
         return tuple(sorted(_hl_node(self._place(j, k)) for j in range(len(self._base))))
 
     # -- correspondence with slotted multisegments ------------------------
-
-    def node_of_segment(self, seg: Segment, k: int) -> HLNode:
-        """Node of the segment [a,b] placed in slot k."""
-        if seg.b > self.n:
-            raise ValueError(f"segment {seg} does not fit inside rank {self.n}")
-        return _hl_node(self._place(_index(seg.a, seg.b), k))
 
     def segment_of_node(self, p: HLNode) -> tuple[Segment, int]:
         """The (segment, slot) pair a node stands for."""

@@ -220,7 +220,7 @@ def _cmd_graph(args: argparse.Namespace) -> int:
     if args.format == "dot":
         payload = graph.to_dot()
     elif args.format == "json":
-        payload = graph.to_json() + "\n"
+        payload = graph.to_json()
     else:
         lines = [f"nodes {len(graph.nodes)} edges {len(graph.edges)}"]
         for idx, c in enumerate(graph.nodes):

@@ -11,18 +11,16 @@ index ascending, lowering before raising.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 
 from .extended import ExtElement, ExtendedCrystal, format_ext_element
-from .msegment import format_multisegment
 
 
-@dataclass
 class ExploreGraph:
     """Explored nodes in discovery order plus deduplicated lowering edges."""
 
-    nodes: list[ExtElement]
-    edges: list[tuple[int, int, int, int]]
+    def __init__(self, nodes: list[ExtElement], edges: list[tuple[int, int, int, int]]):
+        self.nodes = nodes
+        self.edges = edges
 
     def node_ids(self) -> dict[ExtElement, int]:
         return {c: idx for idx, c in enumerate(self.nodes)}
@@ -38,7 +36,7 @@ class ExploreGraph:
 
     def to_json(self) -> str:
         nodes = [
-            {"id": idx, "slots": {str(k): format_multisegment(b) for k, b in c}}
+            {"id": idx, "slots": {str(k): str(b) for k, b in c}}
             for idx, c in enumerate(self.nodes)
         ]
         edges = [{"src": src, "dst": dst, "i": i, "k": k} for src, dst, i, k in self.edges]

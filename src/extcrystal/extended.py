@@ -30,7 +30,6 @@ moves the total weight by (-1)^(k+1) alpha_i.
 from __future__ import annotations
 
 from .crystal import AbstractCrystal
-from .msegment import format_multisegment
 from .parsing import DIGITS, ParseError
 from .rootdata import RootLatticeElem
 
@@ -256,7 +255,7 @@ def format_ext_element(c: ExtElement) -> str:
     """Canonical text form "k:slot;k:slot" by decreasing slot; highest is "1"."""
     if c.is_highest():
         return "1"
-    return ";".join(f"{k}:{format_multisegment(b)}" for k, b in c)
+    return ";".join(f"{k}:{b}" for k, b in c)
 
 
 def parse_ext_element(text: str, ext: ExtendedCrystal) -> ExtElement:

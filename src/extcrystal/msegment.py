@@ -1,10 +1,10 @@
 """Multisegment model of the crystal B(infinity) in finite type A_n.
 
 A segment [a,b] is an integer interval with 1 <= a <= b <= n and weight
--(alpha_a + ... + alpha_b).  A multisegment is a finite multiset of segments;
-the empty multisegment is the highest-weight element, and a multisegment is
-the tuple of its multiplicities, one per segment in a fixed order, so it
-compares and hashes as a plain tuple.
+-(alpha_a + ... + alpha_b); it is the tuple (a, b).  A multisegment is a
+finite multiset of segments; the empty multisegment is the highest-weight
+element, and a multisegment is the tuple of its multiplicities, one per
+segment in a fixed order, so it compares and hashes as a plain tuple.
 
 Both operator families act through signature words:
 
@@ -31,7 +31,6 @@ moves but writes only those that change something (see
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
 from math import isqrt
 from operator import itemgetter
@@ -42,25 +41,33 @@ from .rootdata import MAX_RANK, RootLattice, RootLatticeElem, check_rank
 from .signature import reduce_runs
 
 
-@dataclass(frozen=True)
-class Segment:
-    """The interval [a,b] with 1 <= a <= b."""
+class Segment(tuple):
+    """The interval [a,b] with 1 <= a <= b: the tuple (a, b)."""
 
-    a: int
-    b: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not (isinstance(self.a, int) and isinstance(self.b, int)):
-            raise ValueError(f"segment endpoints must be integers, got [{self.a!r},{self.b!r}]")
-        if not 1 <= self.a <= self.b:
-            raise ValueError(f"invalid segment [{self.a},{self.b}]: need 1 <= a <= b")
+    def __new__(cls, a: int, b: int) -> "Segment":
+        if not (isinstance(a, int) and isinstance(b, int)):
+            raise ValueError(f"segment endpoints must be integers, got [{a!r},{b!r}]")
+        if not 1 <= a <= b:
+            raise ValueError(f"invalid segment [{a},{b}]: need 1 <= a <= b")
+        return tuple.__new__(cls, (a, b))
+
+    a = property(itemgetter(0))
+    b = property(itemgetter(1))
 
     @property
     def height(self) -> int:
-        return self.b - self.a + 1
+        return self[1] - self[0] + 1
+
+    def __getnewargs__(self) -> tuple[int, int]:
+        return self[:]
 
     def __str__(self) -> str:
-        return _segment_text(self.a, self.b)
+        return _segment_text(*self)
+
+    def __repr__(self) -> str:
+        return f"Segment(a={self[0]}, b={self[1]})"
 
 
 def _segment_text(a: int, b: int) -> str:

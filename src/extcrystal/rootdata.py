@@ -1,13 +1,12 @@
 """Cartan data of finite type A_n and exact root-lattice arithmetic.
 
+The Cartan matrix and the lattice are slotted classes that hold the rank.
 A root-lattice element is the tuple of its simple-root coordinates: the
 integer vector (c_1, ..., c_n) stands for sum_j c_j alpha_j.  The rank is a
 runtime parameter, kept small because everything downstream is desk-scale.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 MAX_RANK = 64
 
@@ -17,14 +16,14 @@ def check_rank(n: int) -> None:
         raise ValueError(f"rank must be an integer between 1 and {MAX_RANK}, got {n!r}")
 
 
-@dataclass(frozen=True)
 class CartanA:
     """Cartan matrix of type A_n: 2 on the diagonal, -1 between neighbours."""
 
-    n: int
+    __slots__ = ("n",)
 
-    def __post_init__(self) -> None:
-        check_rank(self.n)
+    def __init__(self, n: int):
+        check_rank(n)
+        self.n = n
 
     def entry(self, i: int, j: int) -> int:
         if not (1 <= i <= self.n and 1 <= j <= self.n):
@@ -78,14 +77,14 @@ class RootLatticeElem(tuple):
         return "(" + ",".join(map(str, self)) + ")"
 
 
-@dataclass(frozen=True)
 class RootLattice:
     """Root lattice of type A_n with its symmetric bilinear pairing."""
 
-    n: int
+    __slots__ = ("n",)
 
-    def __post_init__(self) -> None:
-        check_rank(self.n)
+    def __init__(self, n: int):
+        check_rank(n)
+        self.n = n
 
     def zero(self) -> RootLatticeElem:
         return RootLatticeElem((0,) * self.n)
@@ -94,12 +93,6 @@ class RootLattice:
         """The simple root alpha_i."""
         self._check_index(i)
         return RootLatticeElem(tuple(1 if j == i else 0 for j in range(1, self.n + 1)))
-
-    def from_coeffs(self, coeffs) -> RootLatticeElem:
-        coeffs = tuple(int(c) for c in coeffs)
-        if len(coeffs) != self.n:
-            raise ValueError(f"expected {self.n} coefficients, got {len(coeffs)}")
-        return RootLatticeElem(coeffs)
 
     def pair(self, i: int, v: RootLatticeElem) -> int:
         """Pairing (alpha_i, v) in simple-root coordinates.

@@ -33,6 +33,8 @@ suites with the same draw.  What a sweep remembers dies with it.
 ``reduce-confluence`` has no draw: its check keeps drawing from the case
 generator after the word, so two equal words are not equal cases.
 
+The knobs of a run are one ``SweepConfig``, a named tuple that checks its
+window and height bound when built or replaced, and pickles for the workers.
 ``run_all(cfg, names)`` is the one runner: it yields each named suite's
 size and violations.  The size is the length of the list the suite swept,
 and suites listed next to each other with the same item function sweep one
@@ -44,7 +46,6 @@ from __future__ import annotations
 import functools
 import os
 import random
-from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 from .affine import AffineModel, HLNode, HLWeight, format_hl_weight
@@ -63,10 +64,7 @@ from .signature import expand, reduce_runs, signs
 from .sl2 import Sl2Crystal, explicit_lowering
 
 
-@dataclass(frozen=True)
-class SweepConfig:
-    """Knobs shared by all suites; individual suites read what they need."""
-
+class _Knobs(NamedTuple):
     n: int
     window: tuple[int, int] = (-2, 2)
     max_ht: int = 4
@@ -74,11 +72,24 @@ class SweepConfig:
     cases: int = 10000
     jobs: int = 1
 
-    def __post_init__(self) -> None:
-        if self.window[0] > self.window[1]:
-            raise ValueError(f"empty window {self.window}")
-        if self.max_ht < 0:
+
+class SweepConfig(_Knobs):
+    """Knobs shared by all suites; individual suites read what they need."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs) -> "SweepConfig":
+        cfg = super().__new__(cls, *args, **kwargs)
+        if cfg.window[0] > cfg.window[1]:
+            raise ValueError(f"empty window {cfg.window}")
+        if cfg.max_ht < 0:
             raise ValueError("height bound must be non-negative")
+        return cfg
+
+    @classmethod
+    def _make(cls, values) -> "SweepConfig":
+        # _replace builds through _make, so a replaced config is checked too
+        return cls(*values)
 
 
 @functools.lru_cache(maxsize=None)

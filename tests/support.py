@@ -1,6 +1,8 @@
-"""Test-side views and edits of multisegments and extended elements, built on the public API."""
+"""Test-side views and edits of multisegments, extended elements, nodes and root-lattice vectors, built on the public API."""
 
+from extcrystal.extended import ExtElement
 from extcrystal.msegment import Multisegment, Segment
+from extcrystal.rootdata import RootLatticeElem
 
 
 def counts(m):
@@ -30,3 +32,22 @@ def slot_weight(ext, c, k):
     """Weight of slot k of c with the alternating sign (-1)^k."""
     w = ext.crystal.weight(ext.slot(c, k))
     return -w if k % 2 else w
+
+
+def from_coeffs(lat, coeffs):
+    """The element sum_j c_j alpha_j of the root lattice lat."""
+    coeffs = tuple(int(c) for c in coeffs)
+    if len(coeffs) != lat.n:
+        raise ValueError(f"expected {lat.n} coefficients, got {len(coeffs)}")
+    return RootLatticeElem(coeffs)
+
+
+def block_of(model, p):
+    """The unique k whose block contains the node p."""
+    return model.segment_of_node(p)[1]
+
+
+def node_of_segment(model, seg, k):
+    """Node of the segment seg placed in slot k: the one term of the element's weight."""
+    ((node, _),) = model.to_weight(ExtElement([(k, Multisegment([seg]))]))
+    return node

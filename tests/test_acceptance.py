@@ -17,6 +17,7 @@ from extcrystal.invariants import d_invariant, lambda_left, lambda_right
 from extcrystal.msegment import MultisegmentCrystal, Segment, parse_multisegment
 from extcrystal.rootdata import CartanA
 from extcrystal.verify import SweepConfig, run_all, run_suite
+from support import node_of_segment
 
 DEMO = "(3,-4),(1,-2),(3,-2),2*(2,-1),(2,1),(1,2),(2,3),2*(3,4),(2,5),(2,7)"
 
@@ -89,7 +90,7 @@ def test_04_segment_node_dictionary():
     ok = True
     for k in (-1, 0, 1):
         for seg, base_node in base.items():
-            node = model.node_of_segment(seg, k)
+            node = node_of_segment(model, seg, k)
             ok = ok and node == model.dual_shift(base_node, k)
             ok = ok and model.segment_of_node(node) == (seg, k)
             checked += 1

@@ -18,7 +18,7 @@ from extcrystal.extended import ExtendedCrystal, format_ext_element, parse_ext_e
 from extcrystal.msegment import Multisegment, MultisegmentCrystal, Segment
 from extcrystal.parsing import ParseError
 from extcrystal.signature import expand, reduce_runs
-from support import add
+from support import add, block_of, from_coeffs, node_of_segment
 
 M3 = AffineModel(3)
 EXT3 = ExtendedCrystal(MultisegmentCrystal(3))
@@ -106,7 +106,7 @@ def test_blocks_tile_the_node_set():
             if (a - i) % 2 == 0:
                 continue
             p = HLNode(i, a)
-            k = M3.block_of(p)
+            k = block_of(M3, p)
             assert p in M3.block_nodes(k)
             assert p not in M3.block_nodes(k + 1)
             assert p not in M3.block_nodes(k - 1)
@@ -137,7 +137,7 @@ def test_dual_shift_maps_blocks_to_blocks():
 def test_segment_node_dictionary_all_18_positions():
     for k in (-1, 0, 1):
         for seg, base_node in GAMMA_BASE.items():
-            node = M3.node_of_segment(seg, k)
+            node = node_of_segment(M3, seg, k)
             assert node == M3.dual_shift(base_node, k)
             back_seg, back_k = M3.segment_of_node(node)
             assert (back_seg, back_k) == (seg, k)
@@ -145,7 +145,7 @@ def test_segment_node_dictionary_all_18_positions():
 
 def test_generator_nodes():
     # the node of the one-segment element [i,i] in slot zero
-    assert [M3.node_of_segment(Segment(i, i), 0) for i in (1, 2, 3)] == [
+    assert [node_of_segment(M3, Segment(i, i), 0) for i in (1, 2, 3)] == [
         HLNode(1, 0),
         HLNode(1, 2),
         HLNode(1, 4),
@@ -168,16 +168,16 @@ def test_node_weight_matches_signed_segment_weight():
 
 def test_node_weight_frozen_values():
     lat = MultisegmentCrystal(3).lattice
-    assert M3.node_weight(HLNode(1, 0)) == lat.from_coeffs([-1, 0, 0])
-    assert M3.node_weight(HLNode(3, -4)) == lat.from_coeffs([1, 0, 0])
-    assert M3.node_weight(HLNode(3, 4)) == lat.from_coeffs([1, 0, 0])
+    assert M3.node_weight(HLNode(1, 0)) == from_coeffs(lat, [-1, 0, 0])
+    assert M3.node_weight(HLNode(3, -4)) == from_coeffs(lat, [1, 0, 0])
+    assert M3.node_weight(HLNode(3, 4)) == from_coeffs(lat, [1, 0, 0])
 
 
 def test_weight_scales_large_coefficients():
     # [1] in slot 0 weighs -alpha_1 and its dual shift (3,4) in slot 1 weighs +alpha_1
     lat = MultisegmentCrystal(3).lattice
-    assert M3.weight(parse_hl_weight("100000*(1,0)")) == lat.from_coeffs([-100000, 0, 0])
-    assert M3.weight(parse_hl_weight("100000*(1,0),7*(3,4)")) == lat.from_coeffs([-99993, 0, 0])
+    assert M3.weight(parse_hl_weight("100000*(1,0)")) == from_coeffs(lat, [-100000, 0, 0])
+    assert M3.weight(parse_hl_weight("100000*(1,0),7*(3,4)")) == from_coeffs(lat, [-99993, 0, 0])
 
 
 def test_weight_text_round_trip():
@@ -246,7 +246,7 @@ def test_signature_positions_cover_two_adjacent_blocks():
             sn = M3.signature_nodes(i, k)
             nodes = [sn.node_at(t) for t in range(1, 2 * n + 1)]
             assert len(set(nodes)) == 2 * n
-            blocks = {M3.block_of(p) for p in nodes}
+            blocks = {block_of(M3, p) for p in nodes}
             assert blocks == {k, k + 1}
             # signs alternate with position parity
             for t in range(1, 2 * n + 1):
@@ -337,7 +337,7 @@ def test_signature_word_concatenates_slotwise_signatures():
 def test_weight_of_node_sum():
     lam = parse_hl_weight("(1,0),2*(3,4)")
     lat = MultisegmentCrystal(3).lattice
-    want = lat.from_coeffs([-1, 0, 0]) + lat.from_coeffs([2, 0, 0])
+    want = from_coeffs(lat, [-1, 0, 0]) + from_coeffs(lat, [2, 0, 0])
     assert M3.weight(lam) == want
 
 
@@ -519,9 +519,9 @@ def test_block_of_matches_its_definition():
                     continue
                 p = HLNode(i, a)
                 hits = [k for k in range(-10, 11) if in_base_block(n, model.dual_shift(p, -k))]
-                assert [model.block_of(p)] == hits
+                assert [block_of(model, p)] == hits
                 for k in (BIG, BIG + 1, -BIG):
-                    assert model.block_of(model.dual_shift(p, k)) == hits[0] + k
+                    assert block_of(model, model.dual_shift(p, k)) == hits[0] + k
 
 
 def reference_node(n, a, b, k):
@@ -558,7 +558,7 @@ def test_conversions_match_the_dictionary_exhaustive():
                     p = HLNode(i, a)
                     seg, k = model.segment_of_node(p)
                     assert seg.b <= n and reference_node(n, seg.a, seg.b, k) == (i, a)
-                    assert model.node_of_segment(seg, k) == p
+                    assert node_of_segment(model, seg, k) == p
 
 
 def test_conversion_refusals():

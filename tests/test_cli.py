@@ -1,6 +1,7 @@
 """Tests for the command line front end: parsing, dispatch, exit codes."""
 
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -150,8 +151,10 @@ def test_graph_is_deterministic(capsys):
 
 
 def test_graph_json_structure(capsys):
-    code, out, _ = run_cli(capsys, "graph", "", "--n", "1", "--window", "0..1", "--ht", "1", "--format", "json")
+    code = cli.main(["graph", "", "--n", "1", "--window", "0..1", "--ht", "1", "--format", "json"])
+    out = capsys.readouterr().out
     assert code == 0
+    assert out.endswith("}\n") and not out.endswith("\n\n")
     doc = json.loads(out)
     assert len(doc["nodes"]) == 3
     assert {(e["src"], e["dst"], e["i"], e["k"]) for e in doc["edges"]} == {
@@ -279,6 +282,22 @@ def test_module_entry_point():
     )
     assert proc.returncode == 0
     assert proc.stdout.strip() == "0:[1]"
+
+
+def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
+    # the modules a fresh interpreter holds after the statement, against a bare start
+    probe = "{}; import sys; print(' '.join(sys.modules))"
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+
+    def loaded(statement):
+        run = subprocess.run([sys.executable, "-c", probe.format(statement)], capture_output=True, text=True, env=env)
+        assert run.returncode == 0, run.stderr
+        return set(run.stdout.split())
+
+    bare = loaded("pass")
+    added = loaded("import extcrystal.cli") - bare
+    assert "extcrystal.cli" in added
+    assert not added & {"dataclasses", "inspect"}
 
 
 def test_apply_star_deep_input_round_trips(capsys):

@@ -1,6 +1,7 @@
 """Tests for slot-indexed elements and the generic extended crystal operators."""
 
 import itertools
+import json
 import random
 
 import pytest
@@ -21,6 +22,7 @@ from extcrystal.extended import (
 from extcrystal.msegment import EMPTY, MultisegmentCrystal, parse_multisegment
 from extcrystal.parsing import ParseError
 from extcrystal.sl2 import Sl2Crystal
+from support import from_coeffs
 
 EXT3 = ExtendedCrystal(MultisegmentCrystal(3))
 EXT1 = ExtendedCrystal(MultisegmentCrystal(1))
@@ -161,7 +163,7 @@ def test_slot_counters_read_single_slots():
 
 def test_weight_alternates_over_slots():
     lat = EXT3.lattice
-    assert EXT3.weight(mixed()) == lat.from_coeffs([0, 2, 2])
+    assert EXT3.weight(mixed()) == from_coeffs(lat, [0, 2, 2])
     assert EXT3.weight(HIGHEST) == lat.zero()
     rng = random.Random(7)
     for _ in range(60):
@@ -397,6 +399,16 @@ def test_fused_operators_equal_their_definition_exhaustive():
         elems = list(iter_ext_elements(ext, window, max_ht))
         assert len(elems) == count_ext_elements(n, window, max_ht)
         _assert_fused_operators_are_definitional(ext, elems, window)
+
+
+def test_text_forms_of_rank_one_elements():
+    # each slot is written by its element's own str: an Sl2Crystal slot is its count
+    ext = ExtendedCrystal(Sl2Crystal())
+    c = ext.lowering(ext.lowering(ext.lowering(HIGHEST, 1, 0), 1, 1), 1, 0)
+    assert format_ext_element(c) == "1:1;0:2"
+    graph = explore(ext, HIGHEST, (0, 1), 2)
+    assert [format_ext_element(d) for d in graph.nodes] == ["1", "0:1", "1:1", "0:2", "1:1;0:1", "1:2"]
+    assert [node["slots"] for node in json.loads(graph.to_json())["nodes"]][-2:] == [{"1": "1", "0": "1"}, {"1": "2"}]
 
 
 def test_fused_operators_default_reads_on_rank_one():

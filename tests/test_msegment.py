@@ -17,7 +17,7 @@ from extcrystal.msegment import (
 from extcrystal.parsing import ParseError
 from extcrystal.signature import expand
 from extcrystal.verify import cancel_in_random_order
-from support import add, counts, replace_one, segments
+from support import add, counts, from_coeffs, replace_one, segments
 
 C3 = MultisegmentCrystal(3)
 
@@ -185,8 +185,8 @@ def test_highest_element():
 
 def test_weight_is_negative_root_sum():
     lat = C3.lattice
-    assert C3.weight(parse_multisegment("[1]")) == lat.from_coeffs([-1, 0, 0])
-    assert C3.weight(MIXED) == lat.from_coeffs([-2, -2, -1])
+    assert C3.weight(parse_multisegment("[1]")) == from_coeffs(lat, [-1, 0, 0])
+    assert C3.weight(MIXED) == from_coeffs(lat, [-2, -2, -1])
 
 
 def test_lowering_weight_and_counter_steps():

@@ -4,7 +4,6 @@ import multiprocessing
 import os
 import signal
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import replace
 
 import pytest
 
@@ -38,6 +37,8 @@ def test_config_validates_window_and_height():
     cfg = SweepConfig(n=2)
     assert cfg.window == (-2, 2)
     assert cfg.max_ht == 4
+    with pytest.raises(ValueError):
+        cfg._replace(window=(1, 0))
 
 
 def test_bad_rank_surfaces_on_use():
@@ -115,7 +116,7 @@ def test_jobs_are_capped_at_the_cpu_count(monkeypatch, capsys):
     want = run_suite("inverse-pairs", cfg)
     assert sizes == []
     for jobs, size in ((2, 2), (3, 3), (4, 3), (10**9, 3)):
-        assert run_suite("inverse-pairs", replace(cfg, jobs=jobs)) == want
+        assert run_suite("inverse-pairs", cfg._replace(jobs=jobs)) == want
         assert sizes.pop() == size and sizes == []
     args = ["verify", "inverse-pairs", "--n", "2", "--window", "-1..1", "--ht", "3"]
     assert cli.main(args) == 0
@@ -125,7 +126,7 @@ def test_jobs_are_capped_at_the_cpu_count(monkeypatch, capsys):
     # an unknown CPU count runs serially
     monkeypatch.setattr(os, "cpu_count", lambda: None)
     sizes.clear()
-    assert run_suite("inverse-pairs", replace(cfg, jobs=8)) == want and sizes == []
+    assert run_suite("inverse-pairs", cfg._replace(jobs=8)) == want and sizes == []
 
 
 def _within(seconds, fn, *args):
@@ -165,7 +166,7 @@ def _shift_a_unit_in_the_word(monkeypatch):
 def test_parallel_node_suites_match_serial(monkeypatch):
     # the items hold nodes and weights, which the pool pickles
     serial = SweepConfig(n=2, window=(-1, 1), max_ht=4, jobs=1)
-    parallel = replace(serial, jobs=2)
+    parallel = serial._replace(jobs=2)
     for name in ("sig-seq", "cr-commutation"):
         _, size, found = next(run_all(serial, (name,)))
         assert size > 64 and found == []  # fewer items run serially
@@ -318,7 +319,7 @@ def test_a_randomized_sweep_reports_what_checking_every_draw_does(monkeypatch, n
     want = _every_draw_checked(name, cfg)
     assert len(want) == count
     for jobs in _JOBS:
-        assert run_suite(name, replace(cfg, jobs=jobs)) == want, jobs
+        assert run_suite(name, cfg._replace(jobs=jobs)) == want, jobs
 
 
 def test_a_sweep_checks_each_distinct_draw_once(monkeypatch):
@@ -357,7 +358,7 @@ def _recording(monkeypatch, name, field):
 # crystal-axioms at n=3, window -1..0, seed 1: at height 3 its 10 000 draws
 # cover the 29 multisegments, at height 4 they hold 61 of the 62
 _COVERED = SweepConfig(n=3, window=(-1, 0), max_ht=3, seed=1)
-_UNCOVERED = replace(_COVERED, max_ht=4)
+_UNCOVERED = _COVERED._replace(max_ht=4)
 
 
 def test_a_sweep_stops_drawing_once_every_case_is_drawn_and_passes(monkeypatch):
@@ -381,7 +382,7 @@ def test_a_sweep_that_stops_reports_what_checking_every_draw_does(monkeypatch, c
     want = _every_draw_checked("crystal-axioms", cfg)
     assert bool(want) == (fault is not None)
     for jobs in _JOBS:
-        assert run_suite("crystal-axioms", replace(cfg, jobs=jobs)) == want, jobs
+        assert run_suite("crystal-axioms", cfg._replace(jobs=jobs)) == want, jobs
 
 
 def test_the_multisegment_space_holds_every_draw():
