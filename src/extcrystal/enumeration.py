@@ -95,6 +95,21 @@ def count_ext_elements(n: int, window: tuple[int, int], max_ht: int) -> int:
     return sum(total)
 
 
+def below(rng: random.Random, n: int) -> int:
+    """A uniform draw from range(n), n >= 1: what randrange(n) returns, from the same words.
+
+    k-bit words are redrawn until one is below n, so ``below(rng, 1)`` still
+    takes a word.  Every seeded draw here and in ``verify`` goes through it
+    or rng.random(): Python keeps random()'s stream across versions, but
+    promises nothing for randrange, randint and choice.
+    """
+    k = n.bit_length()
+    r = rng.getrandbits(k)
+    while r >= n:
+        r = rng.getrandbits(k)
+    return r
+
+
 @lru_cache(maxsize=None)
 def _draw_table(n: int) -> tuple[tuple[tuple[int, int], ...], ...]:
     """Per budget h = 0..n, the (position, height) of every segment of height <= h.
@@ -109,7 +124,7 @@ def _draw_table(n: int) -> tuple[tuple[tuple[int, int], ...], ...]:
 
 def _draw(rng: random.Random, n: int, max_ht: int) -> tuple[Multisegment, int]:
     """A random multisegment and its height; see random_multisegment."""
-    budget = start = rng.randint(0, max_ht)
+    budget = start = below(rng, max_ht + 1)
     table = _draw_table(n)
     top = len(table) - 1
     mults = [0] * (top * (top + 1) // 2)
@@ -117,7 +132,7 @@ def _draw(rng: random.Random, n: int, max_ht: int) -> tuple[Multisegment, int]:
         fits = table[min(budget, top)]
         if not fits or rng.random() < 0.2:
             break
-        j, height = rng.choice(fits)
+        j, height = fits[below(rng, len(fits))]
         mults[j] += 1
         budget -= height
     return _of(mults), start - budget
@@ -135,11 +150,11 @@ def random_ext_element(rng: random.Random, ext: ExtendedCrystal, window: tuple[i
     so the element is built in descending slot order without a check.
     """
     slots = []
-    budget = rng.randint(0, max_ht)
+    budget = below(rng, max_ht + 1)
     for k in range(window[0], window[1] + 1):
         if budget <= 0:
             break
-        take = rng.randint(0, budget)
+        take = below(rng, budget + 1)
         if take:
             m, height = _draw(rng, ext.n, take)
             if height:

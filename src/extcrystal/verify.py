@@ -26,7 +26,8 @@ every case its draw can return (for ``crystal-axioms``, the multisegments
 of rank n up to the height bound).  The sweep draws lazily; once its
 distinct draws number the space, it checks them, and if none fails it stops
 drawing, because the rest of the draws could only repeat passing cases.
-Otherwise it draws the rest, so the output is the same either way.
+Otherwise it draws the rest, so the output is the same either way.  A sweep
+whose distinct parts all pass returns at once, without walking its draws.
 ``bilinear`` reads the (c, i, k) of ``shift-covariance``'s case
 (c, i, k, t), so the two share a draw, and a run draws once for consecutive
 suites with the same draw.  What a sweep remembers dies with it.
@@ -50,6 +51,7 @@ from typing import Callable, NamedTuple
 
 from .affine import AffineModel, HLNode, HLWeight, format_hl_weight
 from .enumeration import (
+    below,
     count_ext_elements,
     iter_ext_elements,
     random_ext_element,
@@ -84,6 +86,9 @@ class SweepConfig(_Knobs):
             raise ValueError(f"empty window {cfg.window}")
         if cfg.max_ht < 0:
             raise ValueError("height bound must be non-negative")
+        if not 0 <= cfg.seed < 2**64:
+            # random.Random seeds with |seed|, so -s would replay the cases of s
+            raise ValueError("seed must fit in 64 unsigned bits")
         return cfg
 
     @classmethod
@@ -198,14 +203,14 @@ def cancel_in_random_order(word: list, rng: random.Random) -> list:
         pairs = [j for j in range(len(work) - 1) if work[j][0] == "+" and work[j + 1][0] == "-"]
         if not pairs:
             return work
-        j = rng.choice(pairs)
+        j = pairs[below(rng, len(pairs))]
         del work[j : j + 2]
 
 
 def _check_reduce_confluence(cfg: SweepConfig, idx: int):
     rng = _case_rng(cfg, idx)
-    length = rng.randrange(0, 2 * cfg.max_ht + 5)
-    word = "".join(rng.choice("+-") for _ in range(length))
+    length = below(rng, 2 * cfg.max_ht + 5)
+    word = "".join("+-"[below(rng, 2)] for _ in range(length))
     # alternating counts, minus first; some stretches of equal signs are split
     # by a zero count of the other sign, so that zeros sit among the counts
     counts: list[int] = []
@@ -519,14 +524,14 @@ def _check_duality_datum(cfg: SweepConfig, item: tuple[int, int, int]):
 def _random_query(cfg: SweepConfig, idx: int):
     rng = _case_rng(cfg, idx)
     c = random_ext_element(rng, _affine(cfg.n).ext, cfg.window, cfg.max_ht)
-    i = rng.randrange(1, cfg.n + 1)
-    k = rng.randrange(cfg.window[0] - 1, cfg.window[1] + 2)
+    i = 1 + below(rng, cfg.n)
+    k = cfg.window[0] - 1 + below(rng, cfg.window[1] - cfg.window[0] + 3)
     return c, i, k, rng
 
 
 def _draw_shifted_query(cfg: SweepConfig, idx: int) -> tuple[ExtElement, int, int, int]:
     c, i, k, rng = _random_query(cfg, idx)
-    return c, i, k, rng.randrange(-3, 4)
+    return c, i, k, below(rng, 7) - 3
 
 
 def _unshifted(query: tuple[ExtElement, int, int, int]) -> tuple[ExtElement, int, int]:
@@ -693,23 +698,22 @@ def _sweep(suite: _Suite, cfg: SweepConfig, cases) -> list[str]:
 
     The cases of a suite with a draw are its _Draws: the sweep checks each
     distinct part its check reads once, in first-drawn order, and repeats
-    that part's violations at every draw of it.  When the distinct draws
-    number the suite's space, every case the draw can return is drawn; if
-    none of them fails, the rest of the draws are never made.  The other
-    suites' cases are their items, distinct already.
+    that part's violations at every draw of it, unless no part fails: then
+    there is nothing to repeat.  When the distinct draws number the suite's
+    space, every case the draw can return is drawn, so a passing sweep
+    never makes the rest.  The other suites' cases are their items.
     """
     run = functools.partial(_violations, suite.check, cfg)
     if suite.draw is None:
         return [msg for batch in _map(run, cfg.jobs, cases) for msg in batch]
     space = suite.space(cfg) if suite.space is not None else None
     cases.extend(space)
-    covered = len(cases.distinct) == space
-    if not covered:
+    if len(cases.distinct) != space:
         cases.extend()
     reads = suite.reads or (lambda case: case)
     parts = list(dict.fromkeys(map(reads, cases.distinct)))
     found = dict(zip(parts, _map(run, cfg.jobs, parts)))
-    if covered and not any(found.values()):
+    if not any(found.values()):
         return []
     cases.extend()  # a covered space: the rest repeats checked cases
     return [msg for case in cases.cases for msg in found[reads(case)]]

@@ -1,5 +1,10 @@
-"""Test-side views and edits of multisegments, extended elements, nodes and root-lattice vectors, built on the public API."""
+"""Test-side views and edits of multisegments, extended elements, nodes and root-lattice vectors, built on the public API.
 
+It also keeps the package's seeded draws as first written, with the
+standard library's randint, randrange and choice, as references.
+"""
+
+from extcrystal.enumeration import all_segments
 from extcrystal.extended import ExtElement
 from extcrystal.msegment import Multisegment, Segment
 from extcrystal.rootdata import RootLatticeElem
@@ -51,3 +56,40 @@ def node_of_segment(model, seg, k):
     """Node of the segment seg placed in slot k: the one term of the element's weight."""
     ((node, _),) = model.to_weight(ExtElement([(k, Multisegment([seg]))]))
     return node
+
+
+def reference_draw(rng, n, max_ht):
+    """A random multisegment and its height, drawn as enumeration._draw draws them."""
+    budget = start = rng.randint(0, max_ht)
+    picked = []
+    while True:
+        fits = [seg for seg in all_segments(n) if seg.height <= budget]
+        if not fits or rng.random() < 0.2:
+            break
+        seg = rng.choice(fits)
+        picked.append((seg, 1))
+        budget -= seg.height
+    return Multisegment.from_counts(picked), start - budget
+
+
+def reference_ext_element(rng, ext, window, max_ht):
+    """A random element, drawn as enumeration.random_ext_element draws it."""
+    slots = {}
+    budget = rng.randint(0, max_ht)
+    for k in range(window[0], window[1] + 1):
+        if budget <= 0:
+            break
+        take = rng.randint(0, budget)
+        if take:
+            m, height = reference_draw(rng, ext.n, take)
+            slots[k] = m
+            budget -= height
+    return ext.element(slots)
+
+
+def reference_query(rng, ext, window, max_ht):
+    """The (c, i, k) of verify's random pairing query, drawn as verify._random_query draws it."""
+    c = reference_ext_element(rng, ext, window, max_ht)
+    i = rng.randrange(1, ext.n + 1)
+    k = rng.randrange(window[0] - 1, window[1] + 2)
+    return c, i, k

@@ -1,7 +1,9 @@
 """Tests for the sweep plumbing: configs, suite registry, parallel runs, messages under injected faults."""
 
+import argparse
 import multiprocessing
 import os
+import pickle
 import signal
 from concurrent.futures.process import BrokenProcessPool
 
@@ -39,6 +41,21 @@ def test_config_validates_window_and_height():
     assert cfg.max_ht == 4
     with pytest.raises(ValueError):
         cfg._replace(window=(1, 0))
+
+
+def test_config_refuses_a_seed_outside_64_unsigned_bits():
+    # random.Random seeds with |seed|, so seed -1 would draw the cases of seed 1
+    with pytest.raises(argparse.ArgumentTypeError) as refused:
+        cli._seed_type("-1")
+    message = str(refused.value)
+    for seed in (-1, 2**64):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            SweepConfig(n=3, window=(-1, 0), max_ht=3, seed=seed)
+    cfg = SweepConfig(n=3, window=(-1, 0), max_ht=3, seed=2**64 - 1)
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        cfg._replace(seed=-1)
+    assert pickle.loads(pickle.dumps(cfg)) == cfg
+    assert cfg._replace(seed=0).seed == 0
 
 
 def test_bad_rank_surfaces_on_use():
@@ -339,6 +356,24 @@ def test_a_sweep_checks_each_distinct_draw_once(monkeypatch):
     # nothing is remembered from one sweep to the next
     assert run_suite("crystal-axioms", cfg) == []
     assert checked == distinct * 2
+
+
+def test_a_passing_sweep_reads_each_distinct_draw_once_and_walks_no_draw_again(monkeypatch):
+    # bilinear's 10 000 draws at this size hold fewer distinct queries, and
+    # none fails: the sweep reads each distinct case once and returns
+    suite = verify._SUITES["bilinear"]
+    read = []
+
+    def reads(case):
+        read.append(case)
+        return suite.reads(case)
+
+    monkeypatch.setitem(verify._SUITES, "bilinear", suite._replace(reads=reads))
+    cfg = SweepConfig(n=2, window=(-1, 0), max_ht=2, seed=1)
+    assert run_suite("bilinear", cfg) == []
+    distinct = {suite.draw(cfg, idx) for idx in range(cfg.cases)}
+    assert len(distinct) < cfg.cases
+    assert len(read) == len(distinct) and set(read) == distinct
 
 
 def _recording(monkeypatch, name, field):
