@@ -40,15 +40,22 @@ def iter_multisegments(n: int, max_ht: int) -> Iterator[Multisegment]:
         yield from group
 
 
+def _check_bounds(window: tuple[int, int], max_ht: int) -> None:
+    """Refuse an empty slot window or a negative height bound, as ``SweepConfig`` does."""
+    if window[0] > window[1]:
+        raise ValueError(f"empty slot window {window[0]}..{window[1]}")
+    if max_ht < 0:
+        raise ValueError("height bound must be non-negative")
+
+
 def iter_ext_elements(ext: ExtendedCrystal, window: tuple[int, int], max_ht: int) -> Iterator[ExtElement]:
     """All elements with support inside the window and total height at most max_ht.
 
     The lowest slot varies slowest; each slot runs through the multisegments
     by height, then in text order.
     """
+    _check_bounds(window, max_ht)
     kmin, kmax = window
-    if kmin > kmax:
-        raise ValueError(f"empty slot window {kmin}..{kmax}")
     groups = multisegments_by_height(ext.n, max_ht)
     flat = [m for g in groups for m in g]
     heights = [h for h, g in enumerate(groups) for _ in g]
@@ -77,6 +84,7 @@ def count_ext_elements(n: int, window: tuple[int, int], max_ht: int) -> int:
     The per-slot counting series is a product of geometric series, one per
     segment, graded by height; the window raises it to the number of slots.
     """
+    _check_bounds(window, max_ht)
     width = window[1] - window[0] + 1
     per_slot = [0] * (max_ht + 1)
     per_slot[0] = 1

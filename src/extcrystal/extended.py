@@ -7,8 +7,8 @@ plain tuple.  The operator along (i, k) couples slot k with the starred
 structure of slot k+1: the branch selector epsilon(b_k, i) -
 epsilon*(b_{k+1}, i) decides whether lowering acts by plain lowering on slot
 k or by starred raising on slot k+1, and raising takes the opposite
-branches.  The starred operator family couples slot k with slot k-1 instead
-and is driven by the selector epsilon*(b_k, i) - epsilon(b_{k-1}, i).
+branches.  The starred operators are the plain ones one slot down,
+f*_{i,k} = e_{i,k-1} and e*_{i,k} = f_{i,k-1}, and are written as such.
 
 Each operator makes one pass over the slots to find its two slots and the
 range of the slot tuple they occupy.  It reads the upper slot with the
@@ -142,7 +142,7 @@ class ExtendedCrystal:
         return self.epsilon_star(c, i, k) - self.epsilon(c, i, k - 1)
 
     def _reads(self, c: ExtElement, i: int, top: int):
-        """One pass over c for the operators on slots top and top - 1.
+        """One pass over c for the operators along (i, top - 1), on slots top and top - 1.
 
         Returns (at, stop, hi, lo, star, plain): c[at:stop] holds those
         two slots, hi and lo are their (slot, element) entries (None where
@@ -185,24 +185,10 @@ class ExtendedCrystal:
         return self._splice(c, at, stop, (k + 1, b), here)
 
     def star_lowering(self, c: ExtElement, i: int, k: int) -> ExtElement:
-        cry = self.crystal
-        at, stop, here, below, (s, here_read), (y, below_read) = self._reads(c, i, k)
-        if s >= y:
-            b = cry.star_lowering(cry.highest, i) if here is None else cry.star_lower_with(here[1], i, here_read)
-            return self._splice(c, at, stop, (k, b), below)
-        raised = cry.raise_with(below[1], i, below_read)
-        assert raised is not None, "negative starred selector guarantees a raise"
-        return self._splice(c, at, stop, here, self._entry(k - 1, raised))
+        return self.raising(c, i, k - 1)
 
     def star_raising(self, c: ExtElement, i: int, k: int) -> ExtElement:
-        cry = self.crystal
-        at, stop, here, below, (s, here_read), (y, below_read) = self._reads(c, i, k)
-        if s > y:
-            raised = cry.star_raise_with(here[1], i, here_read)
-            assert raised is not None, "positive starred selector guarantees a starred raise"
-            return self._splice(c, at, stop, self._entry(k, raised), below)
-        b = cry.lowering(cry.highest, i) if below is None else cry.lower_with(below[1], i, below_read)
-        return self._splice(c, at, stop, here, (k - 1, b))
+        return self.lowering(c, i, k - 1)
 
     def weight(self, c: ExtElement) -> RootLatticeElem:
         total = self.lattice.zero()

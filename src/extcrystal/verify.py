@@ -35,7 +35,8 @@ suites with the same draw.  What a sweep remembers dies with it.
 generator after the word, so two equal words are not equal cases.
 
 The knobs of a run are one ``SweepConfig``, a named tuple that checks its
-window and height bound when built or replaced, and pickles for the workers.
+window, height bound, seed and case count when built or replaced, and
+pickles for the workers.
 ``run_all(cfg, names)`` is the one runner: it yields each named suite's
 size and violations.  The size is the length of the list the suite swept,
 and suites listed next to each other with the same item function sweep one
@@ -89,6 +90,8 @@ class SweepConfig(_Knobs):
         if not 0 <= cfg.seed < 2**64:
             # random.Random seeds with |seed|, so -s would replay the cases of s
             raise ValueError("seed must fit in 64 unsigned bits")
+        if cfg.cases < 0:
+            raise ValueError("case count must be non-negative")
         return cfg
 
     @classmethod
@@ -306,6 +309,7 @@ def _check_star_identities(cfg: SweepConfig, c: ExtElement):
     def props(i, k):
         star_lowered = ext.star_lowering(c, i, k)
         star_raised = ext.star_raising(c, i, k)
+        # the first two hold by construction, and guard against a second copy of the bodies
         yield "star-lower-as-raise", star_lowered, ext.raising(c, i, k - 1)
         yield "star-raise-as-lower", star_raised, ext.lowering(c, i, k - 1)
         yield "selector-flip", ext.star_branch_selector(c, i, k), -ext.branch_selector(c, i, k - 1)

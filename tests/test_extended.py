@@ -278,6 +278,18 @@ def test_enumeration_counts_frozen():
     assert count_ext_elements(3, (-2, 2), 4) == 5371
 
 
+def test_size_oracle_and_enumerator_refuse_the_same_bad_bounds():
+    for window, max_ht, message in (
+        ((1, 0), 3, "^empty slot window 1..0$"),
+        ((0, 0), -1, "^height bound must be non-negative$"),
+    ):
+        with pytest.raises(ValueError, match=message):
+            count_ext_elements(2, window, max_ht)
+        with pytest.raises(ValueError, match=message):
+            list(iter_ext_elements(EXT1, window, max_ht))
+    assert count_ext_elements(2, (0, 0), 0) == len(list(iter_ext_elements(EXT1, (0, 0), 0))) == 1
+
+
 def test_enumeration_yields_unique_admissible_elements():
     seen = set()
     for c in iter_ext_elements(EXT1, (-1, 1), 3):

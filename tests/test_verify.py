@@ -58,6 +58,19 @@ def test_config_refuses_a_seed_outside_64_unsigned_bits():
     assert cfg._replace(seed=0).seed == 0
 
 
+def test_config_refuses_a_negative_case_count():
+    # a negative count would sweep no draw and report a pass
+    for cfg in (
+        lambda: SweepConfig(n=2, window=(0, 0), max_ht=2, cases=-3),
+        lambda: SweepConfig(n=2, window=(0, 0), max_ht=2)._replace(cases=-1),
+    ):
+        with pytest.raises(ValueError, match="^case count must be non-negative$"):
+            cfg()
+    cfg = SweepConfig(n=2, window=(0, 0), max_ht=2, cases=0)
+    assert pickle.loads(pickle.dumps(cfg)) == cfg
+    assert run_suite("crystal-axioms", cfg) == []
+
+
 def test_bad_rank_surfaces_on_use():
     cfg = SweepConfig(n=0, window=(0, 0), max_ht=1)
     with pytest.raises(ValueError):
@@ -536,14 +549,14 @@ _FROZEN_SIZES = {
 _FROZEN = {
     "_lower_keeps_two_slot_elements_at_two": {
         "inverse-pairs": (
-            114, 233,
-            "lower-of-raise: n=3 i=2 k=0 elem='0:[1]'",
-            "lower-of-raise: n=3 i=2 k=0 elem='-1:[3],[2],[1]'",
+            114, 498,
+            "star-raise-of-lower: n=3 i=2 k=-1 elem='0:[1]'",
+            "star-raise-of-lower: n=3 i=2 k=0 elem='-1:[3],[2],[1]'",
         ),
         "counters": (
-            114, 114,
+            114, 228,
             "lower-selector-step: n=3 i=2 k=-1 elem='0:[1];-1:[1]'",
-            "lower-selector-step: n=3 i=2 k=0 elem='0:[3];-1:[3],[2]'",
+            "star-raise-selector-step: n=3 i=2 k=0 elem='0:[3];-1:[3],[2]'",
         ),
         "weights": (
             114, 228,
@@ -552,13 +565,13 @@ _FROZEN = {
         ),
         "star-identities": (
             114, 228,
-            "star-raise-as-lower: n=3 i=2 k=-1 elem='0:[1];-1:[1]'",
-            "flip-conjugates-lower: n=3 i=2 k=0 elem='0:[3];-1:[3],[2]'",
+            "flip-conjugates-lower: n=3 i=2 k=-1 elem='0:[1];-1:[1]'",
+            "flip-conjugates-raise: n=3 i=2 k=0 elem='0:[3];-1:[3],[2]'",
         ),
         "connectedness": (114, 9, "path-replay: n=3 elem='0:2*[2];-1:[1]'", "path-replay: n=3 elem='0:[2],[1];-1:[3]'"),
         "ext-properties": (
-            114, 812,
-            "lower-of-raise: n=3 i=2 k=0 elem='0:[1]'",
+            114, 1191,
+            "star-raise-of-lower: n=3 i=2 k=-1 elem='0:[1]'",
             "path-replay: n=3 elem='0:[2],[1];-1:[3]'",
         ),
         "cr-commutation": (
@@ -641,7 +654,7 @@ _FROZEN = {
         "inverse-pairs": "AssertionError('negative branch selector guarantees a starred raise')",
         "counters": "AssertionError('negative branch selector guarantees a starred raise')",
         "weights": "AssertionError('negative branch selector guarantees a starred raise')",
-        "star-identities": "AssertionError('positive starred selector guarantees a starred raise')",
+        "star-identities": "AssertionError('negative branch selector guarantees a starred raise')",
         "shift-commutation": "AssertionError('negative branch selector guarantees a starred raise')",
         "ext-properties": "AssertionError('negative branch selector guarantees a starred raise')",
         "cr-commutation": "AssertionError('negative branch selector guarantees a starred raise')",
