@@ -14,16 +14,17 @@ formal sums of nodes with nonnegative coefficients, the highest weights: the
 operator along (i, k) scans a fixed ordered list of 2n nodes, reads the
 weight's coefficients there as the alternating counts of a signature word
 (see ``signature``), cancels adjacent (+,-) pairs, and moves one unit of
-coefficient between neighbouring list positions.  The word is sparse: one
-walk of the weight's terms keeps those on the list, in scan order, with a
-zero count between two of the same sign, so an operator reads and reduces
-only what the weight holds there; with nothing there it just adds a unit at
-an end of the list.  A node is the tuple (a, i), its own sort key, and a
-weight is the tuple of its (node, coefficient) terms in node order, so both
-compare and hash as plain tuples.  The operators splice that unit into the
-weight's terms in one pass, and the conversions sort their nodes once,
-unchecked; ``add_node``, ``remove_node`` and weights built from outside input
-go through the validating constructor, which merges, checks and sorts.
+coefficient between neighbouring list positions.  The model builds each
+list once, with None at both ends and its map from node to position.  The
+word is sparse: one walk of the weight's terms keeps those on the list, in
+scan order, with a zero count between two of the same sign, so an operator
+reads and reduces only what the weight holds there; with nothing there it
+just adds a unit at an end of the list.  A node is the tuple (a, i), its own
+sort key, and a weight is the tuple of its (node, coefficient) terms in node
+order, so both compare and hash as plain tuples.  The operators splice that
+unit into the weight's terms in one pass, and the conversions sort their
+nodes once, unchecked; weights built from outside input go through the
+validating constructor, which merges, checks and sorts.
 """
 
 from __future__ import annotations
@@ -92,20 +93,6 @@ class HLWeight(tuple):
     def from_counts(counts: dict[HLNode, int]) -> "HLWeight":
         return HLWeight(tuple(counts.items()))
 
-    def coeff(self, p: HLNode) -> int:
-        for q, c in self:
-            if q == p:
-                return c
-        return 0
-
-    def add_node(self, p: HLNode, count: int = 1) -> "HLWeight":
-        return HLWeight(self + ((p, count),))
-
-    def remove_node(self, p: HLNode, count: int = 1) -> "HLWeight":
-        if self.coeff(p) < count:
-            raise ValueError(f"cannot remove {count} of {p}: coefficient is {self.coeff(p)}")
-        return HLWeight(self + ((p, -count),))
-
     def _moved(self, drop: HLNode | None, put: HLNode | None) -> "HLWeight":
         """One unit fewer at node drop and one more at put; None skips either.
 
@@ -155,71 +142,6 @@ def _sorted_weight(keyed: list) -> HLWeight:
     return tuple.__new__(HLWeight, [(tuple.__new__(HLNode, key), c) for key, c in keyed])
 
 
-class SignatureNodes:
-    """The ordered nodes one operator scans, first position last in the scan.
-
-    Position t (counted from 1) holds the node written a_t; odd positions
-    emit minus symbols and even positions emit plus symbols.  The scan runs
-    from the last position down to the first.  ``padded`` is ``nodes`` with
-    None at both ends, so that position t is ``padded[t]`` for 0 <= t <= 2n+1,
-    and ``position`` inverts ``nodes``.
-    """
-
-    __slots__ = ("nodes", "padded", "position")
-
-    def __init__(self, nodes: tuple[HLNode, ...]):
-        self.nodes = nodes
-        self.padded = (None, *nodes, None)
-        self.position = {p: t for t, p in enumerate(nodes, 1)}
-
-    def read(self, lam: HLWeight) -> tuple[list[int], list[int]]:
-        """lam's sparse signature word: (counts, at), from one walk of its terms.
-
-        counts alternates minus and plus counts in scan order, as the dense
-        ``word`` does, but holds only lam's terms on the scan, with a zero
-        count between two of the same sign; at[r] is the position of
-        counts[r], 0 for such a zero.  With no term on the scan both are empty.
-        """
-        position = self.position
-        hits = []
-        for p, c in lam:
-            t = position.get(p)
-            if t:
-                hits.append((t, c))
-        if not hits:
-            return [], []
-        hits.sort(reverse=True)
-        counts, at = [], []
-        for t, c in hits:
-            # a count's index and position differ in parity: minuses sit at
-            # odd positions and even indices
-            if not (len(counts) ^ t) & 1:
-                counts.append(0)
-                at.append(0)
-            counts.append(c)
-            at.append(t)
-        return counts, at
-
-    def word(self, lam: HLWeight) -> list[int]:
-        """lam's signature word as alternating counts in scan order, built from ``read``.
-
-        Index r holds the coefficient at position 2n+1-r; index 0 is the zero
-        minus before the plus at position 2n that opens the scan.
-        """
-        size = len(self.padded) - 1
-        dense = [0] * size
-        for c, t in zip(*self.read(lam)):
-            if t:
-                dense[size - t] = c
-        return dense
-
-    def node_at(self, t: int) -> HLNode:
-        return self.padded[t]
-
-    def sign_at(self, t: int) -> str:
-        return "+" if t % 2 == 0 else "-"
-
-
 class AffineModel:
     """Block lattice, segment correspondence and the direct operator rule."""
 
@@ -228,7 +150,8 @@ class AffineModel:
         self.n = n
         self.crystal = MultisegmentCrystal(n)
         self.ext = ExtendedCrystal(self.crystal)
-        self._scans: dict[tuple[int, int], SignatureNodes] = {}
+        # (i, k) -> (padded, position): the scan's nodes with None at both ends, and its inverse
+        self._scans: dict[tuple[int, int], tuple[tuple, dict[HLNode, int]]] = {}
         self._base = tuple((a + b - 2, b - a + 1) for a, b in map(_ends, range(n * (n + 1) // 2)))
 
     # -- the node lattice -------------------------------------------------
@@ -311,42 +234,60 @@ class AffineModel:
 
     # -- the direct operator rule -----------------------------------------
 
-    def signature_nodes(self, i: int, k: int) -> SignatureNodes:
-        """The 2n nodes the (i, k) operator scans, in closed form.
+    def _scan(self, i: int, k: int) -> tuple[tuple, dict[HLNode, int]]:
+        """Build and cache the (i, k) scan table (padded, position), in closed form.
 
         In block zero, position 2j-1 holds (j, 2(i-1)+j-1) and position 2j
         holds (j, 2(i-1)+j+1); block k is its elementwise k-fold dual shift,
-        which preserves positions.
+        which preserves positions.  Position t is padded[t] for
+        0 <= t <= 2n+1, None at 0 and 2n+1, and position inverts it.
         """
         if not 1 <= i <= self.n:
             raise ValueError(f"operator index {i} out of range for rank {self.n}")
-        cached = self._scans.get((i, k))
-        if cached is not None:
-            return cached
-        base = []
-        for j in range(1, self.n + 1):
-            base.append(HLNode(j, 2 * (i - 1) + j - 1))
-            base.append(HLNode(j, 2 * (i - 1) + j + 1))
-        sn = SignatureNodes(tuple(self.dual_shift(p, k) for p in base))
-        self._scans[(i, k)] = sn
-        return sn
+        nodes = [self.dual_shift(HLNode(j, 2 * (i - 1) + j + d), k) for j in range(1, self.n + 1) for d in (-1, 1)]
+        scan = self._scans[(i, k)] = (None, *nodes, None), {p: t for t, p in enumerate(nodes, 1)}
+        return scan
+
+    def signature_nodes(self, i: int, k: int) -> tuple[HLNode, ...]:
+        """The 2n nodes the (i, k) operator scans, position t at index t-1.
+
+        Odd positions emit minus symbols and even positions plus symbols; the
+        scan runs from the last position down to the first.
+        """
+        return (self._scans.get((i, k)) or self._scan(i, k))[0][1:-1]
 
     def _read(self, lam: HLWeight, i: int, k: int) -> tuple[tuple, int, int]:
         """(padded, minus, plus): the (i, k) scan's padded nodes and two positions on it.
 
-        minus is the position of lam's rightmost surviving minus and plus that
-        of its leftmost surviving plus; only lam's terms on the scan are read
-        and reduced.  With no surviving minus, minus is 2n+1, and with no
-        surviving plus, plus is 0; padded holds None there, so an operator
-        then only adds its unit.
+        One walk of lam's terms keeps those on the scan; in scan order, with a
+        zero count between two of the same sign, their coefficients are the
+        sparse signature word that ``reduce_runs`` reduces.  minus is the
+        position of lam's rightmost surviving minus and plus that of its
+        leftmost surviving plus.  With no surviving minus, minus is 2n+1, and
+        with no surviving plus, plus is 0; padded holds None there, so an
+        operator then only adds its unit.
         """
-        sn = self._scans.get((i, k)) or self.signature_nodes(i, k)
-        nodes = sn.padded
-        counts, at = sn.read(lam)
-        if not counts:
-            return nodes, len(nodes) - 1, 0
+        nodes, position = self._scans.get((i, k)) or self._scan(i, k)
+        top = len(nodes) - 1
+        hits = []
+        for p, c in lam:
+            t = position.get(p)
+            if t:
+                hits.append((t, c))
+        if not hits:
+            return nodes, top, 0
+        hits.sort(reverse=True)
+        counts, at = [], []
+        for t, c in hits:
+            # a count's index and position differ in parity: minuses sit at
+            # odd positions and even indices
+            if not (len(counts) ^ t) & 1:
+                counts.append(0)
+                at.append(0)
+            counts.append(c)
+            at.append(t)
         _, _, minus_at, plus_at = reduce_runs(counts)
-        return nodes, len(nodes) - 1 if minus_at is None else at[minus_at], 0 if plus_at is None else at[plus_at]
+        return nodes, top if minus_at is None else at[minus_at], 0 if plus_at is None else at[plus_at]
 
     def lowering(self, lam: HLWeight, i: int, k: int) -> HLWeight:
         """Move one unit from the leftmost surviving plus to the next position up.

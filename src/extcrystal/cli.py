@@ -250,11 +250,10 @@ _DEMO_CASES = (
 )
 
 
-def _reduced_row(model: AffineModel, lam: HLWeight, i: int, k: int) -> str:
-    """Surviving signs per scan position, top position first, '.' when empty."""
+def _reduced_row(counts: list[int]) -> str:
+    """Surviving signs per scan position of a dense word, top position first, '.' when empty."""
     # a minus is cancelled only from its left and a plus only from its right;
     # the suffixes keep their place, zeros before them, so each count keeps its sign
-    counts = model.signature_nodes(i, k).word(lam)
     cells = []
     for r in range(1, len(counts)):
         if r % 2 == 0:
@@ -274,19 +273,19 @@ def _cmd_demo_n3(_args: argparse.Namespace) -> int:
     lam = parse_hl_weight(_DEMO_WEIGHT)
     print("rank-3 worked example")
     print(f"lambda = {format_hl_weight(lam)}")
+    coeffs = dict(lam)
     ok = True
     for (i, k), frozen_row, removed, added in _DEMO_CASES:
-        sn = model.signature_nodes(i, k)
+        nodes = model.signature_nodes(i, k)
         print(f"\noperator ({i},{k})")
         print("  position  node          sign  count")
-        for t in range(len(sn.nodes), 0, -1):
-            p = sn.node_at(t)
-            print(f"  a_{t}       {_q_label(p):<13} {sn.sign_at(t)}     {lam.coeff(p)}")
-        row = _reduced_row(model, lam, i, k)
+        for t in range(len(nodes), 0, -1):
+            p = nodes[t - 1]
+            print(f"  a_{t}       {_q_label(p):<13} {'+-'[t % 2]}     {coeffs.get(p, 0)}")
+        # the dense word: the zero minus above position 2n, then every position from 2n down
+        row = _reduced_row([0, *(coeffs.get(p, 0) for p in reversed(nodes))])
         print(f"  reduced a_6..a_1: {row}")
-        expect = lam.remove_node(removed)
-        if added is not None:
-            expect = expect.add_node(added)
+        expect = HLWeight([*lam, (removed, -1), *([] if added is None else [(added, 1)])])
         got = model.lowering(lam, i, k)
         change = f"lambda - {removed}" + (f" + {added}" if added is not None else "")
         print(f"  lowering: {change}")

@@ -45,12 +45,6 @@ class RootLatticeElem(tuple):
     def rank(self) -> int:
         return len(self)
 
-    def coeff(self, j: int) -> int:
-        """Coefficient of alpha_j, with j counted from 1."""
-        if not 1 <= j <= len(self):
-            raise ValueError(f"coefficient index {j} out of range for rank {len(self)}")
-        return self[j - 1]
-
     def __add__(self, other: RootLatticeElem) -> RootLatticeElem:
         self._check_same_rank(other)
         return tuple.__new__(RootLatticeElem, [a + b for a, b in zip(self, other)])

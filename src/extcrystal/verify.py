@@ -483,11 +483,13 @@ def _check_sig_seq(cfg: SweepConfig, item: _SigSeqItem):
     cry = model.crystal
     c = model.to_extended(lam)
     low, high = model.ext.slot(c, k), model.ext.slot(c, k + 1)
+    coeffs = dict(lam)
     for i in range(1, cfg.n + 1):
-        # the node word, closed by a zero plus, is the starred word of slot k+1
-        # followed by the plain word of slot k
+        # the node word (a zero minus, then every position from 2n down),
+        # closed by a zero plus, is the starred word of slot k+1 followed by
+        # the plain word of slot k
         expect = [*cry.count_words(high, i)[1], *cry.count_words(low, i)[0]]
-        if model.signature_nodes(i, k).word(lam) + [0] != expect:
+        if [0, *(coeffs.get(p, 0) for p in reversed(model.signature_nodes(i, k))), 0] != expect:
             yield "signature-concat", f"i={i} k={k} elem={format_hl_weight(lam)!r}"
 
 

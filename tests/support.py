@@ -1,9 +1,10 @@
-"""Test-side views and edits of multisegments, extended elements, nodes and root-lattice vectors, built on the public API.
+"""Test-side views and edits of multisegments, extended elements, nodes, node weights and root-lattice vectors, built on the public API.
 
 It also keeps the package's seeded draws as first written, with the
 standard library's randint, randrange and choice, as references.
 """
 
+from extcrystal.affine import HLWeight
 from extcrystal.enumeration import all_segments
 from extcrystal.extended import ExtElement
 from extcrystal.msegment import Multisegment, Segment
@@ -45,6 +46,38 @@ def from_coeffs(lat, coeffs):
     if len(coeffs) != lat.n:
         raise ValueError(f"expected {lat.n} coefficients, got {len(coeffs)}")
     return RootLatticeElem(coeffs)
+
+
+def coeff(v, j):
+    """Coefficient of alpha_j in the root-lattice element v, with j counted from 1."""
+    if not 1 <= j <= len(v):
+        raise ValueError(f"coefficient index {j} out of range for rank {len(v)}")
+    return v[j - 1]
+
+
+def add_node(lam, p, count=1):
+    """The node weight lam with count more units at the node p."""
+    return HLWeight([*lam, (p, count)])
+
+
+def remove_node(lam, p, count=1):
+    """The node weight lam with count fewer units at the node p; ValueError if it holds fewer."""
+    return HLWeight([*lam, (p, -count)])
+
+
+def scan_word(model, lam, i, k):
+    """lam's dense signature word along (i, k): alternating counts in scan order.
+
+    Index r holds lam's coefficient at position 2n+1-r of the scan; index 0 is
+    the zero minus before the plus at position 2n that opens the scan.
+    """
+    held = dict(lam)
+    return [0, *(held.get(p, 0) for p in reversed(model.signature_nodes(i, k)))]
+
+
+def sign_at(t):
+    """The sign position t of a scan emits: plus at even positions, minus at odd ones."""
+    return "+" if t % 2 == 0 else "-"
 
 
 def block_of(model, p):

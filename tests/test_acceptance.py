@@ -17,7 +17,7 @@ from extcrystal.invariants import d_invariant, lambda_left, lambda_right
 from extcrystal.msegment import MultisegmentCrystal, Segment, parse_multisegment
 from extcrystal.rootdata import CartanA
 from extcrystal.verify import SweepConfig, run_all, run_suite
-from support import node_of_segment
+from support import add_node, node_of_segment, remove_node, sign_at
 
 DEMO = "(3,-4),(1,-2),(3,-2),2*(2,-1),(2,1),(1,2),(2,3),2*(3,4),(2,5),(2,7)"
 
@@ -31,8 +31,8 @@ def report(num, label, ok, detail=""):
 def test_01_worked_example_replay():
     model = AffineModel(3)
     lam = parse_hl_weight(DEMO)
-    want_0 = lam.remove_node(HLNode(3, 4))
-    want_1 = lam.remove_node(HLNode(2, -1)).add_node(HLNode(1, -2))
+    want_0 = remove_node(lam, HLNode(3, 4))
+    want_1 = add_node(remove_node(lam, HLNode(2, -1)), HLNode(1, -2))
     best = float("inf")
     results = []
     for _ in range(5):
@@ -54,8 +54,8 @@ def test_02_signature_position_lists():
     }
     ok = True
     for (i, k), rows in expected.items():
-        sn = model.signature_nodes(i, k)
-        got = [(sn.node_at(t).i, sn.node_at(t).a, sn.sign_at(t)) for t in range(1, 7)]
+        nodes = model.signature_nodes(i, k)
+        got = [(nodes[t - 1].i, nodes[t - 1].a, sign_at(t)) for t in range(1, 7)]
         ok = ok and got == rows
     report(2, "signature-position-lists", ok)
     assert ok

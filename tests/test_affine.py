@@ -18,7 +18,7 @@ from extcrystal.extended import ExtendedCrystal, format_ext_element, parse_ext_e
 from extcrystal.msegment import Multisegment, MultisegmentCrystal, Segment
 from extcrystal.parsing import ParseError
 from extcrystal.signature import expand, reduce_runs
-from support import add, block_of, from_coeffs, node_of_segment
+from support import add, add_node, block_of, from_coeffs, node_of_segment, remove_node, scan_word, sign_at
 
 M3 = AffineModel(3)
 EXT3 = ExtendedCrystal(MultisegmentCrystal(3))
@@ -54,8 +54,8 @@ def total(lam):
 
 def signature(model, lam, i, k):
     """lam's signature word along (i, k), one (sign, position) per symbol."""
-    sn = model.signature_nodes(i, k)
-    return [(sign, len(sn.nodes) + 1 - r) for sign, r in expand(sn.word(lam))]
+    word = scan_word(model, lam, i, k)
+    return [(sign, len(word) - r) for sign, r in expand(word)]
 
 
 def test_node_parity_constraint():
@@ -196,21 +196,21 @@ def test_weight_text_round_trip():
 
 def test_weight_container_operations():
     w = parse_hl_weight("(1,0),2*(2,1)")
-    assert w.coeff(HLNode(2, 1)) == 2
-    assert w.coeff(HLNode(1, 2)) == 0
+    assert dict(w).get(HLNode(2, 1), 0) == 2
+    assert dict(w).get(HLNode(1, 2), 0) == 0
     assert total(w) == 3
-    grown = w.add_node(HLNode(1, 2))
+    grown = add_node(w, HLNode(1, 2))
     assert format_hl_weight(grown) == "(1,0),2*(2,1),(1,2)"
-    shrunk = w.remove_node(HLNode(2, 1))
-    assert shrunk.coeff(HLNode(2, 1)) == 1
+    shrunk = remove_node(w, HLNode(2, 1))
+    assert dict(shrunk).get(HLNode(2, 1), 0) == 1
     with pytest.raises(ValueError):
-        w.remove_node(HLNode(1, 4))
+        remove_node(w, HLNode(1, 4))
     assert not w.is_zero()
     assert ZERO_WEIGHT.is_zero()
 
 
 def test_signature_positions_frozen_base():
-    sn = M3.signature_nodes(1, 0)
+    nodes = M3.signature_nodes(1, 0)
     expected = [
         (1, HLNode(1, 0), "-"),
         (2, HLNode(1, 2), "+"),
@@ -220,12 +220,12 @@ def test_signature_positions_frozen_base():
         (6, HLNode(3, 4), "+"),
     ]
     for t, node, sign in expected:
-        assert sn.node_at(t) == node
-        assert sn.sign_at(t) == sign
+        assert nodes[t - 1] == node
+        assert sign_at(t) == sign
 
 
 def test_signature_positions_frozen_shifted():
-    sn = M3.signature_nodes(1, -1)
+    nodes = M3.signature_nodes(1, -1)
     expected = [
         (1, HLNode(3, -4), "-"),
         (2, HLNode(3, -2), "+"),
@@ -235,22 +235,22 @@ def test_signature_positions_frozen_shifted():
         (6, HLNode(1, 0), "+"),
     ]
     for t, node, sign in expected:
-        assert sn.node_at(t) == node
-        assert sn.sign_at(t) == sign
+        assert nodes[t - 1] == node
+        assert sign_at(t) == sign
 
 
 def test_signature_positions_cover_two_adjacent_blocks():
     n = 3
     for i in (1, 2, 3):
         for k in (-1, 0, 1):
-            sn = M3.signature_nodes(i, k)
-            nodes = [sn.node_at(t) for t in range(1, 2 * n + 1)]
+            nodes = M3.signature_nodes(i, k)
             assert len(set(nodes)) == 2 * n
             blocks = {block_of(M3, p) for p in nodes}
             assert blocks == {k, k + 1}
-            # signs alternate with position parity
+            # signs alternate with position parity: one unit at t reads as one symbol
             for t in range(1, 2 * n + 1):
-                assert sn.sign_at(t) == ("+" if t % 2 == 0 else "-")
+                lone = HLWeight([(nodes[t - 1], 1)])
+                assert signature(M3, lone, i, k) == [("+" if t % 2 == 0 else "-", t)]
 
 
 def test_signature_word_hand_example():
@@ -278,9 +278,9 @@ def test_raising_on_zero_adds_last_position():
 def test_demo_weight_replay():
     lam = parse_hl_weight(DEMO)
     low0 = M3.lowering(lam, 1, 0)
-    assert low0 == lam.remove_node(HLNode(3, 4))
+    assert low0 == remove_node(lam, HLNode(3, 4))
     low1 = M3.lowering(lam, 1, -1)
-    assert low1 == lam.remove_node(HLNode(2, -1)).add_node(HLNode(1, -2))
+    assert low1 == add_node(remove_node(lam, HLNode(2, -1)), HLNode(1, -2))
 
 
 def test_demo_weight_signature_signs():
@@ -377,23 +377,23 @@ def test_operators_match_per_symbol_cancellation_on_large_coefficients():
         lam = HLWeight.from_counts({p: rng.randint(10, 40) for p in rng.sample(pool, rng.randint(1, 8))})
         for i in range(1, 6):
             for k in (-1, 0, 1):
-                sn = model.signature_nodes(i, k)
+                nodes = model.signature_nodes(i, k)
                 left = cancel_in_random_order(signature(model, lam, i, k), rng)
                 minus = [t for sign, t in left if sign == "-"]
                 plus = [t for sign, t in left if sign == "+"]
                 if plus:
-                    want = lam.remove_node(sn.node_at(plus[0]))
-                    if plus[0] < len(sn.nodes):
-                        want = want.add_node(sn.node_at(plus[0] + 1))
+                    want = remove_node(lam, nodes[plus[0] - 1])
+                    if plus[0] < len(nodes):
+                        want = add_node(want, nodes[plus[0]])
                 else:
-                    want = lam.add_node(sn.node_at(1))
+                    want = add_node(lam, nodes[0])
                 assert model.lowering(lam, i, k) == want
                 if minus:
-                    want = lam.remove_node(sn.node_at(minus[-1]))
+                    want = remove_node(lam, nodes[minus[-1] - 1])
                     if minus[-1] > 1:
-                        want = want.add_node(sn.node_at(minus[-1] - 1))
+                        want = add_node(want, nodes[minus[-1] - 2])
                 else:
-                    want = lam.add_node(sn.node_at(len(sn.nodes)))
+                    want = add_node(lam, nodes[-1])
                 assert model.raising(lam, i, k) == want
 
 
@@ -443,9 +443,9 @@ def test_node_operator_splice_edge_cases(case):
     got = getattr(M3, op)(lam, 1, 0)
     want = lam
     if removed is not None:
-        want = want.remove_node(HLNode(*removed))
+        want = remove_node(want, HLNode(*removed))
     if added is not None:
-        want = want.add_node(HLNode(*added))
+        want = add_node(want, HLNode(*added))
     assert got == want
     assert format_hl_weight(got) == frozen
     assert_canonical(got)
@@ -453,10 +453,10 @@ def test_node_operator_splice_edge_cases(case):
 
 def reference_moves(model, lam, i, k):
     """(lowering, raising) of lam along (i, k) by the definition: the full word of 2n+1 counts, reduced."""
-    nodes = model.signature_nodes(i, k).nodes
+    nodes = model.signature_nodes(i, k)
     held = dict(lam.terms)
     # index r holds position 2n+1-r; index 0 is the zero minus above position 2n
-    word = [0] + [held.get(p, 0) for p in reversed(nodes)]
+    word = scan_word(model, lam, i, k)
     _, _, minus_at, plus_at = reduce_runs(word)
     padded = (None, *nodes, None)
     top = len(nodes) + 1
@@ -477,10 +477,10 @@ def reference_moves(model, lam, i, k):
 def sparse_read_inputs(model, i, k, rng):
     """Weights that reach every case of the sparse read along (i, k)."""
     n = model.n
-    scan = model.signature_nodes(i, k).nodes
+    scan = model.signature_nodes(i, k)
     near = [p for j in (k - 1, k, k + 1, k + 2) for p in model.block_nodes(j)]
     off = [p for p in near if p not in scan]
-    both = sorted({*scan, *model.signature_nodes(i, k + 1).nodes, *model.signature_nodes(i, k - 1).nodes})
+    both = sorted({*scan, *model.signature_nodes(i, k + 1), *model.signature_nodes(i, k - 1)})
     out = [ZERO_WEIGHT, HLWeight.from_counts({p: rng.randint(1, 9) for p in rng.sample(off, 4)})]
     for c in (1, 3, BIG):
         # two positions of one sign with nothing between them, alone and among other terms

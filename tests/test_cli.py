@@ -274,6 +274,12 @@ def test_demo_replay(capsys):
     assert out.rstrip().endswith("overall: PASS")
 
 
+def test_demo_prints_the_recorded_output(capsys):
+    golden = Path(__file__).parent / "golden" / "demo-n3.txt"
+    code = cli.main(["demo-n3"])
+    assert (code, capsys.readouterr().out) == (0, golden.read_text(encoding="utf-8"))
+
+
 def test_module_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "extcrystal", "apply", "F", "", "1", "0", "--n", "1"],

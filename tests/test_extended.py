@@ -22,7 +22,7 @@ from extcrystal.extended import (
 from extcrystal.msegment import EMPTY, MultisegmentCrystal, parse_multisegment
 from extcrystal.parsing import ParseError
 from extcrystal.sl2 import Sl2Crystal
-from support import from_coeffs
+from support import coeff, from_coeffs
 
 EXT3 = ExtendedCrystal(MultisegmentCrystal(3))
 EXT1 = ExtendedCrystal(MultisegmentCrystal(1))
@@ -338,7 +338,7 @@ def test_sl2_crystal_is_a_single_string():
     assert s.epsilon(4, 1) == 4
     assert s.epsilon_star(4, 1) == 4
     assert s.star(4) == 4
-    assert s.weight(3).coeff(1) == -3
+    assert coeff(s.weight(3), 1) == -3
 
 
 def test_sl2_extended_branch_rule():

@@ -12,7 +12,7 @@ import pytest
 import extcrystal.cli as cli
 import extcrystal.verify as verify
 from extcrystal.invariants import PairingRead
-from extcrystal.affine import AffineModel, HLNode, HLWeight, SignatureNodes, format_hl_weight
+from extcrystal.affine import AffineModel, HLNode, HLWeight, format_hl_weight
 from extcrystal.enumeration import iter_multisegments
 from extcrystal.extended import ExtendedCrystal
 from extcrystal.msegment import MultisegmentCrystal
@@ -175,22 +175,25 @@ def _within(seconds, fn, *args):
 
 
 def _shift_a_unit_in_the_word(monkeypatch):
-    """One unit at position 2n read at position 2n-1, in the read the operators and the dense word share."""
-    read = SignatureNodes.read
+    """One unit at scan position 2n misread, in both reads of the scan.
 
-    def bad_read(self, lam):
-        counts, at = read(self, lam)
-        top = len(self.nodes)
-        held = dict(zip(at, counts))
-        if held.get(top):
-            held[top] -= 1
-            held[top - 1] = held.get(top - 1, 0) + 1
-            # the dense word: a zero minus, then every position from 2n down
-            at = [0, *range(top, 0, -1)]
-            counts = [held.get(t, 0) for t in at]
-        return counts, at
+    The operators read it at position 2n-1, and the dense word that sig-seq
+    builds from the scan's nodes reads none at 2n.  Both methods are called
+    on every read, so the fault reaches scans the model has already cached.
+    """
+    read, signature_nodes = AffineModel._read, AffineModel.signature_nodes
 
-    monkeypatch.setattr(SignatureNodes, "read", bad_read)
+    def bad_read(self, lam, i, k):
+        nodes = signature_nodes(self, i, k)
+        if dict(lam).get(nodes[-1]):
+            lam = lam._moved(nodes[-1], nodes[-2])
+        return read(self, lam, i, k)
+
+    def bad_nodes(self, i, k):
+        return (*signature_nodes(self, i, k)[:-1], None)
+
+    monkeypatch.setattr(AffineModel, "_read", bad_read)
+    monkeypatch.setattr(AffineModel, "signature_nodes", bad_nodes)
 
 
 def test_parallel_node_suites_match_serial(monkeypatch):
