@@ -6,9 +6,17 @@ affine type A model of rank n.  The dual shift sends (i, a) to
 the triangle i-1 <= a <= 2n-1-i, and block k its image under k dual shifts.
 
 Each node corresponds to a segment placed in the slot given by its block: the
-segment [a,b] in slot k maps to the k-fold dual shift of the node
-(b-a+1, b+a-2), read off a per-rank table; back, the block is
-2q + (r > 2(n-i)) with q, r = divmod(a-i+1, 2(n+1)).  Transporting the
+segment [a,b] in slot k is the k-fold dual shift of the node (b-a+1, a+b-2),
+and back, a node (i, a) of block zero reads the segment
+[(a-i+3)/2, (a+i+1)/2] in slot zero, and a node of block k the segment its
+(-k)-fold shift reads, in slot k.  Two dual shifts add 2(n+1) to a and keep
+i, so the model keeps the dictionary as two per-rank tables, built once:
+keys[parity][position], the key of the segment at each multiplicity position
+in slot 0 and in slot 1, and at[i][r], the (parity, position) of the nodes
+(i, a) with a-i+1 = r mod 2(n+1), which all read the same segment in slots of
+one parity.  to_weight reads keys[k mod 2] and adds (k - k mod 2)(n+1) to
+each a; to_extended takes q, r = divmod(a-i+1, 2(n+1)) and reads the slot
+2q + parity and the position from at[i][r].  Transporting the
 extended-crystal operators through this correspondence gives a direct rule on
 formal sums of nodes with nonnegative coefficients, the highest weights: the
 operator along (i, k) scans a fixed ordered list of 2n nodes, reads the
@@ -29,10 +37,11 @@ validating constructor, which merges, checks and sorts.
 
 from __future__ import annotations
 
+from itertools import compress
 from operator import itemgetter
 
 from .extended import ExtElement, ExtendedCrystal, _from_slots
-from .msegment import MultisegmentCrystal, Segment, _ends, _index, _of
+from .msegment import MultisegmentCrystal, Segment, _ends, _of
 from .parsing import Scanner, parse_counted
 from .rootdata import RootLatticeElem, check_rank
 from .signature import reduce_runs
@@ -74,6 +83,8 @@ class HLWeight(tuple):
     def __new__(cls, terms=()) -> "HLWeight":
         merged: dict[HLNode, int] = {}
         for p, c in terms:
+            if not isinstance(p, HLNode):
+                raise ValueError(f"expected a node, got {p!r}")
             if not isinstance(c, int):
                 raise ValueError(f"coefficient of {p} must be an integer, got {c!r}")
             merged[p] = merged.get(p, 0) + c
@@ -142,6 +153,22 @@ def _sorted_weight(keyed: list) -> HLWeight:
     return tuple.__new__(HLWeight, [(tuple.__new__(HLNode, key), c) for key, c in keyed])
 
 
+def _dictionary(n: int) -> tuple[tuple[tuple, tuple], tuple]:
+    """The two tables (keys, at) of the segment/node dictionary at rank n; see the module docstring.
+
+    at inverts keys; at[i] holds None at odd r, which no node has, and at[0] is unused.
+    """
+    step = n + 1
+    base = tuple((a + b - 2, b - a + 1) for a, b in map(_ends, range(n * step // 2)))
+    keys = base, tuple((a + step, step - i) for a, i in base)
+    at = [[None] * 2 * step for _ in range(step)]
+    for parity, slot in enumerate(keys):
+        for position, (a, i) in enumerate(slot):
+            # blocks 0 and 1 both have 0 <= a - i + 1 <= 2n
+            at[i][a - i + 1] = parity, position
+    return keys, tuple(map(tuple, at))
+
+
 class AffineModel:
     """Block lattice, segment correspondence and the direct operator rule."""
 
@@ -152,66 +179,79 @@ class AffineModel:
         self.ext = ExtendedCrystal(self.crystal)
         # (i, k) -> (padded, position): the scan's nodes with None at both ends, and its inverse
         self._scans: dict[tuple[int, int], tuple[tuple, dict[HLNode, int]]] = {}
-        self._base = tuple((a + b - 2, b - a + 1) for a, b in map(_ends, range(n * (n + 1) // 2)))
+        self._keys, self._at = _dictionary(n)
 
     # -- the node lattice -------------------------------------------------
 
     def check_node(self, p: HLNode) -> None:
-        a, i = p
-        self._locate(i, a)
+        self._slot_of(p)
 
     def dual_shift(self, p: HLNode, k: int = 1) -> HLNode:
         """Apply the dual shift k times; k may be negative."""
         a, i = p
         return HLNode(self.n + 1 - i if k % 2 else i, a + k * (self.n + 1))
 
-    def _place(self, position: int, k: int) -> tuple[int, int]:
-        """The key (a, i) of the segment at a multiplicity position in slot k: its base node, shifted k times."""
-        a, i = self._base[position]
-        return a + k * (self.n + 1), (self.n + 1 - i if k % 2 else i)
+    def _slot_of(self, p: HLNode) -> tuple[int, int]:
+        """(slot, multiplicity position) of the node p; see the module docstring.
 
-    def _locate(self, i: int, a: int) -> tuple[int, int]:
-        """(slot, multiplicity position) of the node (i, a); see the module docstring."""
+        to_extended inlines this for speed, refusal included.
+        """
+        a, i = p
         if not 1 <= i <= self.n:
             raise ValueError(f"node ({i},{a}) out of range for rank {self.n}")
-        step = self.n + 1
-        q, r = divmod(a - i + 1, 2 * step)
-        k = 2 * q + (r > 2 * (self.n - i))
-        i, a = (step - i if k % 2 else i), a - k * step
-        return k, _index((a - i + 3) // 2, (a + i + 1) // 2)
+        q, r = divmod(a - i + 1, 2 * self.n + 2)
+        parity, position = self._at[i][r]
+        return 2 * q + parity, position
 
     def block_nodes(self, k: int) -> tuple[HLNode, ...]:
-        return tuple(sorted(_hl_node(self._place(j, k)) for j in range(len(self._base))))
+        parity = k & 1
+        shift = (k - parity) * (self.n + 1)
+        return tuple(sorted(_hl_node((a + shift, i)) for a, i in self._keys[parity]))
 
     # -- correspondence with slotted multisegments ------------------------
 
     def segment_of_node(self, p: HLNode) -> tuple[Segment, int]:
         """The (segment, slot) pair a node stands for."""
-        a, i = p
-        k, position = self._locate(i, a)
+        k, position = self._slot_of(p)
         return Segment(*_ends(position)), k
 
     def to_weight(self, c: ExtElement) -> HLWeight:
         """Total node count of a slotted multisegment element."""
-        keyed = []
+        step, keys, terms = self.n + 1, self._keys, []
         for k, m in c:
             self.crystal.validate(m)
-            for position, mult in enumerate(m[:]):
-                if mult:
-                    keyed.append((self._place(position, k), mult))
+            parity = k & 1
+            shift, slot, mults = (k - parity) * step, keys[parity], m[:]
+            for position in compress(range(len(mults)), mults):
+                a, i = slot[position]
+                terms.append((tuple.__new__(HLNode, (a + shift, i)), mults[position]))
         # distinct (slot, position) pairs give distinct nodes: nothing to merge
-        return _sorted_weight(keyed)
+        terms.sort()
+        return tuple.__new__(HLWeight, terms)
 
     def to_extended(self, lam: HLWeight) -> ExtElement:
         """Inverse of to_weight."""
-        per_slot: dict[int, list[int]] = {}
-        for p, c in lam:
-            a, i = p
-            k, position = self._locate(i, a)
-            mults = per_slot.setdefault(k, [])
-            mults.extend([0] * (position + 1 - len(mults)))
+        n, period, at = self.n, 2 * self.n + 2, self._at
+        found = []
+        for (a, i), c in lam:
+            if not 1 <= i <= n:
+                raise ValueError(f"node ({i},{a}) out of range for rank {n}")
+            q, r = divmod(a - i + 1, period)
+            parity, position = at[i][r]
+            found.append((2 * q + parity, position, c))
+        # by slot, descending, and within a slot from the top position down,
+        # which sizes that slot's multiplicity list
+        found.sort(reverse=True)
+        slots, last = [], None
+        for k, position, c in found:
+            if k != last:
+                if last is not None:
+                    slots.append((last, _of(mults)))
+                last, mults = k, [0] * (position + 1)
             mults[position] = c
-        return _from_slots(tuple((k, _of(per_slot[k])) for k in sorted(per_slot, reverse=True)))
+        if last is not None:
+            slots.append((last, _of(mults)))
+        return _from_slots(tuple(slots))
 
     # -- weights ----------------------------------------------------------
 

@@ -26,7 +26,7 @@ class AbstractCrystal:
 
     @property
     def highest(self):
-        """The highest-weight element."""
+        """The highest-weight element; it is the only falsy element, which is how ``ExtElement`` drops highest slots."""
         raise NotImplementedError
 
     def indices(self) -> range:

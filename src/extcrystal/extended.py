@@ -37,7 +37,8 @@ from .rootdata import RootLatticeElem
 class ExtElement(tuple):
     """Finitely supported slot assignment: the tuple of its (slot, element) pairs.
 
-    Slots are kept in decreasing order and never hold a highest element.
+    Slots are kept in decreasing order and never hold a highest element:
+    the constructor drops the entries it is given for highest ones.
     """
 
     __slots__ = ()
@@ -47,7 +48,8 @@ class ExtElement(tuple):
         ks = [k for k, _ in canon]
         if len(set(ks)) != len(ks):
             raise ValueError(f"duplicate slot index in {ks}")
-        return tuple.__new__(cls, canon)
+        # the highest element is the only falsy one (see AbstractCrystal)
+        return tuple.__new__(cls, [kv for kv in canon if kv[1]])
 
     @property
     def slots(self) -> tuple[tuple[int, object], ...]:
@@ -97,14 +99,11 @@ class ExtendedCrystal:
 
     def element(self, mapping: dict) -> ExtElement:
         """Build an element from a slot -> B(infinity) dict, dropping highest slots."""
-        slots = []
         for k, b in mapping.items():
             if not isinstance(k, int):
                 raise ValueError(f"slot index must be an integer, got {k!r}")
             self.crystal.validate(b)
-            if b != self.crystal.highest:
-                slots.append((k, b))
-        return ExtElement(tuple(slots))
+        return ExtElement(tuple(mapping.items()))
 
     def inject(self, b, k: int = 0) -> ExtElement:
         """Place a single B(infinity) element into slot k."""

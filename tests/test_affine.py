@@ -14,7 +14,7 @@ from extcrystal.affine import (
     parse_hl_weight,
 )
 from extcrystal.enumeration import iter_ext_elements, random_ext_element
-from extcrystal.extended import ExtendedCrystal, format_ext_element, parse_ext_element
+from extcrystal.extended import ExtElement, ExtendedCrystal, format_ext_element, parse_ext_element
 from extcrystal.msegment import Multisegment, MultisegmentCrystal, Segment
 from extcrystal.parsing import ParseError
 from extcrystal.signature import expand, reduce_runs
@@ -559,6 +559,23 @@ def test_conversions_match_the_dictionary_exhaustive():
                     seg, k = model.segment_of_node(p)
                     assert seg.b <= n and reference_node(n, seg.a, seg.b, k) == (i, a)
                     assert node_of_segment(model, seg, k) == p
+
+
+def test_weight_refuses_a_term_that_is_not_a_node():
+    for bad in ((1, 0), (0, 1), "(1,0)", None):
+        with pytest.raises(ValueError) as err:
+            HLWeight([(bad, 2)])
+        assert str(err.value) == f"expected a node, got {bad!r}"
+    with pytest.raises(ValueError):
+        HLWeight.from_counts({(0, 1): 1})
+    assert HLWeight([(HLNode(1, 0), 2)]) == parse_hl_weight("2*(1,0)")
+
+
+def test_conversions_drop_a_highest_slot_given_to_the_constructor():
+    model = AffineModel(2)
+    c = ExtElement([(0, Multisegment()), (1, Multisegment([Segment(1, 2)]))])
+    assert model.to_extended(model.to_weight(c)) == c == ExtElement([(1, Multisegment([Segment(1, 2)]))])
+    assert model.to_weight(ExtElement([(0, Multisegment())])) == ZERO_WEIGHT
 
 
 def test_conversion_refusals():

@@ -73,6 +73,22 @@ def test_element_drops_empty_slots():
     assert c.support() == (2,)
 
 
+def test_constructor_drops_highest_entries_for_both_realizations():
+    # the highest element is the only falsy one: EMPTY here, 0 for Sl2Crystal
+    ext2 = ExtendedCrystal(MultisegmentCrystal(2))
+    c = ExtElement([(0, EMPTY)])
+    assert c == HIGHEST and c.is_highest() and format_ext_element(c) == "1"
+    assert format_ext_element(ext2.raising(c, 1, 0)) == "1:[1]"
+    mixed_slots = ExtElement([(-1, EMPTY), (2, parse_multisegment("[1]")), (0, EMPTY)])
+    assert mixed_slots == ExtElement([(2, parse_multisegment("[1]"))]) and mixed_slots.support() == (2,)
+    sl2 = ExtendedCrystal(Sl2Crystal())
+    d = ExtElement([(1, 0), (0, 2), (-3, 0)])
+    assert d == sl2.element({0: 2}) and d.support() == (0,) and format_ext_element(d) == "0:2"
+    assert ExtElement([(5, 0)]) == HIGHEST and format_ext_element(sl2.lowering(ExtElement([(0, 0)]), 1, 0)) == "0:1"
+    with pytest.raises(ValueError):
+        ExtElement([(0, EMPTY), (0, parse_multisegment("[1]"))])
+
+
 def test_inject_places_content_at_slot():
     m = parse_multisegment("[1,2]")
     assert format_ext_element(EXT3.inject(m)) == "0:[1,2]"
