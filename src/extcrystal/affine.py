@@ -23,16 +23,18 @@ operator along (i, k) scans a fixed ordered list of 2n nodes, reads the
 weight's coefficients there as the alternating counts of a signature word
 (see ``signature``), cancels adjacent (+,-) pairs, and moves one unit of
 coefficient between neighbouring list positions.  The model builds each
-list once, with None at both ends and its map from node to position.  The
-word is sparse: one walk of the weight's terms keeps those on the list, in
-scan order, with a zero count between two of the same sign, so an operator
-reads and reduces only what the weight holds there; with nothing there it
-just adds a unit at an end of the list.  A node is the tuple (a, i), its own
-sort key, and a weight is the tuple of its (node, coefficient) terms in node
-order, so both compare and hash as plain tuples.  The operators splice that
-unit into the weight's terms in one pass, and the conversions sort their
-nodes once, unchecked; weights built from outside input go through the
-validating constructor, which merges, checks and sorts.
+list once, with None at both ends and its map from node to position.  An
+operator makes one walk of the weight's terms.  It keeps those on the list,
+in scan order, with a zero count between two of the same sign: the sparse
+word, so it reads and reduces only what the weight holds there.  Until the
+first such term turns up, the walk also copies the terms with a unit spliced
+in at an end of the list; with nothing there that copy is the answer and the
+walk is all the work, and otherwise one more pass splices the move into the
+terms.  A node is the tuple (a, i), its own sort key, and a weight is the
+tuple of its (node, coefficient) terms in node order, so both compare and
+hash as plain tuples.  The conversions sort their nodes once, unchecked;
+weights built from outside input go through the validating constructor,
+which merges, checks and sorts.
 """
 
 from __future__ import annotations
@@ -53,7 +55,7 @@ class HLNode(tuple):
     __slots__ = ()
 
     def __new__(cls, i: int, a: int) -> "HLNode":
-        if not (isinstance(i, int) and isinstance(a, int)):
+        if not (type(i) is int and type(a) is int):
             raise ValueError(f"node coordinates must be integers, got ({i!r},{a!r})")
         if i < 1:
             raise ValueError(f"node ({i},{a}): first coordinate must be positive")
@@ -85,7 +87,7 @@ class HLWeight(tuple):
         for p, c in terms:
             if not isinstance(p, HLNode):
                 raise ValueError(f"expected a node, got {p!r}")
-            if not isinstance(c, int):
+            if type(c) is not int:
                 raise ValueError(f"coefficient of {p} must be an integer, got {c!r}")
             merged[p] = merged.get(p, 0) + c
         for p, c in merged.items():
@@ -103,31 +105,6 @@ class HLWeight(tuple):
     @staticmethod
     def from_counts(counts: dict[HLNode, int]) -> "HLWeight":
         return HLWeight(tuple(counts.items()))
-
-    def _moved(self, drop: HLNode | None, put: HLNode | None) -> "HLWeight":
-        """One unit fewer at node drop and one more at put; None skips either.
-
-        One pass splices both changes into the sorted terms: drop loses a unit
-        or vanishes at coefficient 1, put gains one or enters at its place.
-        drop must be present.
-        """
-        out = []
-        for term in self:
-            p, c = term
-            if put is not None and p >= put:
-                if p == put:
-                    term = (p, c + 1)
-                else:
-                    out.append((put, 1))
-                put = None
-            if p == drop:
-                if c > 1:
-                    out.append((p, c - 1))
-                continue
-            out.append(term)
-        if put is not None:
-            out.append((put, 1))
-        return tuple.__new__(HLWeight, out)
 
     def support(self) -> tuple[HLNode, ...]:
         return tuple(p for p, _ in self)
@@ -296,26 +273,37 @@ class AffineModel:
         """
         return (self._scans.get((i, k)) or self._scan(i, k))[0][1:-1]
 
-    def _read(self, lam: HLWeight, i: int, k: int) -> tuple[tuple, int, int]:
-        """(padded, minus, plus): the (i, k) scan's padded nodes and two positions on it.
+    def _step(self, lam: HLWeight, i: int, k: int, d: int) -> HLWeight:
+        """lam after the (i, k) operator: lowering for d = 1, raising for d = -1.
 
-        One walk of lam's terms keeps those on the scan; in scan order, with a
-        zero count between two of the same sign, their coefficients are the
-        sparse signature word that ``reduce_runs`` reduces.  minus is the
-        position of lam's rightmost surviving minus and plus that of its
-        leftmost surviving plus.  With no surviving minus, minus is 2n+1, and
-        with no surviving plus, plus is 0; padded holds None there, so an
-        operator then only adds its unit.
+        Lowering moves a unit from the leftmost surviving plus of the sparse
+        word one position up, raising from the rightmost surviving minus one
+        position down; past an end of the scan the unit disappears.  With no
+        surviving plus, lowering's unit appears at position 1, and with no
+        surviving minus, raising's appears at position 2n.
         """
         nodes, position = self._scans.get((i, k)) or self._scan(i, k)
-        top = len(nodes) - 1
-        hits = []
-        for p, c in lam:
+        put = nodes[1] if d > 0 else nodes[-2]
+        # until a term on the scan turns up, copy lam with put at its sorted place
+        terms, out = iter(lam), []
+        for term in terms:
+            p = term[0]
+            t = position.get(p)
+            if t:
+                break
+            if put is not None and p > put:
+                out.append((put, 1))
+                put = None
+            out.append(term)
+        else:
+            if put is not None:
+                out.append((put, 1))
+            return tuple.__new__(HLWeight, out)
+        hits = [(t, term[1])]
+        for p, c in terms:
             t = position.get(p)
             if t:
                 hits.append((t, c))
-        if not hits:
-            return nodes, top, 0
         hits.sort(reverse=True)
         counts, at = [], []
         for t, c in hits:
@@ -327,25 +315,36 @@ class AffineModel:
             counts.append(c)
             at.append(t)
         _, _, minus_at, plus_at = reduce_runs(counts)
-        return nodes, top if minus_at is None else at[minus_at], 0 if plus_at is None else at[plus_at]
+        if d > 0:
+            t = 0 if plus_at is None else at[plus_at]
+        else:
+            t = len(nodes) - 1 if minus_at is None else at[minus_at]
+        drop, put = nodes[t], nodes[t + d]
+        out = []
+        for term in lam:
+            p, c = term
+            if put is not None and p >= put:
+                if p == put:
+                    term = (p, c + 1)
+                else:
+                    out.append((put, 1))
+                put = None
+            if p == drop:
+                if c > 1:
+                    out.append((p, c - 1))
+                continue
+            out.append(term)
+        if put is not None:
+            out.append((put, 1))
+        return tuple.__new__(HLWeight, out)
 
     def lowering(self, lam: HLWeight, i: int, k: int) -> HLWeight:
-        """Move one unit from the leftmost surviving plus to the next position up.
-
-        Past the last position the unit disappears; with no surviving plus a
-        unit appears at the first position.
-        """
-        nodes, _, t = self._read(lam, i, k)
-        return lam._moved(nodes[t], nodes[t + 1])
+        """Move one unit from the leftmost surviving plus to the next position up; see ``_step``."""
+        return self._step(lam, i, k, 1)
 
     def raising(self, lam: HLWeight, i: int, k: int) -> HLWeight:
-        """Move one unit from the rightmost surviving minus one position down.
-
-        Past the first position the unit disappears; with no surviving minus
-        a unit appears at the last position.
-        """
-        nodes, s, _ = self._read(lam, i, k)
-        return lam._moved(nodes[s], nodes[s - 1])
+        """Move one unit from the rightmost surviving minus one position down; see ``_step``."""
+        return self._step(lam, i, k, -1)
 
 
 def format_hl_weight(lam: HLWeight) -> str:
@@ -360,10 +359,10 @@ def format_hl_weight(lam: HLWeight) -> str:
 
 def parse_hl_weight(text: str) -> HLWeight:
     """Parse comma-separated "(i,a)" terms with optional "c*" prefixes; "0" is zero."""
-    return HLWeight(tuple(parse_counted(text, ("0",), _read_node, "coefficient")))
+    return HLWeight(tuple(parse_counted(text, ("0",), _take_node, "coefficient")))
 
 
-def _read_node(sc: Scanner) -> HLNode:
+def _take_node(sc: Scanner) -> HLNode:
     sc.expect("(")
     i = sc.take_int()
     sc.expect(",")

@@ -20,8 +20,8 @@ not read, since its counters are 0 in every B(infinity); a branch that acts
 on it lowers the highest element through the realization's own operator.
 The two new slots are spliced into that range of the descending slot tuple
 without re-sorting, and the slot the operator left alone keeps its entry.
-An ``ExtElement`` built from outside input is sorted and checked for
-duplicate slots instead.
+An ``ExtElement`` built from outside input is sorted instead, and its slot
+indices are checked to be distinct integers.
 
 Slot weights alternate in sign with the slot index, so lowering along (i, k)
 moves the total weight by (-1)^(k+1) alpha_i.
@@ -37,17 +37,20 @@ from .rootdata import RootLatticeElem
 class ExtElement(tuple):
     """Finitely supported slot assignment: the tuple of its (slot, element) pairs.
 
-    Slots are kept in decreasing order and never hold a highest element:
-    the constructor drops the entries it is given for highest ones.
+    Slots are integers kept in decreasing order and never hold a highest
+    element: the constructor drops the entries it is given for highest ones.
     """
 
     __slots__ = ()
 
     def __new__(cls, slots=()) -> "ExtElement":
-        canon = sorted(slots, key=lambda kv: -kv[0])
-        ks = [k for k, _ in canon]
-        if len(set(ks)) != len(ks):
-            raise ValueError(f"duplicate slot index in {ks}")
+        canon = list(slots)
+        for k, _ in canon:
+            if type(k) is not int:
+                raise ValueError(f"slot index must be an integer, got {k!r}")
+        canon.sort(key=lambda kv: -kv[0])
+        if len({k for k, _ in canon}) != len(canon):
+            raise ValueError(f"duplicate slot index in {[k for k, _ in canon]}")
         # the highest element is the only falsy one (see AbstractCrystal)
         return tuple.__new__(cls, [kv for kv in canon if kv[1]])
 
@@ -99,9 +102,7 @@ class ExtendedCrystal:
 
     def element(self, mapping: dict) -> ExtElement:
         """Build an element from a slot -> B(infinity) dict, dropping highest slots."""
-        for k, b in mapping.items():
-            if not isinstance(k, int):
-                raise ValueError(f"slot index must be an integer, got {k!r}")
+        for b in mapping.values():
             self.crystal.validate(b)
         return ExtElement(tuple(mapping.items()))
 

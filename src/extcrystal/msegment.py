@@ -47,7 +47,7 @@ class Segment(tuple):
     __slots__ = ()
 
     def __new__(cls, a: int, b: int) -> "Segment":
-        if not (isinstance(a, int) and isinstance(b, int)):
+        if not (type(a) is int and type(b) is int):
             raise ValueError(f"segment endpoints must be integers, got [{a!r},{b!r}]")
         if not 1 <= a <= b:
             raise ValueError(f"invalid segment [{a},{b}]: need 1 <= a <= b")

@@ -9,6 +9,7 @@ from extcrystal.enumeration import all_segments
 from extcrystal.extended import ExtElement
 from extcrystal.msegment import Multisegment, Segment
 from extcrystal.rootdata import RootLatticeElem
+from extcrystal.signature import reduce_runs
 
 
 def counts(m):
@@ -73,6 +74,29 @@ def scan_word(model, lam, i, k):
     """
     held = dict(lam)
     return [0, *(held.get(p, 0) for p in reversed(model.signature_nodes(i, k)))]
+
+
+def reference_moves(model, lam, i, k):
+    """(lowering, raising) of lam along (i, k) by the definition: the full word of 2n+1 counts, reduced."""
+    nodes = model.signature_nodes(i, k)
+    held = dict(lam.terms)
+    # index r holds position 2n+1-r; index 0 is the zero minus above position 2n
+    word = scan_word(model, lam, i, k)
+    _, _, minus_at, plus_at = reduce_runs(word)
+    padded = (None, *nodes, None)
+    top = len(nodes) + 1
+
+    def moved(drop, put):
+        counts = dict(held)
+        if drop is not None:
+            counts[drop] -= 1
+        if put is not None:
+            counts[put] = counts.get(put, 0) + 1
+        return HLWeight.from_counts(counts)
+
+    t = 0 if plus_at is None else top - plus_at
+    s = top if minus_at is None else top - minus_at
+    return moved(padded[t], padded[t + 1]), moved(padded[s], padded[s - 1])
 
 
 def sign_at(t):

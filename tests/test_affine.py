@@ -17,8 +17,18 @@ from extcrystal.enumeration import iter_ext_elements, random_ext_element
 from extcrystal.extended import ExtElement, ExtendedCrystal, format_ext_element, parse_ext_element
 from extcrystal.msegment import Multisegment, MultisegmentCrystal, Segment
 from extcrystal.parsing import ParseError
-from extcrystal.signature import expand, reduce_runs
-from support import add, add_node, block_of, from_coeffs, node_of_segment, remove_node, scan_word, sign_at
+from extcrystal.signature import expand
+from support import (
+    add,
+    add_node,
+    block_of,
+    from_coeffs,
+    node_of_segment,
+    reference_moves,
+    remove_node,
+    scan_word,
+    sign_at,
+)
 
 M3 = AffineModel(3)
 EXT3 = ExtendedCrystal(MultisegmentCrystal(3))
@@ -451,27 +461,43 @@ def test_node_operator_splice_edge_cases(case):
     assert_canonical(got)
 
 
-def reference_moves(model, lam, i, k):
-    """(lowering, raising) of lam along (i, k) by the definition: the full word of 2n+1 counts, reduced."""
-    nodes = model.signature_nodes(i, k)
-    held = dict(lam.terms)
-    # index r holds position 2n+1-r; index 0 is the zero minus above position 2n
-    word = scan_word(model, lam, i, k)
-    _, _, minus_at, plus_at = reduce_runs(word)
-    padded = (None, *nodes, None)
-    top = len(nodes) + 1
+# Weights with no term on the (1, 0) scan at rank 3: lowering's unit enters
+# at (1,0), position 1, and raising's at (3,4), position 6, each at its sorted
+# place among the terms.  Each case: weight, then the frozen lowering and
+# raising.
+SCAN_FREE_CASES = {
+    "zero weight": ("0", "(1,0)", "(3,4)"),
+    "unit enters before the first term": ("(2,5),(1,6)", "(1,0),(2,5),(1,6)", "(3,4),(2,5),(1,6)"),
+    "unit enters between two terms": (
+        "(2,-1),(1,4),(2,5)",
+        "(2,-1),(1,0),(1,4),(2,5)",
+        "(2,-1),(1,4),(3,4),(2,5)",
+    ),
+    "unit enters after the last term": ("(3,-4),(2,-1)", "(3,-4),(2,-1),(1,0)", "(3,-4),(2,-1),(3,4)"),
+    "unit enters beside a term with its a": ("(3,0),(1,4)", "(1,0),(3,0),(1,4)", "(3,0),(1,4),(3,4)"),
+    "terms only on the scans of k-1 and k+1": (
+        "(3,-4),(2,-3),(2,-1),(2,5),(2,7),(1,8)",
+        "(3,-4),(2,-3),(2,-1),(1,0),(2,5),(2,7),(1,8)",
+        "(3,-4),(2,-3),(2,-1),(3,4),(2,5),(2,7),(1,8)",
+    ),
+    "20-digit coefficients next to the entering node": (
+        f"{BIG}*(3,0),{BIG}*(1,4)",
+        f"(1,0),{BIG}*(3,0),{BIG}*(1,4)",
+        f"{BIG}*(3,0),{BIG}*(1,4),(3,4)",
+    ),
+}
 
-    def moved(drop, put):
-        counts = dict(held)
-        if drop is not None:
-            counts[drop] -= 1
-        if put is not None:
-            counts[put] = counts.get(put, 0) + 1
-        return HLWeight.from_counts(counts)
 
-    t = 0 if plus_at is None else top - plus_at
-    s = top if minus_at is None else top - minus_at
-    return moved(padded[t], padded[t + 1]), moved(padded[s], padded[s - 1])
+@pytest.mark.parametrize("case", sorted(SCAN_FREE_CASES))
+def test_node_operators_splice_a_unit_into_a_weight_off_the_scan(case):
+    text, *frozen = SCAN_FREE_CASES[case]
+    lam = parse_hl_weight(text)
+    assert not set(lam.support()) & set(M3.signature_nodes(1, 0))
+    for op, put, want in zip(("lowering", "raising"), ((1, 0), (3, 4)), frozen):
+        got = getattr(M3, op)(lam, 1, 0)
+        assert got == add_node(lam, HLNode(*put))
+        assert format_hl_weight(got) == want
+        assert_canonical(got)
 
 
 def sparse_read_inputs(model, i, k, rng):
@@ -569,6 +595,22 @@ def test_weight_refuses_a_term_that_is_not_a_node():
     with pytest.raises(ValueError):
         HLWeight.from_counts({(0, 1): 1})
     assert HLWeight([(HLNode(1, 0), 2)]) == parse_hl_weight("2*(1,0)")
+
+
+def test_node_segment_and_weight_refuse_bool_as_an_integer():
+    for i, a in ((True, 0), (1, True), (False, 1)):
+        with pytest.raises(ValueError) as err:
+            HLNode(i, a)
+        assert str(err.value) == f"node coordinates must be integers, got ({i!r},{a!r})"
+    for a, b in ((True, True), (1, True), (True, 2)):
+        with pytest.raises(ValueError) as err:
+            Segment(a, b)
+        assert str(err.value) == f"segment endpoints must be integers, got [{a!r},{b!r}]"
+    for c in (True, False):
+        with pytest.raises(ValueError) as err:
+            HLWeight([(HLNode(1, 0), c)])
+        assert str(err.value) == f"coefficient of (1,0) must be an integer, got {c!r}"
+    assert format_hl_weight(HLWeight([(HLNode(1, 0), 1)])) == "(1,0)" and Segment(1, 1) == (1, 1)
 
 
 def test_conversions_drop_a_highest_slot_given_to_the_constructor():

@@ -89,6 +89,16 @@ def test_constructor_drops_highest_entries_for_both_realizations():
         ExtElement([(0, EMPTY), (0, parse_multisegment("[1]"))])
 
 
+def test_constructor_refuses_a_slot_index_that_is_not_an_int():
+    one = parse_multisegment("[1]")
+    for bad in (0.5, True, False, "0", None):
+        for build in (lambda: ExtElement([(bad, one)]), lambda: EXT3.element({bad: one})):
+            with pytest.raises(ValueError) as err:
+                build()
+            assert str(err.value) == f"slot index must be an integer, got {bad!r}"
+    assert ExtElement([(-(10**20), one)]).support() == (-(10**20),)
+
+
 def test_inject_places_content_at_slot():
     m = parse_multisegment("[1,2]")
     assert format_ext_element(EXT3.inject(m)) == "0:[1,2]"

@@ -19,6 +19,7 @@ from extcrystal.msegment import MultisegmentCrystal
 from extcrystal.signature import reduce_runs
 from extcrystal.sl2 import Sl2Crystal
 from extcrystal.verify import SweepConfig, _items_sig_seq, base_suite_names, run_all, run_suite
+from support import add_node, remove_node
 
 EXT_MEMBERS = (
     "inverse-pairs",
@@ -177,22 +178,28 @@ def _within(seconds, fn, *args):
 def _shift_a_unit_in_the_word(monkeypatch):
     """One unit at scan position 2n misread, in both reads of the scan.
 
-    The operators read it at position 2n-1, and the dense word that sig-seq
-    builds from the scan's nodes reads none at 2n.  Both methods are called
-    on every read, so the fault reaches scans the model has already cached.
+    The operators read it at position 2n-1 but move their unit on the weight
+    they were given, and the dense word that sig-seq builds from the scan's
+    nodes reads none at 2n.  Both methods are called on every read, so the
+    fault reaches scans the model has already cached.
     """
-    read, signature_nodes = AffineModel._read, AffineModel.signature_nodes
+    step, signature_nodes = AffineModel._step, AffineModel.signature_nodes
 
-    def bad_read(self, lam, i, k):
-        nodes = signature_nodes(self, i, k)
-        if dict(lam).get(nodes[-1]):
-            lam = lam._moved(nodes[-1], nodes[-2])
-        return read(self, lam, i, k)
+    def bad_step(self, lam, i, k, d):
+        *_, below, top = signature_nodes(self, i, k)
+        if not dict(lam).get(top):
+            return step(self, lam, i, k, d)
+        got = step(self, add_node(remove_node(lam, top), below), i, k, d)
+        # undo the misreading on the result; a unit taken from position 2n-1
+        # that only the misreading put there is not taken from lam
+        if dict(got).get(below):
+            got = remove_node(got, below)
+        return add_node(got, top)
 
     def bad_nodes(self, i, k):
         return (*signature_nodes(self, i, k)[:-1], None)
 
-    monkeypatch.setattr(AffineModel, "_read", bad_read)
+    monkeypatch.setattr(AffineModel, "_step", bad_step)
     monkeypatch.setattr(AffineModel, "signature_nodes", bad_nodes)
 
 

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from extcrystal.affine import AffineModel, HLNode, HLWeight, _sorted_weight, format_hl_weight, parse_hl_weight
+from support import reference_moves
 
 RANK = 4
 MODEL = AffineModel(RANK)
@@ -63,3 +64,22 @@ def test_node_operators_are_inverse(counts, i, k):
     lam = HLWeight.from_counts({HLNode(*node): c for node, c in counts.items()})
     assert MODEL.raising(MODEL.lowering(lam, i, k), i, k) == lam
     assert MODEL.lowering(MODEL.raising(lam, i, k), i, k) == lam
+
+
+RANK8 = AffineModel(8)
+
+
+@st.composite
+def near_the_scan(draw):
+    """(lam, i, k): a rank-8 weight on nodes of blocks k-2..k+2, so on the (i, k) scan, beside it or both."""
+    i, k = draw(st.integers(1, 8)), draw(st.integers(-12, 12))
+    pool = [p for j in range(k - 2, k + 3) for p in RANK8.block_nodes(j)]
+    counts = draw(st.dictionaries(st.sampled_from(pool), coefficients, max_size=8))
+    return HLWeight.from_counts(counts), i, k
+
+
+@SETTINGS
+@given(near_the_scan())
+def test_node_operators_follow_the_dense_word(case):
+    lam, i, k = case
+    assert (RANK8.lowering(lam, i, k), RANK8.raising(lam, i, k)) == reference_moves(RANK8, lam, i, k)
