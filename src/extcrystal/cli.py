@@ -19,7 +19,7 @@ from .affine import (
     parse_hl_weight,
 )
 from .exploration import explore
-from .extended import format_ext_element, parse_ext_element
+from .extended import ExtElement, format_ext_element, parse_ext_element
 from .msegment import format_multisegment
 from .rootdata import check_rank
 from .signature import reduce_runs
@@ -133,56 +133,34 @@ def _build_parser() -> argparse.ArgumentParser:
 def _cmd_apply(args: argparse.Namespace) -> int:
     model = AffineModel(args.n)
     ext = model.ext
-    op = args.op
-    ints = args.ints
 
-    def need(count: int) -> None:
-        if len(ints) != count:
-            raise ValueError(f"operator {op} takes {count} integer argument(s), got {len(ints)}")
+    def element(text: str) -> ExtElement:
+        return parse_ext_element(text, ext)
 
-    if op in ("F", "E", "Fstar", "Estar"):
-        need(2)
-        c = parse_ext_element(args.target, ext)
-        i, k = ints
-        fn = {
-            "F": ext.lowering,
-            "E": ext.raising,
-            "Fstar": ext.star_lowering,
-            "Estar": ext.star_raising,
-        }[op]
-        text = format_ext_element(fn(c, i, k))
-    elif op in ("Fhl", "Ehl"):
-        need(2)
-        lam = parse_hl_weight(args.target)
+    def weight(text: str) -> HLWeight:
+        lam = parse_hl_weight(text)
         for p in lam.support():
             model.check_node(p)
-        i, k = ints
-        fn = model.lowering if op == "Fhl" else model.raising
-        text = format_hl_weight(fn(lam, i, k))
-    elif op == "shift":
-        need(1)
-        c = parse_ext_element(args.target, ext)
-        text = format_ext_element(ext.shift(c, ints[0]))
-    elif op == "starflip":
-        need(0)
-        c = parse_ext_element(args.target, ext)
-        text = format_ext_element(ext.star_flip(c))
-    elif op == "gamma":
-        need(0)
-        c = parse_ext_element(args.target, ext)
-        text = format_hl_weight(model.to_weight(c))
-    elif op == "gammainv":
-        need(0)
-        text = format_ext_element(model.to_extended(parse_hl_weight(args.target)))
-    else:  # star
-        need(0)
-        m = model.crystal.parse(args.target)
-        text = format_multisegment(model.crystal.star(m))
+        return lam
 
-    if args.format == "json":
-        print(jsonlib.dumps({"result": text}))
-    else:
-        print(text)
+    # op -> (parser of the target, integer-argument count, operator, formatter)
+    parse, count, operator, fmt = {
+        "F": (element, 2, ext.lowering, format_ext_element),
+        "E": (element, 2, ext.raising, format_ext_element),
+        "Fstar": (element, 2, ext.star_lowering, format_ext_element),
+        "Estar": (element, 2, ext.star_raising, format_ext_element),
+        "Fhl": (weight, 2, model.lowering, format_hl_weight),
+        "Ehl": (weight, 2, model.raising, format_hl_weight),
+        "shift": (element, 1, ext.shift, format_ext_element),
+        "starflip": (element, 0, ext.star_flip, format_ext_element),
+        "gamma": (element, 0, model.to_weight, format_hl_weight),
+        "gammainv": (weight, 0, model.to_extended, format_ext_element),
+        "star": (model.crystal.parse, 0, model.crystal.star, format_multisegment),
+    }[args.op]
+    if len(args.ints) != count:
+        raise ValueError(f"operator {args.op} takes {count} integer argument(s), got {len(args.ints)}")
+    text = fmt(operator(parse(args.target), *args.ints))
+    print(jsonlib.dumps({"result": text}) if args.format == "json" else text)
     return 0
 
 
@@ -217,17 +195,7 @@ def _cmd_graph(args: argparse.Namespace) -> int:
     model = AffineModel(args.n)
     seed = parse_ext_element(args.seed, model.ext)
     graph = explore(model.ext, seed, args.window, args.ht)
-    if args.format == "dot":
-        payload = graph.to_dot()
-    elif args.format == "json":
-        payload = graph.to_json()
-    else:
-        lines = [f"nodes {len(graph.nodes)} edges {len(graph.edges)}"]
-        for idx, c in enumerate(graph.nodes):
-            lines.append(f"node {idx}: {format_ext_element(c)}")
-        for src, dst, i, k in graph.edges:
-            lines.append(f"edge {src} -> {dst} ({i},{k})")
-        payload = "\n".join(lines) + "\n"
+    payload = {"dot": graph.to_dot, "json": graph.to_json, "text": graph.to_text}[args.format]()
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(payload)

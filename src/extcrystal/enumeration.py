@@ -41,7 +41,7 @@ def iter_multisegments(n: int, max_ht: int) -> Iterator[Multisegment]:
 
 
 def _check_bounds(window: tuple[int, int], max_ht: int) -> None:
-    """Refuse an empty slot window or a negative height bound, as ``SweepConfig`` does."""
+    """Refuse an empty slot window or a negative height bound: the rule of every bounded walk."""
     if window[0] > window[1]:
         raise ValueError(f"empty slot window {window[0]}..{window[1]}")
     if max_ht < 0:

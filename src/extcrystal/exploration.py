@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 
+from .enumeration import _check_bounds
 from .extended import ExtElement, ExtendedCrystal, format_ext_element
 
 
@@ -42,11 +43,18 @@ class ExploreGraph:
         edges = [{"src": src, "dst": dst, "i": i, "k": k} for src, dst, i, k in self.edges]
         return json.dumps({"nodes": nodes, "edges": edges}, indent=2) + "\n"
 
+    def to_text(self) -> str:
+        lines = [f"nodes {len(self.nodes)} edges {len(self.edges)}"]
+        for idx, c in enumerate(self.nodes):
+            lines.append(f"node {idx}: {format_ext_element(c)}")
+        for src, dst, i, k in self.edges:
+            lines.append(f"edge {src} -> {dst} ({i},{k})")
+        return "\n".join(lines) + "\n"
+
 
 def explore(ext: ExtendedCrystal, seed: ExtElement, window: tuple[int, int], max_ht: int) -> ExploreGraph:
+    _check_bounds(window, max_ht)
     kmin, kmax = window
-    if kmin > kmax:
-        raise ValueError(f"empty slot window {kmin}..{kmax}")
     if ext.total_height(seed) > max_ht:
         raise ValueError("seed exceeds the height bound")
     if any(not kmin <= k <= kmax for k in seed.support()):

@@ -12,7 +12,7 @@ MAX_RANK = 64
 
 
 def check_rank(n: int) -> None:
-    if not isinstance(n, int) or not 1 <= n <= MAX_RANK:
+    if type(n) is not int or not 1 <= n <= MAX_RANK:
         raise ValueError(f"rank must be an integer between 1 and {MAX_RANK}, got {n!r}")
 
 

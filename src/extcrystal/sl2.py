@@ -25,7 +25,7 @@ class Sl2Crystal(AbstractCrystal):
         return 0
 
     def validate(self, b) -> None:
-        if not isinstance(b, int) or b < 0:
+        if type(b) is not int or b < 0:
             raise ValueError(f"expected a nonnegative integer, got {b!r}")
 
     def _check_index(self, i: int) -> None:

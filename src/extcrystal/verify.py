@@ -52,6 +52,7 @@ from typing import Callable, NamedTuple
 
 from .affine import AffineModel, HLNode, HLWeight, format_hl_weight
 from .enumeration import (
+    _check_bounds,
     below,
     count_ext_elements,
     iter_ext_elements,
@@ -83,10 +84,7 @@ class SweepConfig(_Knobs):
 
     def __new__(cls, *args, **kwargs) -> "SweepConfig":
         cfg = super().__new__(cls, *args, **kwargs)
-        if cfg.window[0] > cfg.window[1]:
-            raise ValueError(f"empty window {cfg.window}")
-        if cfg.max_ht < 0:
-            raise ValueError("height bound must be non-negative")
+        _check_bounds(cfg.window, cfg.max_ht)
         if not 0 <= cfg.seed < 2**64:
             # random.Random seeds with |seed|, so -s would replay the cases of s
             raise ValueError("seed must fit in 64 unsigned bits")

@@ -17,7 +17,9 @@ from extcrystal.enumeration import iter_ext_elements, random_ext_element
 from extcrystal.extended import ExtElement, ExtendedCrystal, format_ext_element, parse_ext_element
 from extcrystal.msegment import Multisegment, MultisegmentCrystal, Segment
 from extcrystal.parsing import ParseError
+from extcrystal.rootdata import CartanA, RootLattice
 from extcrystal.signature import expand
+from extcrystal.sl2 import Sl2Crystal
 from support import (
     add,
     add_node,
@@ -610,6 +612,13 @@ def test_node_segment_and_weight_refuse_bool_as_an_integer():
         with pytest.raises(ValueError) as err:
             HLWeight([(HLNode(1, 0), c)])
         assert str(err.value) == f"coefficient of (1,0) must be an integer, got {c!r}"
+    for make in (AffineModel, MultisegmentCrystal, RootLattice, CartanA):
+        with pytest.raises(ValueError) as err:
+            make(True)
+        assert str(err.value) == "rank must be an integer between 1 and 64, got True"
+    with pytest.raises(ValueError) as err:
+        Sl2Crystal().validate(True)
+    assert str(err.value) == "expected a nonnegative integer, got True"
     assert format_hl_weight(HLWeight([(HLNode(1, 0), 1)])) == "(1,0)" and Segment(1, 1) == (1, 1)
 
 

@@ -94,6 +94,32 @@ def test_apply_json_format(capsys):
     assert json.loads(out) == {"result": "0:[1]"}
 
 
+# per operator: one valid call (target, integer arguments, rank) and its output
+APPLY_CASES = {
+    "F": ("", ("1", "0"), "2", "0:[1]"),
+    "E": ("0:[1]", ("1", "0"), "2", "1"),
+    "Fstar": ("", ("1", "0"), "2", "0:[1]"),
+    "Estar": ("1:[1];0:[1,2]", ("1", "1"), "2", "1:[1];0:[1,2],[1]"),
+    "Fhl": (DEMO, ("1", "0"), "3", DEMO.replace("2*(3,4)", "(3,4)")),
+    "Ehl": (DEMO, ("1", "-1"), "3", "(3,-4),(3,-2),3*(2,-1),(2,1),(1,2),(2,3),2*(3,4),(2,5),(2,7)"),
+    "shift": ("0:[1]", ("2",), "1", "2:[1]"),
+    "starflip": ("0:[1];1:[1,2]", (), "2", "0:[1];-1:[2],[1]"),
+    "gamma": ("0:[1,3]", (), "3", "(3,2)"),
+    "gammainv": ("(3,2)", (), "3", "0:[1,3]"),
+    "star": ("[1,2]", (), "2", "[2],[1]"),
+}
+
+
+@pytest.mark.parametrize("op", cli.OPS)
+def test_every_apply_operator_gives_its_result_and_refuses_a_wrong_arity(capsys, op):
+    target, ints, n, want = APPLY_CASES[op]
+    assert run_cli(capsys, "apply", op, target, *ints, "--n", n) == (0, want, "")
+    wrong = ints[1:] if ints else ("1",)
+    code, out, err = run_cli(capsys, "apply", op, target, *wrong, "--n", n)
+    assert (code, out) == (2, "")
+    assert err == f"error: operator {op} takes {len(ints)} integer argument(s), got {len(wrong)}\n"
+
+
 def test_apply_parse_error_exits_2(capsys):
     code, _out, err = run_cli(capsys, "apply", "F", "0:[zz]", "1", "0", "--n", "1")
     assert code == 2
@@ -168,6 +194,12 @@ def test_graph_text_header(capsys):
     code, out, _ = run_cli(capsys, "graph", "", "--n", "1", "--window", "0..1", "--ht", "1", "--format", "text")
     assert code == 0
     assert out.splitlines()[0] == "nodes 3 edges 3"
+
+
+def test_graph_text_prints_the_recorded_output(capsys):
+    golden = Path(__file__).parent / "golden" / "graph-rank2-text.txt"
+    code = cli.main(["graph", "", "--n", "2", "--window", "-1..1", "--ht", "3", "--format", "text"])
+    assert (code, capsys.readouterr().out) == (0, golden.read_text(encoding="utf-8"))
 
 
 def test_graph_out_file_matches_stdout(tmp_path, capsys):

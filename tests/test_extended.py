@@ -22,6 +22,7 @@ from extcrystal.extended import (
 from extcrystal.msegment import EMPTY, MultisegmentCrystal, parse_multisegment
 from extcrystal.parsing import ParseError
 from extcrystal.sl2 import Sl2Crystal
+from extcrystal.verify import SweepConfig
 from support import coeff, from_coeffs
 
 EXT3 = ExtendedCrystal(MultisegmentCrystal(3))
@@ -313,6 +314,10 @@ def test_size_oracle_and_enumerator_refuse_the_same_bad_bounds():
             count_ext_elements(2, window, max_ht)
         with pytest.raises(ValueError, match=message):
             list(iter_ext_elements(EXT1, window, max_ht))
+        with pytest.raises(ValueError, match=message):
+            explore(EXT1, HIGHEST, window, max_ht)
+        with pytest.raises(ValueError, match=message):
+            SweepConfig(n=1, window=window, max_ht=max_ht)
     assert count_ext_elements(2, (0, 0), 0) == len(list(iter_ext_elements(EXT1, (0, 0), 0))) == 1
 
 
