@@ -161,24 +161,13 @@ class AffineModel:
     # -- the node lattice -------------------------------------------------
 
     def check_node(self, p: HLNode) -> None:
-        self._slot_of(p)
+        """Refuse a node past the rank, as to_extended does."""
+        self.to_extended(((p, 1),))
 
     def dual_shift(self, p: HLNode, k: int = 1) -> HLNode:
         """Apply the dual shift k times; k may be negative."""
         a, i = p
         return HLNode(self.n + 1 - i if k % 2 else i, a + k * (self.n + 1))
-
-    def _slot_of(self, p: HLNode) -> tuple[int, int]:
-        """(slot, multiplicity position) of the node p; see the module docstring.
-
-        to_extended inlines this for speed, refusal included.
-        """
-        a, i = p
-        if not 1 <= i <= self.n:
-            raise ValueError(f"node ({i},{a}) out of range for rank {self.n}")
-        q, r = divmod(a - i + 1, 2 * self.n + 2)
-        parity, position = self._at[i][r]
-        return 2 * q + parity, position
 
     def block_nodes(self, k: int) -> tuple[HLNode, ...]:
         parity = k & 1
@@ -189,8 +178,8 @@ class AffineModel:
 
     def segment_of_node(self, p: HLNode) -> tuple[Segment, int]:
         """The (segment, slot) pair a node stands for."""
-        k, position = self._slot_of(p)
-        return Segment(*_ends(position)), k
+        ((k, m),) = self.to_extended(((p, 1),))
+        return Segment(*_ends(len(m) - 1)), k  # the node's unit is m's last multiplicity
 
     def to_weight(self, c: ExtElement) -> HLWeight:
         """Total node count of a slotted multisegment element."""

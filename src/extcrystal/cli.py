@@ -2,6 +2,8 @@
 
 Exit codes are a stable contract: 0 success, 1 verification failure,
 2 usage or parse error, 3 I/O error, 4 internal error (any other exception).
+argparse reads integers in the grammars' one syntax (parsing.INT); the library
+refuses a rank, window, height bound or seed out of range, and its message is printed.
 """
 
 from __future__ import annotations
@@ -21,21 +23,18 @@ from .affine import (
 from .exploration import explore
 from .extended import ExtElement, format_ext_element, parse_ext_element
 from .msegment import format_multisegment
+from .parsing import INT
 from .rootdata import check_rank
 from .signature import reduce_runs
 from .verify import SweepConfig, base_suite_names, run_all
 
 OPS = ("F", "E", "Fstar", "Estar", "Fhl", "Ehl", "shift", "starflip", "gamma", "gammainv", "star")
 
-# an integer argument: an optional sign and ASCII digits, as in the text
-# grammars (parsing.DIGITS); int() also reads "١" and "1_0"
-_INT = r"[+-]?[0-9]+"
-_INT_RE = re.compile(_INT)
-_WINDOW_RE = re.compile(rf"({_INT})\.\.({_INT})")
+_WINDOW_RE = re.compile(rf"({INT.pattern})\.\.({INT.pattern})")
 
 
 def _int_type(text: str) -> int:
-    if not _INT_RE.fullmatch(text.strip()):
+    if not INT.fullmatch(text.strip()):
         raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
     return int(text)
 
@@ -44,31 +43,7 @@ def _window_type(text: str) -> tuple[int, int]:
     m = _WINDOW_RE.fullmatch(text.strip())
     if not m:
         raise argparse.ArgumentTypeError(f"expected a..b, got {text!r}")
-    lo, hi = int(m.group(1)), int(m.group(2))
-    if lo > hi:
-        raise argparse.ArgumentTypeError(f"empty window {text!r}")
-    return lo, hi
-
-
-def _seed_type(text: str) -> int:
-    value = _int_type(text)
-    if not 0 <= value < 2**64:
-        raise argparse.ArgumentTypeError("seed must fit in 64 unsigned bits")
-    return value
-
-
-def _positive_type(text: str) -> int:
-    value = _int_type(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError("bound must be non-negative")
-    return value
-
-
-def _rank_type(text: str) -> int:
-    value = _int_type(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError("rank must be at least 1")
-    return value
+    return int(m.group(1)), int(m.group(2))
 
 
 def _merge_window_values(argv: list[str]) -> list[str]:
@@ -99,24 +74,24 @@ def _build_parser() -> argparse.ArgumentParser:
     p_apply.add_argument("op", choices=OPS)
     p_apply.add_argument("target", help="element text; '' or '1' is the highest element")
     p_apply.add_argument("ints", nargs="*", type=_int_type, help="operator arguments (i k, or t)")
-    p_apply.add_argument("--n", type=_rank_type, required=True, help="rank")
+    p_apply.add_argument("--n", type=_int_type, required=True, help="rank")
     p_apply.add_argument("--format", choices=("text", "json"), default="text")
     p_apply.set_defaults(func=_cmd_apply)
 
     p_verify = sub.add_parser("verify", help="run a verification sweep")
     p_verify.add_argument("suite", choices=base_suite_names() + ("all",))
-    p_verify.add_argument("--n", type=_rank_type, required=True, help="rank")
+    p_verify.add_argument("--n", type=_int_type, required=True, help="rank")
     p_verify.add_argument("--window", type=_window_type, default=(-2, 2), help="slot window a..b")
-    p_verify.add_argument("--ht", type=_positive_type, default=4, help="height bound")
-    p_verify.add_argument("--seed", type=_seed_type, default=0)
+    p_verify.add_argument("--ht", type=_int_type, default=4, help="height bound")
+    p_verify.add_argument("--seed", type=_int_type, default=0)
     p_verify.add_argument("--jobs", type=_int_type, default=1, help="worker processes, at most one per CPU; below 1 runs serially")
     p_verify.set_defaults(func=_cmd_verify)
 
     p_graph = sub.add_parser("graph", help="explore the reachable graph from a seed element")
     p_graph.add_argument("seed", help="seed element text; '' or '1' is the highest element")
-    p_graph.add_argument("--n", type=_rank_type, required=True, help="rank")
+    p_graph.add_argument("--n", type=_int_type, required=True, help="rank")
     p_graph.add_argument("--window", type=_window_type, default=(-2, 2), help="slot window a..b")
-    p_graph.add_argument("--ht", type=_positive_type, default=4, help="height bound")
+    p_graph.add_argument("--ht", type=_int_type, default=4, help="height bound")
     p_graph.add_argument("--format", choices=("dot", "json", "text"), default="dot")
     p_graph.add_argument("--out", help="output path (default: stdout)")
     p_graph.set_defaults(func=_cmd_graph)
@@ -139,8 +114,7 @@ def _cmd_apply(args: argparse.Namespace) -> int:
 
     def weight(text: str) -> HLWeight:
         lam = parse_hl_weight(text)
-        for p in lam.support():
-            model.check_node(p)
+        model.to_extended(lam)  # refuses a node past the rank
         return lam
 
     # op -> (parser of the target, integer-argument count, operator, formatter)
@@ -166,13 +140,7 @@ def _cmd_apply(args: argparse.Namespace) -> int:
 
 def _cmd_verify(args: argparse.Namespace) -> int:
     check_rank(args.n)
-    cfg = SweepConfig(
-        n=args.n,
-        window=args.window,
-        max_ht=args.ht,
-        seed=args.seed,
-        jobs=max(1, args.jobs),
-    )
+    cfg = SweepConfig(n=args.n, window=args.window, max_ht=args.ht, seed=args.seed, jobs=args.jobs)
     names = base_suite_names() if args.suite == "all" else (args.suite,)
     failed = False
     try:

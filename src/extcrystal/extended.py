@@ -30,7 +30,7 @@ moves the total weight by (-1)^(k+1) alpha_i.
 from __future__ import annotations
 
 from .crystal import AbstractCrystal
-from .parsing import DIGITS, ParseError
+from .parsing import INT, ParseError
 from .rootdata import RootLatticeElem
 
 
@@ -264,9 +264,9 @@ def parse_ext_element(text: str, ext: ExtendedCrystal) -> ExtElement:
             raise ParseError(text, offset, "expected 'slot:value'")
         slot = head.strip()
         try:
-            if not DIGITS.issuperset(slot.lstrip("+-")):  # int() also reads "1_0" and "٣"
+            if not INT.fullmatch(slot):
                 raise ValueError
-            k = int(slot)
+            k = int(slot)  # refuses more digits than the interpreter converts
         except ValueError:
             raise ParseError(text, offset, f"invalid slot index {slot!r}") from None
         if k in mapping:

@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
-# the digits of every integer in the grammars; str.isdigit also takes "²" and "١"
-DIGITS = frozenset("0123456789")
+import re
+
+# every integer in the grammars: an optional sign and ASCII digits; int() also
+# reads "١" and "1_0", and str.isdigit takes "²"
+INT = re.compile(r"[+-]?[0-9]+")
 
 
 class ParseError(ValueError):
@@ -46,19 +49,15 @@ class Scanner:
 
     def take_int(self) -> int:
         self.skip_ws()
-        start = self.pos
-        if self.pos < len(self.text) and self.text[self.pos] in "+-":
-            self.pos += 1
-        while self.pos < len(self.text) and self.text[self.pos] in DIGITS:
-            self.pos += 1
-        if self.pos == start or not self.text[start:self.pos].lstrip("+-"):
-            self.pos = start
+        m = INT.match(self.text, self.pos)
+        if not m:
             raise self.error("expected an integer")
         try:
-            return int(self.text[start:self.pos])
+            value = int(m.group())
         except ValueError:  # more digits than the interpreter converts
-            self.pos = start
             raise self.error("integer has too many digits") from None
+        self.pos = m.end()
+        return value
 
 
 def parse_counted(text: str, empty: tuple[str, ...], read_item, noun: str) -> list[tuple[object, int]]:
@@ -75,7 +74,7 @@ def parse_counted(text: str, empty: tuple[str, ...], read_item, noun: str) -> li
     pairs: list[tuple[object, int]] = []
     while True:
         count = 1
-        if sc.peek() in DIGITS:
+        if INT.match(sc.peek()):  # an unsigned count: a digit starts it
             at = sc.pos
             count = sc.take_int()
             if count < 1:

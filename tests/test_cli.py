@@ -276,6 +276,35 @@ def test_verify_refuses_a_rank_past_the_limit_before_it_sweeps(monkeypatch, caps
     assert (code, out, err) == (2, "", "error: rank must be an integer between 1 and 64, got 65\n")
 
 
+RANK_0 = "rank must be an integer between 1 and 64, got 0"
+HT = "height bound must be non-negative"
+WINDOW = "empty slot window 1..0"
+SEED = "seed must fit in 64 unsigned bits"
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("apply", "F", "", "1", "0", "--n", "0"), RANK_0),
+        (("graph", "", "--n", "0"), RANK_0),
+        (("verify", "all", "--n", "0", "--window", "0..0", "--ht", "1"), RANK_0),
+        (("verify", "all", "--n", "2", "--window", "0..0", "--ht", "-1"), HT),
+        (("graph", "", "--n", "2", "--ht", "-1"), HT),
+        (("verify", "all", "--n", "2", "--window", "1..0", "--ht", "1"), WINDOW),
+        (("graph", "", "--n", "2", "--window", "1..0"), WINDOW),
+        (("verify", "all", "--n", "2", "--window", "0..0", "--ht", "1", "--seed", "-1"), SEED),
+        (("verify", "all", "--n", "2", "--window", "0..0", "--ht", "1", "--seed", str(2**64)), SEED),
+    ],
+)
+def test_out_of_range_values_are_refused_with_the_library_message(monkeypatch, capsys, argv, message):
+    def sweep(cfg, names):
+        raise AssertionError("swept")
+
+    monkeypatch.setattr(cli, "run_all", sweep)
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
 def test_verify_jobs_flag_keeps_output_stable(capsys):
     args = ("verify", "cr-commutation", "--n", "2", "--window", "-1..1", "--ht", "3")
     _, serial, _ = run_cli(capsys, *args, "--jobs", "1")

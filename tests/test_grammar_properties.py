@@ -4,13 +4,16 @@ import pytest
 
 pytest.importorskip("hypothesis")
 
+import argparse
+
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from extcrystal import cli
 from extcrystal.affine import parse_hl_weight
 from extcrystal.extended import ExtendedCrystal, format_ext_element, parse_ext_element
 from extcrystal.msegment import MultisegmentCrystal, format_multisegment, parse_multisegment
-from extcrystal.parsing import ParseError
+from extcrystal.parsing import ParseError, Scanner
 
 RANK = 4
 EXT = ExtendedCrystal(MultisegmentCrystal(RANK))
@@ -116,6 +119,10 @@ def test_a_parse_error_points_into_the_text():
         with pytest.raises(ParseError, match="integer has too many digits") as err:
             parse_multisegment(text)
         assert err.value.pos == pos
+    for text, pos in (("9" * 5000 + ":[1]", 0), ("0:[1];" + "9" * 5000 + ":[1]", 6)):
+        with pytest.raises(ParseError, match="invalid slot index") as err:
+            parse_ext_element(text, EXT)
+        assert err.value.pos == pos
 
 
 def test_integers_are_ascii_digits():
@@ -136,3 +143,43 @@ def test_integers_are_ascii_digits():
             parse_ext_element(text, EXT)
         assert err.value.pos == pos
     assert parse_ext_element(" +3 :[1];-3:[2]", EXT) == parse_ext_element("3:[1];-3:[2]", EXT)
+
+
+def scanned_int(text):
+    """The value of text read by Scanner.take_int as one whole token, or None."""
+    sc = Scanner(text)
+    try:
+        value = sc.take_int()
+    except ParseError:
+        return None
+    return value if sc.eof() else None
+
+
+def slot_index(text):
+    """The value of text read as the slot index of a slot element, or None."""
+    try:
+        return parse_ext_element(f"{text}:[1]", EXT)[0][0]
+    except ParseError as err:
+        assert (err.pos, err.message) == (0, f"invalid slot index {text.strip()!r}")
+        return None
+
+
+def argument_int(text):
+    """The value of text read as an integer command-line argument, or None."""
+    try:
+        return cli._int_type(text)
+    except (argparse.ArgumentTypeError, ValueError):
+        return None
+
+
+@FUZZ
+@given(st.text(alphabet="+-0123456789١²_ ", max_size=12))
+@example("9" * 5000)
+@example("-9" + "0" * 4299)
+@example(" +07 ")
+@example("1_0")
+@example("+-1")
+def test_the_integer_readers_take_the_same_strings(text):
+    value = scanned_int(text)
+    assert slot_index(text) == value
+    assert argument_int(text) == value
