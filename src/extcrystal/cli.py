@@ -36,14 +36,17 @@ _WINDOW_RE = re.compile(rf"({INT.pattern})\.\.({INT.pattern})")
 def _int_type(text: str) -> int:
     if not INT.fullmatch(text.strip()):
         raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
-    return int(text)
+    try:
+        return int(text)
+    except ValueError:  # more digits than the interpreter converts
+        raise argparse.ArgumentTypeError("integer has too many digits") from None
 
 
 def _window_type(text: str) -> tuple[int, int]:
     m = _WINDOW_RE.fullmatch(text.strip())
     if not m:
         raise argparse.ArgumentTypeError(f"expected a..b, got {text!r}")
-    return int(m.group(1)), int(m.group(2))
+    return _int_type(m.group(1)), _int_type(m.group(2))
 
 
 def _merge_window_values(argv: list[str]) -> list[str]:

@@ -18,8 +18,9 @@ branch applies its operator through that handle (``lower_with``,
 ``star_raise_with``, ...), so no slot is reduced twice.  A highest slot is
 not read, since its counters are 0 in every B(infinity); a branch that acts
 on it lowers the highest element through the realization's own operator.
-The two new slots are spliced into that range of the descending slot tuple
-without re-sorting, and the slot the operator left alone keeps its entry.
+The branch rewrites one of the two slots: its new entry takes the old one's
+place in the descending slot tuple, or enters it, in one slice-and-concat
+without re-sorting, and a raise that leaves the slot highest drops its entry.
 An ``ExtElement`` built from outside input is sorted instead, and its slot
 indices are checked to be distinct integers.
 
@@ -113,20 +114,6 @@ class ExtendedCrystal:
     def slot(self, c: ExtElement, k: int):
         return c.slot(k, self.crystal.highest)
 
-    def _splice(self, c: ExtElement, at: int, stop: int, hi, lo) -> ExtElement:
-        """c with c[at:stop] replaced by the (slot, element) entries hi and lo; None leaves one out."""
-        mid = () if hi is None else (hi,)
-        if lo is not None:
-            mid += (lo,)
-        return _from_slots(c[:at] + mid + c[stop:])
-
-    def _entry(self, k: int, b):
-        """The entry of slot k holding a raised b, or None when b is highest.
-
-        A lowered element is never highest, so its entry is built directly.
-        """
-        return None if b == self.crystal.highest else (k, b)
-
     def epsilon(self, c: ExtElement, i: int, k: int) -> int:
         return self.crystal.epsilon(self.slot(c, k), i)
 
@@ -169,10 +156,10 @@ class ExtendedCrystal:
         at, stop, above, here, (x, above_read), (r, here_read) = self._reads(c, i, k + 1)
         if r >= x:
             b = cry.lowering(cry.highest, i) if here is None else cry.lower_with(here[1], i, here_read)
-            return self._splice(c, at, stop, above, (k, b))
+            return _from_slots(c[: stop - 1 if here else stop] + ((k, b),) + c[stop:])
         raised = cry.star_raise_with(above[1], i, above_read)
         assert raised is not None, "negative branch selector guarantees a starred raise"
-        return self._splice(c, at, stop, self._entry(k + 1, raised), here)
+        return _from_slots(c[:at] + (((k + 1, raised),) if raised else ()) + c[at + 1 :])
 
     def raising(self, c: ExtElement, i: int, k: int) -> ExtElement:
         cry = self.crystal
@@ -180,9 +167,9 @@ class ExtendedCrystal:
         if r > x:
             raised = cry.raise_with(here[1], i, here_read)
             assert raised is not None, "positive branch selector guarantees a raise"
-            return self._splice(c, at, stop, above, self._entry(k, raised))
+            return _from_slots(c[: stop - 1] + (((k, raised),) if raised else ()) + c[stop:])
         b = cry.star_lowering(cry.highest, i) if above is None else cry.star_lower_with(above[1], i, above_read)
-        return self._splice(c, at, stop, (k + 1, b), here)
+        return _from_slots(c[:at] + ((k + 1, b),) + c[at + 1 if above else at :])
 
     def star_lowering(self, c: ExtElement, i: int, k: int) -> ExtElement:
         return self.raising(c, i, k - 1)

@@ -17,11 +17,15 @@ Both operator families act through signature words:
 
 Both words alternate between minus and plus, one multiplicity per segment, so
 each is read off the multiplicities as alternating counts (see ``signature``).
-A crystal of rank n fixes, once per index, the positions each word reads and
-one getter over them.  After cancelling adjacent (+,-) pairs, lowering edits
-the surviving symbol closest to the appropriate end or appends the length-one
-segment [i,i], and raising edits the opposite end or annihilates.  Raising a
-length-one segment out of existence deletes it.
+The starred word is read right to left, which swaps minus and plus and keeps
+which symbols cancel, so both words open with a minus and end with [i,i] as a
+minus.  A crystal of rank n fixes, once per index, the positions each word
+reads and one getter over them, which reads the stored tuple itself unless
+the tuple ends at or before the word's highest position.  After cancelling
+adjacent (+,-) pairs, lowering moves the leftmost surviving plus or adds the
+length-one segment [i,i], and raising moves the rightmost surviving minus or
+annihilates; raising [i,i] out of existence deletes it.  A write copies the
+multiplicities once and trims them only when the top position empties.
 
 The star involution is one sweep of tropical braid 3-moves on the
 multiplicities (Lusztig; Berenstein-Fomin-Zelevinsky): it reads all C(n+1, 3)
@@ -121,17 +125,6 @@ class Multisegment(tuple):
     def __repr__(self) -> str:
         return f"Multisegment(mults={self[:]!r})"
 
-    def _moved(self, drop: int | None, put: int | None) -> "Multisegment":
-        """One copy fewer at position drop and one more at put; None skips either."""
-        mults = [*self[:]]
-        if put is not None:
-            if put >= len(mults):
-                mults.extend([0] * (put + 1 - len(mults)))
-            mults[put] += 1
-        if drop is not None:
-            mults[drop] -= 1
-        return _of(mults)
-
     def entries(self) -> list[tuple[int, int, int]]:
         """(a, b, multiplicity) of every segment present, largest first in the left order.
 
@@ -172,34 +165,37 @@ EMPTY = Multisegment()
 def _plain_positions(n: int, i: int) -> tuple[int, ...]:
     """Positions the plain word along i reads at rank n, in scan order, opening with a minus.
 
-    [i,t] (-), [i+1,t] (+) for t from n down to i+1, then [i,i] (-), then a
-    plus at n(n+1)/2, the first position past rank n, which reads 0 and keeps
-    the word at two or more counts.
+    [i,t] (-), [i+1,t] (+) for t from n down to i+1, then [i,i] (-).
     """
     out = []
     for t in range(n, i, -1):
         out += (_index(i, t), _index(i + 1, t))
-    return (*out, _index(i, i), n * (n + 1) // 2)
+    return (*out, _index(i, i))
 
 
-def _starred_positions(n: int, i: int) -> tuple[int, ...]:
-    """Positions the starred word along i reads at rank n, in scan order.
+def _starred_positions(i: int) -> tuple[int, ...]:
+    """Positions the starred word along i reads, right to left, so it opens with a minus.
 
-    The word opens with a plus, so a minus at n(n+1)/2, which reads 0, comes
-    first; then [i,i] (+), then [t,i-1] (-), [t,i] (+) for t from i-1 down to 1.
+    The starred word ends with [1,i] (+), so read backwards it is [t,i] (-),
+    [t,i-1] (+) for t from 1 up to i-1, then [i,i] (-).  Reading a word
+    backwards swaps minus and plus and keeps which symbols cancel.
     """
-    out = [n * (n + 1) // 2, _index(i, i)]
-    for t in range(i - 1, 0, -1):
-        out += (_index(t, i - 1), _index(t, i))
-    return tuple(out)
+    out = []
+    for t in range(1, i):
+        out += (_index(t, i), _index(t, i - 1))
+    return (*out, _index(i, i))
 
 
-def _table(positions: tuple[int, ...]):
-    """A word's getter over padded multiplicities, its positions and the lowest of them.
+def _word(positions: tuple[int, ...], step: int) -> tuple:
+    """A word's entry: its getter, its lowest position, one past its highest, its positions and step.
 
-    Every word has two or more positions, so the getter returns a tuple.
+    A surviving minus at position j raises to j + step and a surviving plus
+    lowers to j - step; a one-count word's getter is a slice, so it reads a
+    tuple too.
     """
-    return itemgetter(*positions), positions, min(positions)
+    j = positions[-1]
+    getter = itemgetter(*positions) if len(positions) > 1 else itemgetter(slice(j, j + 1))
+    return getter, min(positions), max(positions) + 1, positions, step
 
 
 # the reduction of a word that reads only zeros
@@ -209,18 +205,18 @@ _NO_SURVIVORS = (0, 0, None, None)
 class MultisegmentCrystal(AbstractCrystal):
     """B(infinity) of type A_n realized on multisegments inside {1..n}.
 
-    Per index i it keeps the positions of the plain and the starred word at
-    rank n and an ``itemgetter`` that reads them from the multiplicities
-    padded to the rank.
+    Per index i it keeps the plain and the starred word at rank n: an
+    ``itemgetter`` over the word's positions, which reads the stored tuple
+    itself and pads it only when it ends at or before the word's highest
+    position.
     """
 
     def __init__(self, n: int):
         check_rank(n)
         self.n = n
         self.lattice = RootLattice(n)
-        size = n * (n + 1) // 2
-        # position `size` lies past the rank and always reads 0
-        self._zeros = (0,) * (size + 1)
+        self._size = n * (n + 1) // 2
+        self._zeros = (0,) * self._size
         # star's 3-moves on the positions of [i,j-1], [i,l-1], [j,l-1].  They do not
         # commute: lexicographic order is admissible (Manin-Schechtman), a path of
         # braid moves between reduced words of w0.  Its reverse gives the same map,
@@ -228,8 +224,8 @@ class MultisegmentCrystal(AbstractCrystal):
         self._moves = tuple(
             (_index(i, j - 1), _index(i, l - 1), _index(j, l - 1)) for i, j, l in combinations(range(1, n + 2), 3)
         )
-        self._plain = {i: _table(_plain_positions(n, i)) for i in self.indices()}
-        self._starred = {i: _table(_starred_positions(n, i)) for i in self.indices()}
+        self._plain = {i: _word(_plain_positions(n, i), 1) for i in self.indices()}
+        self._starred = {i: _word(_starred_positions(i), 1 - i) for i in self.indices()}
 
     @property
     def highest(self) -> Multisegment:
@@ -242,7 +238,7 @@ class MultisegmentCrystal(AbstractCrystal):
 
     def _check_top(self, j: int) -> None:
         """Refuse a multisegment whose top segment sits at position j, past rank n."""
-        if j >= self.n * (self.n + 1) // 2:
+        if j >= self._size:
             raise ValueError(f"segment {_segment_text(*_ends(j))} does not fit inside rank {self.n}")
 
     def parse(self, text: str) -> Multisegment:
@@ -256,82 +252,99 @@ class MultisegmentCrystal(AbstractCrystal):
             self._check_top(max(_index(seg.a, seg.b) for seg, _ in pairs))
         return Multisegment.from_counts(pairs)
 
-    def _reduce(self, table: dict, b: Multisegment, i: int):
-        """Reduce b's word from table along i; returns the reduction and the word's positions."""
+    def _read(self, words: dict, b: Multisegment, i: int):
+        """Reduce b's word from words along i; returns the reduction and the word's entry."""
         try:
-            getter, positions, low = table[i]
+            word = words[i]
         except KeyError:
             raise ValueError(f"operator index {i} out of range for rank {self.n}") from None
-        if len(b) <= low:  # every position the word reads lies past the stored end
-            return _NO_SURVIVORS, positions
-        if len(b) >= len(self._zeros):
-            self.validate(b)
-        return reduce_runs(getter(b + self._zeros[len(b) :])), positions
+        getter, low, end, _, _ = word
+        size = len(b)
+        if size >= end:
+            if size > self._size:
+                self.validate(b)
+            return reduce_runs(getter(b)), word
+        if size <= low:  # every position the word reads lies past the stored end
+            return _NO_SURVIVORS, word
+        return reduce_runs(getter(b + self._zeros[size:end])), word
 
     def count_words(self, b: Multisegment, i: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-        """b's plain and starred words along i as alternating counts, in scan order."""
+        """b's plain and starred words along i as alternating counts, in scan order.
+
+        The plain word closes with an empty plus and the starred one, read
+        left to right, opens with an empty minus.
+        """
         padded = b + self._zeros[len(b) :]
-        return self._plain[i][0](padded), self._starred[i][0](padded)
+        return (*self._plain[i][0](padded), 0), (0, *self._starred[i][0](padded)[::-1])
 
     def plain_read(self, b: Multisegment, i: int):
-        """epsilon(b, i) and, as the handle, the plain word's reduction and positions."""
-        read = self._reduce(self._plain, b, i)
+        """epsilon(b, i) and, as the handle, the plain word's reduction and entry."""
+        read = self._read(self._plain, b, i)
         return read[0][0], read
 
     def star_read(self, b: Multisegment, i: int):
-        """epsilon_star(b, i) and, as the handle, the starred word's reduction and positions."""
-        read = self._reduce(self._starred, b, i)
-        return read[0][1], read
+        """epsilon_star(b, i) and, as the handle, the starred word's reduction and entry."""
+        read = self._read(self._starred, b, i)
+        return read[0][0], read
 
     def lower_with(self, b: Multisegment, i: int, read) -> Multisegment:
-        """Shift the leftmost surviving plus [i+1,t] to [i,t], or append [i,i]."""
-        (_, _, _, at), positions = read
+        """Move the leftmost surviving plus down the word, or add [i,i].
+
+        Plain: [i+1,t] to [i,t]; starred: [t,i-1] to [t,i].
+        """
+        (_, _, _, at), (_, _, _, positions, step) = read
+        mults = [*b[:]]
         if at is None:
-            return b._moved(None, _index(i, i))
-        return b._moved(positions[at], positions[at] - 1)
+            k = positions[-1]
+        else:
+            k = positions[at]
+            mults[k] -= 1
+            k -= step
+        if k >= len(mults):
+            mults += self._zeros[len(mults) : k + 1]
+        mults[k] += 1
+        return tuple.__new__(Multisegment, mults) if mults[-1] else _of(mults)
 
     def raise_with(self, b: Multisegment, i: int, read) -> Multisegment | None:
-        """Shift the rightmost surviving minus [i,t] to [i+1,t]; None if no minus."""
-        (_, _, at, _), positions = read
+        """Move the rightmost surviving minus up the word, deleting [i,i]; None if no minus.
+
+        Plain: [i,t] to [i+1,t]; starred: [t,i] to [t,i-1].
+        """
+        (_, _, at, _), (_, _, _, positions, step) = read
         if at is None:
             return None
         j = positions[at]
-        return b._moved(j, None if j == _index(i, i) else j + 1)
+        mults = [*b[:]]
+        mults[j] -= 1
+        if j != positions[-1]:
+            j += step
+            if j >= len(mults):
+                mults += self._zeros[len(mults) : j + 1]
+            mults[j] += 1
+        return tuple.__new__(Multisegment, mults) if mults[-1] else _of(mults)
 
-    def star_lower_with(self, b: Multisegment, i: int, read) -> Multisegment:
-        """Grow the rightmost surviving minus [t,i-1] to [t,i], or append [i,i]."""
-        (_, _, at, _), positions = read
-        if at is None:
-            return b._moved(None, _index(i, i))
-        return b._moved(positions[at], positions[at] + i - 1)
-
-    def star_raise_with(self, b: Multisegment, i: int, read) -> Multisegment | None:
-        """Trim the leftmost surviving plus [t,i] to [t,i-1]; None if no plus."""
-        (_, _, _, at), positions = read
-        if at is None:
-            return None
-        j = positions[at]
-        return b._moved(j, None if j == _index(i, i) else j - i + 1)
+    star_lower_with = lower_with
+    star_raise_with = raise_with
 
     def lowering(self, b: Multisegment, i: int) -> Multisegment:
-        return self.lower_with(b, i, self._reduce(self._plain, b, i))
+        return self.lower_with(b, i, self._read(self._plain, b, i))
 
     def raising(self, b: Multisegment, i: int) -> Multisegment | None:
-        return self.raise_with(b, i, self._reduce(self._plain, b, i))
+        return self.raise_with(b, i, self._read(self._plain, b, i))
 
     def star_lowering(self, b: Multisegment, i: int) -> Multisegment:
-        return self.star_lower_with(b, i, self._reduce(self._starred, b, i))
+        return self.star_lower_with(b, i, self._read(self._starred, b, i))
 
     def star_raising(self, b: Multisegment, i: int) -> Multisegment | None:
-        return self.star_raise_with(b, i, self._reduce(self._starred, b, i))
+        return self.star_raise_with(b, i, self._read(self._starred, b, i))
 
     def epsilon(self, b: Multisegment, i: int) -> int:
         """Number of surviving minus symbols; the raising string length along i."""
-        return self._reduce(self._plain, b, i)[0][0]
+        return self._read(self._plain, b, i)[0][0]
 
     def epsilon_star(self, b: Multisegment, i: int) -> int:
         """Number of surviving plus symbols of the starred signature along i."""
-        return self._reduce(self._starred, b, i)[0][1]
+        return self._read(self._starred, b, i)[0][0]
 
     def weight(self, b: Multisegment) -> RootLatticeElem:
         """Weight: minus the multiplicity with which each index is covered."""

@@ -426,6 +426,22 @@ def test_integer_arguments_refuse_digits_outside_0_to_9(capsys, argv):
     assert (code, out) == (2, "") and "error: argument" in err
 
 
+NINES = "9" * 5000  # more digits than int() converts
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (("apply", "shift", "1:[1]", NINES, "--n", "2"), "ints"),
+        (("verify", "sl2", "--n", "1", "--window", f"0..{NINES}", "--ht", "1"), "--window"),
+    ],
+)
+def test_integer_arguments_with_too_many_digits_get_the_grammar_message(capsys, argv, flag):
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.splitlines()[-1] == f"extcrystal {argv[0]}: error: argument {flag}: integer has too many digits"
+
+
 def test_integer_arguments_take_a_sign(capsys):
     assert run_cli(capsys, "apply", "shift", "1:[1]", "-1", "--n", "2")[:2] == (0, "0:[1]")
     assert run_cli(capsys, "apply", "shift", "1:[1]", "+1", "--n", "2")[:2] == (0, "2:[1]")

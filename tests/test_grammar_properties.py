@@ -168,7 +168,7 @@ def argument_int(text):
     """The value of text read as an integer command-line argument, or None."""
     try:
         return cli._int_type(text)
-    except (argparse.ArgumentTypeError, ValueError):
+    except argparse.ArgumentTypeError:
         return None
 
 

@@ -1,6 +1,7 @@
 """Tests for segments, multisegments, and the multisegment crystal operators."""
 
 import random
+from collections import Counter
 
 import pytest
 
@@ -400,6 +401,136 @@ def test_operators_match_per_symbol_cancellation_exhaustive():
                     seg = plus[0]
                     want = replace_one(m, seg, Segment(seg.a, i - 1) if seg.a < i else None)
                 assert crystal.star_raising(m, i) == (want if plus else None)
+
+
+def _storage(n):
+    """Every segment inside rank n in storage order: by end, then by start."""
+    return [Segment(a, b) for b in range(1, n + 1) for a in range(1, b + 1)]
+
+
+def _word_segments(n, i):
+    """The segments the plain and the starred word along i read, each largest first in its order.
+
+    Plain: [i,t] (-) and [i+1,t] (+) in the left order (right ends first, a
+    larger left end is smaller); starred: [t,i] (+) and [t,i-1] (-) in the
+    right order (left ends first, a larger right end is smaller).
+    """
+    segs = _storage(n)
+    plain = sorted((s for s in segs if s.a in (i, i + 1)), key=lambda s: (s.b, -s.a), reverse=True)
+    starred = sorted((s for s in segs if s.b in (i - 1, i)), key=lambda s: (s.a, -s.b), reverse=True)
+    return [("-" if s.a == i else "+", s) for s in plain], [("+" if s.b == i else "-", s) for s in starred]
+
+
+def _list_moved(m, drop, put):
+    """m's multiplicities copied to a list, one copy fewer of drop and one more of put, trailing zeros trimmed."""
+    mults = list(m.mults)
+    for seg, step in ((drop, -1), (put, 1)):
+        if seg is not None:
+            j = _storage(seg.b).index(seg)
+            mults += [0] * (j + 1 - len(mults))
+            mults[j] += step
+    while mults and not mults[-1]:
+        mults.pop()
+    return tuple(mults)
+
+
+def _by_definition(n, m, i, rng):
+    """(lowering, raising, star_lowering, star_raising) of m along i as tuples of multiplicities, None for no raise."""
+    held = Counter(segments(m))
+    plain, starred = ([sym for sym in word for _ in range(held[sym[1]])] for word in _word_segments(n, i))
+    minus, plus = _survivors(plain, rng)
+    lower = _list_moved(m, plus[0], Segment(i, plus[0].b)) if plus else _list_moved(m, None, Segment(i, i))
+    raise_ = None if not minus else _list_moved(m, minus[-1], Segment(i + 1, minus[-1].b) if minus[-1].b > i else None)
+    minus, plus = _survivors(starred, rng)
+    star_lower = _list_moved(m, minus[-1], Segment(minus[-1].a, i)) if minus else _list_moved(m, None, Segment(i, i))
+    star_raise = None if not plus else _list_moved(m, plus[0], Segment(plus[0].a, i - 1) if plus[0].a < i else None)
+    return lower, raise_, star_lower, star_raise
+
+
+def _ending_at(rng, n, end):
+    """A multisegment whose stored tuple ends at position end: one copy there, zero to two below."""
+    mults = [rng.choice((0, 0, 1, 2)) for _ in range(end)] + [1]
+    return Multisegment.from_counts(zip(_storage(n), mults))
+
+
+def _boundary_inputs(n, rng):
+    """Per word, multisegments whose stored tuple ends at the word's highest position and one short of it."""
+    out = []
+    for i in range(1, n + 1):
+        for word in _word_segments(n, i):
+            top = max(_storage(n).index(s) for _sign, s in word)
+            for end in (top, top - 1):
+                if end >= 0:
+                    out += [_ending_at(rng, n, end) for _ in range(6)]
+    return out
+
+
+def test_operator_results_stay_canonical_at_the_padding_boundary():
+    rng = random.Random(61)
+    names = ("lowering", "raising", "star_lowering", "star_raising")
+    for n in range(1, 5):
+        crystal, ext = MultisegmentCrystal(n), ExtendedCrystal(MultisegmentCrystal(n))
+        boundary = _boundary_inputs(n, rng)
+        for m in [*iter_multisegments(n, 5), *boundary]:
+            for i in crystal.indices():
+                for name, want in zip(names, _by_definition(n, m, i, rng)):
+                    got = getattr(crystal, name)(m, i)
+                    if want is None:
+                        assert got is None, (name, i, m)
+                    else:
+                        assert type(got) is Multisegment and got.mults == want, (name, i, m)
+                        assert not got.mults or got.mults[-1]
+        # both branches of the extended operators, on the boundary inputs
+        branches = Counter()
+        for hi, lo in zip(boundary, boundary[1:] + boundary[:1]):
+            for c in (ext.element({1: hi, 0: lo}), ext.element({1: hi}), ext.element({0: lo})):
+                hi_c, lo_c = ext.slot(c, 1), ext.slot(c, 0)
+                for i in crystal.indices():
+                    plain_wins = crystal.epsilon(lo_c, i) >= crystal.epsilon_star(hi_c, i)
+                    if plain_wins:
+                        want = {1: hi_c, 0: crystal.lowering(lo_c, i)}
+                    else:
+                        want = {1: crystal.star_raising(hi_c, i), 0: lo_c}
+                    got = ext.lowering(c, i, 0)
+                    assert got == ext.element(want) and got == ext.star_raising(c, i, 1)
+                    branches["lowering", plain_wins] += 1
+                    plain_wins = crystal.epsilon(lo_c, i) > crystal.epsilon_star(hi_c, i)
+                    if plain_wins:
+                        want = {1: hi_c, 0: crystal.raising(lo_c, i)}
+                    else:
+                        want = {1: crystal.star_lowering(hi_c, i), 0: lo_c}
+                    got = ext.raising(c, i, 0)
+                    assert got == ext.element(want) and got == ext.star_lowering(c, i, 1)
+                    branches["raising", plain_wins] += 1
+                    for _k, b in got.slots + ext.lowering(c, i, 0).slots:
+                        assert b.mults[-1]
+        assert len(branches) == 4, (n, branches)
+
+
+def test_star_raising_trims_the_zeros_below_an_emptied_top():
+    # [1,3] at position 3 is the top of (1, 0, 0, 1); star raising along 3
+    # trims it to [1,2] at position 1, so the two zeros above go too
+    m = parse_multisegment("[1,3],[1]")
+    assert m.mults == (1, 0, 0, 1)
+    assert C3.star_raising(m, 3).mults == (1, 1)
+    assert C3.star_raising(parse_multisegment("[1,3]"), 3).mults == (0, 1)
+    assert C3.star_raising(parse_multisegment("[3],[1]"), 3).mults == (1,)
+    # the plain raise that empties the top keeps the rest
+    assert C3.raising(parse_multisegment("[3],[1]"), 3).mults == (1,)
+
+
+def test_count_words_are_the_words_of_the_segment_rules_exhaustive():
+    for n in range(1, 5):
+        crystal = MultisegmentCrystal(n)
+        for m in iter_multisegments(n, 4):
+            held = {(a, b): mult for a, b, mult in m.entries()}
+            for i in crystal.indices():
+                plain, starred = _word_segments(n, i)
+                # the plain word closes with an empty plus, the starred one opens with an empty minus
+                assert [sign for sign, _s in plain] + ["+"] == ["-", "+"] * (len(plain) // 2 + 1)
+                assert ["-"] + [sign for sign, _s in starred] == ["-", "+"] * (len(starred) // 2 + 1)
+                want = (*(held.get(s, 0) for _sign, s in plain), 0), (0, *(held.get(s, 0) for _sign, s in starred))
+                assert crystal.count_words(m, i) == want, (i, m)
 
 
 def test_star_is_star_lowering_along_the_reversed_raising_path():
