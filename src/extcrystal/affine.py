@@ -44,7 +44,7 @@ from operator import itemgetter
 
 from .extended import ExtElement, ExtendedCrystal, _from_slots
 from .msegment import MultisegmentCrystal, Segment, _ends, _of
-from .parsing import Scanner, parse_counted
+from .parsing import SPACED_INT, Scanner, counted_term, matched_terms, parse_counted
 from .rootdata import RootLatticeElem, check_rank
 from .signature import reduce_runs
 
@@ -159,10 +159,6 @@ class AffineModel:
         self._keys, self._at = _dictionary(n)
 
     # -- the node lattice -------------------------------------------------
-
-    def check_node(self, p: HLNode) -> None:
-        """Refuse a node past the rank, as to_extended does."""
-        self.to_extended(((p, 1),))
 
     def dual_shift(self, p: HLNode, k: int = 1) -> HLNode:
         """Apply the dual shift k times; k may be negative."""
@@ -348,7 +344,39 @@ def format_hl_weight(lam: HLWeight) -> str:
 
 def parse_hl_weight(text: str) -> HLWeight:
     """Parse comma-separated "(i,a)" terms with optional "c*" prefixes; "0" is zero."""
+    lam = _matched_weight(text)
+    return _scanned_hl_weight(text) if lam is None else lam
+
+
+def _scanned_hl_weight(text: str) -> HLWeight:
+    """parse_hl_weight through the Scanner alone, which names every refusal."""
     return HLWeight(tuple(parse_counted(text, ("0",), _take_node, "coefficient")))
+
+
+_NODE_TERM = counted_term(rf"\({SPACED_INT},{SPACED_INT}\)")
+
+
+def _matched_weight(text: str) -> HLWeight | None:
+    """The weight of text if every term matches, with a coefficient of at least 1 on a valid node.
+
+    None otherwise, and the caller reads the text through the Scanner.
+    Repeated nodes add up by node key before one sort.
+    """
+    terms = matched_terms(text, ("0",), _NODE_TERM)
+    if terms is None:
+        return None
+    merged: dict[tuple[int, int], int] = {}
+    try:
+        for count, i, a, _ in terms:
+            i, a = int(i), int(a)
+            count = int(count) if count else 1
+            if i < 1 or not (a - i) & 1 or count < 1:
+                return None
+            key = a, i
+            merged[key] = merged.get(key, 0) + count
+    except ValueError:  # more digits than int() converts
+        return None
+    return _sorted_weight(list(merged.items()))
 
 
 def _take_node(sc: Scanner) -> HLNode:

@@ -40,7 +40,7 @@ from math import isqrt
 from operator import itemgetter
 
 from .crystal import AbstractCrystal
-from .parsing import Scanner, parse_counted
+from .parsing import SPACED_INT, Scanner, counted_term, matched_terms, parse_counted
 from .rootdata import MAX_RANK, RootLattice, RootLatticeElem, check_rank
 from .signature import reduce_runs
 
@@ -247,7 +247,12 @@ class MultisegmentCrystal(AbstractCrystal):
         The refusal is validate's ValueError, raised once the whole text has
         parsed, so "[1,100000]" costs no list of 5e9 multiplicities.
         """
-        pairs = _parse_pairs(text)
+        m = _matched(text, self.n)
+        return self._scanned(text) if m is None else m
+
+    def _scanned(self, text: str) -> Multisegment:
+        """parse through the Scanner alone, which names every refusal."""
+        pairs = parse_counted(text, ("", "1"), _read_segment, "multiplicity")
         if pairs:
             self._check_top(max(_index(seg.a, seg.b) for seg, _ in pairs))
         return Multisegment.from_counts(pairs)
@@ -274,8 +279,13 @@ class MultisegmentCrystal(AbstractCrystal):
         The plain word closes with an empty plus and the starred one, read
         left to right, opens with an empty minus.
         """
+        try:
+            plain, starred = self._plain[i][0], self._starred[i][0]
+        except KeyError:
+            raise ValueError(f"operator index {i} out of range for rank {self.n}") from None
+        self.validate(b)
         padded = b + self._zeros[len(b) :]
-        return (*self._plain[i][0](padded), 0), (0, *self._starred[i][0](padded)[::-1])
+        return (*plain(padded), 0), (0, *starred(padded)[::-1])
 
     def plain_read(self, b: Multisegment, i: int):
         """epsilon(b, i) and, as the handle, the plain word's reduction and entry."""
@@ -403,12 +413,46 @@ def parse_multisegment(text: str) -> Multisegment:
     No crystal holds a segment past MAX_RANK, so one is a ParseError at the
     segment, before any multiplicity is allocated by its position.
     """
+    m = _matched(text, MAX_RANK)
+    return _scanned_multisegment(text) if m is None else m
+
+
+def _scanned_multisegment(text: str) -> Multisegment:
+    """parse_multisegment through the Scanner alone, which names every refusal."""
     return Multisegment.from_counts(parse_counted(text, ("", "1"), _read_fitting_segment, "multiplicity"))
 
 
-def _parse_pairs(text: str) -> list[tuple[Segment, int]]:
-    """The (segment, multiplicity) pairs of the text form, in text order."""
-    return parse_counted(text, ("", "1"), _read_segment, "multiplicity")
+_SEGMENT_TERM = counted_term(rf"\[{SPACED_INT}(?:,{SPACED_INT})?\]")
+
+
+def _matched(text: str, top: int) -> Multisegment | None:
+    """The multisegment of text if every term matches, counts at least 1 and segments inside rank top.
+
+    None otherwise, and the caller reads the text through the Scanner.  The
+    largest position sizes the multiplicities, allocated once.
+    """
+    terms = matched_terms(text, ("", "1"), _SEGMENT_TERM)
+    if terms is None:
+        return None
+    found, size = [], 0
+    try:
+        for count, a, b, _ in terms:
+            a = int(a)
+            b = int(b) if b else a
+            count = int(count) if count else 1
+            if not (1 <= a <= b <= top and count >= 1):
+                return None
+            j = b * (b - 1) // 2 + a - 1
+            found.append((j, count))
+            if j >= size:
+                size = j + 1
+    except ValueError:  # more digits than int() converts
+        return None
+    mults = [0] * size
+    for j, count in found:
+        mults[j] += count
+    # the top position holds a count of at least 1: nothing to trim
+    return tuple.__new__(Multisegment, mults)
 
 
 def _read_segment(sc: Scanner) -> Segment:

@@ -1,4 +1,10 @@
-"""Shared helpers for the little text grammars used on the command line."""
+"""Shared helpers for the little text grammars used on the command line.
+
+Accepted text is read one compiled match per term (``counted_term`` and
+``matched_terms``), straight into what the caller builds.  Whatever the
+match path does not accept goes through ``parse_counted``, whose ``Scanner``
+names every refusal: its position and its message.
+"""
 
 from __future__ import annotations
 
@@ -7,6 +13,8 @@ import re
 # every integer in the grammars: an optional sign and ASCII digits; int() also
 # reads "١" and "1_0", and str.isdigit takes "²"
 INT = re.compile(r"[+-]?[0-9]+")
+# one integer of an item and the whitespace the Scanner skips around it, as one group
+SPACED_INT = rf"\s*({INT.pattern})\s*"
 
 
 class ParseError(ValueError):
@@ -90,3 +98,36 @@ def parse_counted(text: str, empty: tuple[str, ...], read_item, noun: str) -> li
         if sc.eof():
             return pairs
         sc.expect(",")
+
+
+def counted_term(item: str) -> re.Pattern:
+    """One "k*item" term of parse_counted's grammar and the comma after it, as one pattern.
+
+    ``item`` is the item's regular expression.  Whitespace may stand wherever
+    the Scanner skips it: regex ``\\s`` and ``str.isspace`` agree on every
+    code point.  The count, like the Scanner's, is an integer that a digit
+    starts.  The groups are the count (None when absent), the item's own, and
+    the comma (None when the term ends the text).
+    """
+    return re.compile(rf"\s*(?:(?=[0-9])({INT.pattern})\s*\*)?\s*{item}\s*(?:(,)|\Z)")
+
+
+def matched_terms(text: str, empty: tuple[str, ...], term: re.Pattern) -> list[tuple] | None:
+    """The groups of each term of text, in text order; None unless every term matches.
+
+    A text that strips to one of ``empty`` has no terms, as in parse_counted.
+    On None the caller reads the text with parse_counted, which gives its
+    value or names its refusal.
+    """
+    if text.strip() in empty:
+        return []
+    terms, pos, match = [], 0, term.match
+    while True:
+        m = match(text, pos)
+        if m is None:
+            return None
+        groups = m.groups()
+        terms.append(groups)
+        if groups[-1] is None:
+            return terms
+        pos = m.end()

@@ -75,7 +75,7 @@ def test_node_parity_constraint():
     HLNode(2, -3)
     for i, a in ((1, 1), (2, 0), (3, 3)):
         with pytest.raises(ValueError):
-            M3.check_node(HLNode(i, a))
+            HLNode(i, a)
 
 
 def test_node_is_its_sort_key():

@@ -1,4 +1,4 @@
-"""Property tests for the multisegment and slot-element text grammars."""
+"""Property tests for the multisegment, slot-element and node-weight text grammars."""
 
 import pytest
 
@@ -10,9 +10,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from extcrystal import cli
-from extcrystal.affine import parse_hl_weight
+from extcrystal.affine import _scanned_hl_weight, parse_hl_weight
 from extcrystal.extended import ExtendedCrystal, format_ext_element, parse_ext_element
-from extcrystal.msegment import MultisegmentCrystal, format_multisegment, parse_multisegment
+from extcrystal.msegment import MultisegmentCrystal, _scanned_multisegment, format_multisegment, parse_multisegment
 from extcrystal.parsing import ParseError, Scanner
 
 RANK = 4
@@ -183,3 +183,123 @@ def test_the_integer_readers_take_the_same_strings(text):
     value = scanned_int(text)
     assert slot_index(text) == value
     assert argument_int(text) == value
+
+
+class ScannedCrystal(MultisegmentCrystal):
+    """A crystal whose parse reads through the Scanner alone."""
+
+    parse = MultisegmentCrystal._scanned
+
+
+SCANNED_EXT = ExtendedCrystal(ScannedCrystal(RANK))
+
+
+def outcome(parse, text):
+    """("value", the parsed value) or ("refused", exception type, position, message)."""
+    try:
+        return "value", parse(text)
+    except ParseError as err:
+        return "refused", type(err), err.pos, err.message
+    except ValueError as err:
+        return "refused", type(err), None, str(err)
+
+
+def assert_same_outcome(matched, scanned, text):
+    got, want = outcome(matched, text), outcome(scanned, text)
+    assert got == want, (text, got, want)
+    if got[0] == "value":
+        # equal tuples of another type would compare equal too
+        assert type(got[1]) is type(want[1]), text
+
+
+spaces = st.sampled_from(["", "", " ", "\t", "\u3000"])
+# mostly integers the grammars take, written in every way they allow
+numbers = st.sampled_from(["1", "1", "2", "3", "4", "007", "+1", "+02", "1", "2", "0", "-0", "-3", "65"])
+
+
+@st.composite
+def counted_texts(draw, opening, closing, items):
+    """Comma-joined "k*item" terms, spaced and with small integers; now and then a stray character.
+
+    ``items`` draws an item's integers as text.  Such texts are mostly
+    accepted, which the alphabets alone seldom give.
+    """
+    parts = []
+    for t in range(draw(st.integers(1, 4))):
+        if t:
+            parts.append(",")
+        if draw(st.booleans()):
+            parts += [draw(spaces), draw(numbers), draw(spaces), "*"]
+        parts += [draw(spaces), opening]
+        for k, x in enumerate(draw(items)):
+            parts += [",", draw(spaces), x, draw(spaces)] if k else [draw(spaces), x, draw(spaces)]
+        parts += [closing, draw(spaces)]
+    if draw(st.integers(0, 3)) == 0:
+        parts.insert(draw(st.integers(0, len(parts))), draw(st.sampled_from([",", "*", opening, closing, "x", "²"])))
+    return "".join(parts)
+
+
+segment_terms = counted_texts("[", "]", st.lists(numbers, min_size=1, max_size=2))
+node_pairs = st.lists(numbers, min_size=2, max_size=2)
+# a node's coordinates differ by an odd number three times in four
+node_terms = counted_texts("(", ")", st.one_of(node_pairs.filter(lambda p: (int(p[0]) - int(p[1])) % 2), node_pairs))
+node_text = st.text(alphabet="(),*-+0123456789 _²١", max_size=30)
+slot_text = st.text(alphabet="[],*:;-+0123456789 \t_²١", max_size=30)
+
+SPACED = " \t 3 \n * \u3000 [ \u2028 +1 \x1c , \x85 004 \xa0 ] \u205f , [ 2 ] \r\f"
+DIGITS = "9" * 5000
+
+
+@FUZZ
+@given(st.one_of(alphabet_text, segment_terms))
+@example(SPACED)
+@example("+1*[1]")
+@example("[+1,-0]")
+@example("[+1,+007],007*[+02,4]")
+@example("0*[1]")
+@example("00*[2]")
+@example("[2,1]")
+@example("[1,65]")
+@example("[1,64]")
+@example(DIGITS + "*[1]")
+@example("[1]," + DIGITS + "*[1]")
+@example("[1],")
+@example("[1],,[2]")
+@example(",,")
+@example(" 1 ")
+@example("2 [1]")
+def test_matched_multisegments_are_the_scanned_ones(text):
+    assert_same_outcome(parse_multisegment, _scanned_multisegment, text)
+    assert_same_outcome(EXT.crystal.parse, EXT.crystal._scanned, text)
+
+
+@FUZZ
+@given(st.one_of(node_text, node_terms))
+@example(" \t 3 \n * \u3000 ( \u2028 +1 \x1c , \x85 -0 \xa0 ) \u205f , ( 2 , 007 ) \r\f")
+@example("(+1,-0),007*(+2,-003)")
+@example("0*(1,0)")
+@example("(2,0)")
+@example("(0,1)")
+@example("(1,0),(1,0),2*(1,0)")
+@example(DIGITS + "*(1,0)")
+@example("(1," + DIGITS + ")")
+@example("(1,0),")
+@example("(1,0),,(1,2)")
+@example(",,")
+@example(" 0 ")
+def test_matched_node_weights_are_the_scanned_ones(text):
+    assert_same_outcome(parse_hl_weight, _scanned_hl_weight, text)
+
+
+@FUZZ
+@given(st.one_of(slot_text, st.tuples(segment_terms, segment_terms).map(lambda t: f"1:{t[0]};0:{t[1]}")))
+@example(" 1 :" + SPACED + "; 0 : \t [ 4 ] ")
+@example("0:+1*[+1,-0]")
+@example("0:0*[1];1:[2,1]")
+@example("0:[1,5]")
+@example("0:[1,65]")
+@example("0:" + DIGITS + "*[1]")
+@example("0:[1],")
+@example("0:,,")
+def test_matched_slot_elements_are_the_scanned_ones(text):
+    assert_same_outcome(lambda t: parse_ext_element(t, EXT), lambda t: parse_ext_element(t, SCANNED_EXT), text)

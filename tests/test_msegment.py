@@ -533,6 +533,18 @@ def test_count_words_are_the_words_of_the_segment_rules_exhaustive():
                 assert crystal.count_words(m, i) == want, (i, m)
 
 
+def test_count_words_refuses_what_the_operators_refuse():
+    past = parse_multisegment("3*[1],3*[1,2]")
+    with pytest.raises(ValueError, match=r"^segment \[1,2\] does not fit inside rank 1$"):
+        MultisegmentCrystal(1).lowering(past, 1)
+    with pytest.raises(ValueError, match=r"^segment \[1,2\] does not fit inside rank 1$"):
+        MultisegmentCrystal(1).count_words(past, 1)
+    with pytest.raises(ValueError, match=r"^operator index 4 out of range for rank 3$"):
+        C3.lowering(MIXED, 4)
+    with pytest.raises(ValueError, match=r"^operator index 4 out of range for rank 3$"):
+        C3.count_words(MIXED, 4)
+
+
 def test_star_is_star_lowering_along_the_reversed_raising_path():
     # the path definition of star, one box at a time, against the bulk string
     # data star: every multisegment of ranks 1..4 up to height 7, and deep
