@@ -44,7 +44,7 @@ from operator import itemgetter
 
 from .extended import ExtElement, ExtendedCrystal, _from_slots
 from .msegment import MultisegmentCrystal, Segment, _ends, _of
-from .parsing import SPACED_INT, Scanner, counted_term, matched_terms, parse_counted
+from .parsing import INT, counted_term, counted_terms, refusal
 from .rootdata import RootLatticeElem, check_rank
 from .signature import reduce_runs
 
@@ -343,46 +343,20 @@ def format_hl_weight(lam: HLWeight) -> str:
 
 
 def parse_hl_weight(text: str) -> HLWeight:
-    """Parse comma-separated "(i,a)" terms with optional "c*" prefixes; "0" is zero."""
-    lam = _matched_weight(text)
-    return _scanned_hl_weight(text) if lam is None else lam
-
-
-def _scanned_hl_weight(text: str) -> HLWeight:
-    """parse_hl_weight through the Scanner alone, which names every refusal."""
-    return HLWeight(tuple(parse_counted(text, ("0",), _take_node, "coefficient")))
-
-
-_NODE_TERM = counted_term(rf"\({SPACED_INT},{SPACED_INT}\)")
-
-
-def _matched_weight(text: str) -> HLWeight | None:
-    """The weight of text if every term matches, with a coefficient of at least 1 on a valid node.
-
-    None otherwise, and the caller reads the text through the Scanner.
-    Repeated nodes add up by node key before one sort.
-    """
-    terms = matched_terms(text, ("0",), _NODE_TERM)
-    if terms is None:
-        return None
+    """Parse comma-separated "(i,a)" terms with optional "c*" prefixes; "0" is zero; repeated nodes add up."""
     merged: dict[tuple[int, int], int] = {}
     try:
-        for count, i, a, _ in terms:
+        for m in counted_terms(text, ("0",), _NODE_TERM):
+            count, _, _, _, i, _, a, _, end = m.groups()
             i, a = int(i), int(a)
             count = int(count) if count else 1
-            if i < 1 or not (a - i) & 1 or count < 1:
-                return None
+            if end is None or i < 1 or not (a - i) & 1 or count < 1:
+                raise ValueError
             key = a, i
             merged[key] = merged.get(key, 0) + count
-    except ValueError:  # more digits than int() converts
-        return None
+    except ValueError:  # a missing token, more digits than int() converts, or a rule broken
+        raise refusal(text, _NODE_TERM, HLNode, "coefficient") from None
     return _sorted_weight(list(merged.items()))
 
 
-def _take_node(sc: Scanner) -> HLNode:
-    sc.expect("(")
-    i = sc.take_int()
-    sc.expect(",")
-    a = sc.take_int()
-    sc.expect(")")
-    return HLNode(i, a)
+_NODE_TERM = counted_term("(", INT, ",", INT, ")")  # groups: count, '*', item start, '(', i, ',', a, ')', end

@@ -35,12 +35,13 @@ moves but writes only those that change something (see
 
 from __future__ import annotations
 
+from functools import partial
 from itertools import combinations
 from math import isqrt
 from operator import itemgetter
 
 from .crystal import AbstractCrystal
-from .parsing import SPACED_INT, Scanner, counted_term, matched_terms, parse_counted
+from .parsing import INT, counted_term, counted_terms, refusal
 from .rootdata import MAX_RANK, RootLattice, RootLatticeElem, check_rank
 from .signature import reduce_runs
 
@@ -239,23 +240,11 @@ class MultisegmentCrystal(AbstractCrystal):
     def _check_top(self, j: int) -> None:
         """Refuse a multisegment whose top segment sits at position j, past rank n."""
         if j >= self._size:
-            raise ValueError(f"segment {_segment_text(*_ends(j))} does not fit inside rank {self.n}")
+            raise _past_rank(*_ends(j), self.n)
 
     def parse(self, text: str) -> Multisegment:
-        """parse_multisegment, refusing a segment past rank n before anything is built.
-
-        The refusal is validate's ValueError, raised once the whole text has
-        parsed, so "[1,100000]" costs no list of 5e9 multiplicities.
-        """
-        m = _matched(text, self.n)
-        return self._scanned(text) if m is None else m
-
-    def _scanned(self, text: str) -> Multisegment:
-        """parse through the Scanner alone, which names every refusal."""
-        pairs = parse_counted(text, ("", "1"), _read_segment, "multiplicity")
-        if pairs:
-            self._check_top(max(_index(seg.a, seg.b) for seg, _ in pairs))
-        return Multisegment.from_counts(pairs)
+        """parse_multisegment, but a segment past rank n is validate's ValueError, once the text has parsed."""
+        return _parse(text, self.n, _segment)
 
     def _read(self, words: dict, b: Multisegment, i: int):
         """Reduce b's word from words along i; returns the reduction and the word's entry."""
@@ -413,41 +402,36 @@ def parse_multisegment(text: str) -> Multisegment:
     No crystal holds a segment past MAX_RANK, so one is a ParseError at the
     segment, before any multiplicity is allocated by its position.
     """
-    m = _matched(text, MAX_RANK)
-    return _scanned_multisegment(text) if m is None else m
+    return _parse(text, MAX_RANK, _fitting_segment)
 
 
-def _scanned_multisegment(text: str) -> Multisegment:
-    """parse_multisegment through the Scanner alone, which names every refusal."""
-    return Multisegment.from_counts(parse_counted(text, ("", "1"), _read_fitting_segment, "multiplicity"))
+_SEGMENT_TERM = counted_term("[", INT, (",", INT), "]")  # groups: count, '*', item start, '[', a, b, ']', end
 
 
-_SEGMENT_TERM = counted_term(rf"\[{SPACED_INT}(?:,{SPACED_INT})?\]")
+def _parse(text: str, top: int, item) -> Multisegment:
+    """The multisegment of text, with item the segment rule that names a refusal.
 
-
-def _matched(text: str, top: int) -> Multisegment | None:
-    """The multisegment of text if every term matches, counts at least 1 and segments inside rank top.
-
-    None otherwise, and the caller reads the text through the Scanner.  The
-    largest position sizes the multiplicities, allocated once.
+    The multiplicities are allocated once, sized by the largest position, so
+    "[1,100000]" costs no list of 5e9.  Past rank top, the refusal is item's
+    at the first such segment, or else the ValueError about the largest.
     """
-    terms = matched_terms(text, ("", "1"), _SEGMENT_TERM)
-    if terms is None:
-        return None
     found, size = [], 0
     try:
-        for count, a, b, _ in terms:
+        for m in counted_terms(text, ("", "1"), _SEGMENT_TERM):
+            count, _, _, _, a, b, _, end = m.groups()
             a = int(a)
-            b = int(b) if b else a
+            b = int(b) if b is not None else a
             count = int(count) if count else 1
-            if not (1 <= a <= b <= top and count >= 1):
-                return None
+            if end is None or not (1 <= a <= b and count >= 1):
+                raise ValueError
             j = b * (b - 1) // 2 + a - 1
             found.append((j, count))
             if j >= size:
                 size = j + 1
-    except ValueError:  # more digits than int() converts
-        return None
+    except ValueError:  # a missing token, more digits than int() converts, or a rule broken
+        raise refusal(text, _SEGMENT_TERM, item, "multiplicity") from None
+    if size > top * (top + 1) // 2:
+        raise refusal(text, _SEGMENT_TERM, item, "multiplicity") or _past_rank(*_ends(size - 1), top)
     mults = [0] * size
     for j, count in found:
         mults[j] += count
@@ -455,19 +439,16 @@ def _matched(text: str, top: int) -> Multisegment | None:
     return tuple.__new__(Multisegment, mults)
 
 
-def _read_segment(sc: Scanner) -> Segment:
-    sc.expect("[")
-    a = sc.take_int()
-    b = a
-    if sc.peek() == ",":
-        sc.expect(",")
-        b = sc.take_int()
-    sc.expect("]")
-    return Segment(a, b)
-
-
-def _read_fitting_segment(sc: Scanner) -> Segment:
-    seg = _read_segment(sc)
-    if seg.b > MAX_RANK:
-        raise ValueError(f"segment {seg} does not fit inside rank {MAX_RANK}")
+def _segment(a: int, b: int | None = None, top: int | None = None) -> Segment:
+    """The segment of the item "[a]" or "[a,b]", refused past rank top if one is given."""
+    seg = Segment(a, a if b is None else b)
+    if top is not None and seg.b > top:
+        raise _past_rank(*seg, top)
     return seg
+
+
+_fitting_segment = partial(_segment, top=MAX_RANK)
+
+
+def _past_rank(a: int, b: int, n: int) -> ValueError:
+    return ValueError(f"segment {_segment_text(a, b)} does not fit inside rank {n}")

@@ -5,15 +5,17 @@ import pytest
 pytest.importorskip("hypothesis")
 
 import argparse
+from itertools import product
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from extcrystal import cli
-from extcrystal.affine import _scanned_hl_weight, parse_hl_weight
+from extcrystal.affine import parse_hl_weight
 from extcrystal.extended import ExtendedCrystal, format_ext_element, parse_ext_element
-from extcrystal.msegment import MultisegmentCrystal, _scanned_multisegment, format_multisegment, parse_multisegment
-from extcrystal.parsing import ParseError, Scanner
+from extcrystal.msegment import MultisegmentCrystal, format_multisegment, parse_multisegment
+from extcrystal.parsing import INT, ParseError, counted_term, refusal
+from scanned_grammars import ScannedCrystal, _scanned_hl_weight, _scanned_multisegment
 
 RANK = 4
 EXT = ExtendedCrystal(MultisegmentCrystal(RANK))
@@ -145,14 +147,13 @@ def test_integers_are_ascii_digits():
     assert parse_ext_element(" +3 :[1];-3:[2]", EXT) == parse_ext_element("3:[1];-3:[2]", EXT)
 
 
-def scanned_int(text):
-    """The value of text read by Scanner.take_int as one whole token, or None."""
-    sc = Scanner(text)
-    try:
-        value = sc.take_int()
-    except ParseError:
-        return None
-    return value if sc.eof() else None
+INT_TERM = counted_term("<", INT, ">")
+
+
+def term_int(text):
+    """The value of text read by the grammars' reader as the integer of the term "<text>", or None."""
+    values = []
+    return None if refusal(f"<{text}>", INT_TERM, values.append, "count") else values[0]
 
 
 def slot_index(text):
@@ -180,15 +181,9 @@ def argument_int(text):
 @example("1_0")
 @example("+-1")
 def test_the_integer_readers_take_the_same_strings(text):
-    value = scanned_int(text)
+    value = term_int(text)
     assert slot_index(text) == value
     assert argument_int(text) == value
-
-
-class ScannedCrystal(MultisegmentCrystal):
-    """A crystal whose parse reads through the Scanner alone."""
-
-    parse = MultisegmentCrystal._scanned
 
 
 SCANNED_EXT = ExtendedCrystal(ScannedCrystal(RANK))
@@ -270,7 +265,7 @@ DIGITS = "9" * 5000
 @example("2 [1]")
 def test_matched_multisegments_are_the_scanned_ones(text):
     assert_same_outcome(parse_multisegment, _scanned_multisegment, text)
-    assert_same_outcome(EXT.crystal.parse, EXT.crystal._scanned, text)
+    assert_same_outcome(EXT.crystal.parse, SCANNED_EXT.crystal._scanned, text)
 
 
 @FUZZ
@@ -303,3 +298,17 @@ def test_matched_node_weights_are_the_scanned_ones(text):
 @example("0:,,")
 def test_matched_slot_elements_are_the_scanned_ones(text):
     assert_same_outcome(lambda t: parse_ext_element(t, EXT), lambda t: parse_ext_element(t, SCANNED_EXT), text)
+
+
+def short_texts(alphabet, longest=5):
+    """Every text over alphabet of at most longest characters."""
+    return ["".join(t) for size in range(longest + 1) for t in product(alphabet, repeat=size)]
+
+
+def test_every_short_text_reads_as_the_scanner_reads_it():
+    # every refusal state of a short term, in both grammars; the fuzz draws only some
+    for text in short_texts("[],*10- "):
+        assert_same_outcome(parse_multisegment, _scanned_multisegment, text)
+        assert_same_outcome(EXT.crystal.parse, SCANNED_EXT.crystal._scanned, text)
+    for text in short_texts("(),*012- "):
+        assert_same_outcome(parse_hl_weight, _scanned_hl_weight, text)
