@@ -2,13 +2,13 @@
 
 from __future__ import annotations
 
-import random
+from _random import Random
 from functools import lru_cache
 from itertools import accumulate
 from typing import Iterator
 
 from .extended import ExtElement, ExtendedCrystal, _from_slots
-from .msegment import Multisegment, Segment, _index, _of
+from .msegment import Multisegment, Segment, _index
 
 
 def all_segments(n: int) -> list[Segment]:
@@ -103,13 +103,16 @@ def count_ext_elements(n: int, window: tuple[int, int], max_ht: int) -> int:
     return sum(total)
 
 
-def below(rng: random.Random, n: int) -> int:
+def below(rng: Random, n: int) -> int:
     """A uniform draw from range(n), n >= 1: what randrange(n) returns, from the same words.
 
-    k-bit words are redrawn until one is below n, so ``below(rng, 1)`` still
-    takes a word.  Every seeded draw here and in ``verify`` goes through it
-    or rng.random(): Python keeps random()'s stream across versions, but
-    promises nothing for randrange, randint and choice.
+    k-bit words, k = n.bit_length(), are redrawn until one is below n, so
+    ``below(rng, 1)`` still takes a word and ``below(rng, 2)`` takes 2-bit
+    words and rejects 2 and 3, where ``getrandbits(1)`` would take one bit.
+    Every seeded draw here and in ``verify`` goes through it or rng.random(),
+    both methods of the Mersenne Twister core ``_random.Random`` that
+    ``random.Random`` extends: Python keeps random()'s stream across
+    versions, but promises nothing for randrange, randint and choice.
     """
     k = n.bit_length()
     r = rng.getrandbits(k)
@@ -130,28 +133,33 @@ def _draw_table(n: int) -> tuple[tuple[tuple[int, int], ...], ...]:
     return tuple(tuple(s for s in pool if s[1] <= h) for h in range(max(n, 0) + 1))
 
 
-def _draw(rng: random.Random, n: int, max_ht: int) -> tuple[Multisegment, int]:
+def _draw(rng: Random, n: int, max_ht: int) -> tuple[Multisegment, int]:
     """A random multisegment and its height; see random_multisegment."""
     budget = start = below(rng, max_ht + 1)
     table = _draw_table(n)
     top = len(table) - 1
     mults = [0] * (top * (top + 1) // 2)
+    end = 0  # one past the last position drawn: the multiplicities end there
+    random = rng.random
     while True:
         fits = table[min(budget, top)]
-        if not fits or rng.random() < 0.2:
+        if not fits or random() < 0.2:
             break
         j, height = fits[below(rng, len(fits))]
         mults[j] += 1
+        if j >= end:
+            end = j + 1
         budget -= height
-    return _of(mults), start - budget
+    del mults[end:]
+    return tuple.__new__(Multisegment, mults), start - budget
 
 
-def random_multisegment(rng: random.Random, n: int, max_ht: int) -> Multisegment:
+def random_multisegment(rng: Random, n: int, max_ht: int) -> Multisegment:
     """Draw segments that fit the budget left, each step stopping with chance 0.2."""
     return _draw(rng, n, max_ht)[0]
 
 
-def random_ext_element(rng: random.Random, ext: ExtendedCrystal, window: tuple[int, int], max_ht: int) -> ExtElement:
+def random_ext_element(rng: Random, ext: ExtendedCrystal, window: tuple[int, int], max_ht: int) -> ExtElement:
     """Fill the window's slots from the lowest up out of one random height budget.
 
     The slots are distinct and hold no empty multisegment by construction,

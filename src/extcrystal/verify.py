@@ -47,7 +47,7 @@ from __future__ import annotations
 
 import functools
 import os
-import random
+from _random import Random
 from typing import Callable, NamedTuple
 
 from .affine import AffineModel, HLNode, HLWeight, format_hl_weight
@@ -86,7 +86,7 @@ class SweepConfig(_Knobs):
         cfg = super().__new__(cls, *args, **kwargs)
         _check_bounds(cfg.window, cfg.max_ht)
         if not 0 <= cfg.seed < 2**64:
-            # random.Random seeds with |seed|, so -s would replay the cases of s
+            # the case generator seeds with |seed|, so -s would replay the cases of s
             raise ValueError("seed must fit in 64 unsigned bits")
         if cfg.cases < 0:
             raise ValueError("case count must be non-negative")
@@ -104,8 +104,13 @@ def _affine(n: int) -> AffineModel:
     return AffineModel(n)
 
 
-def _case_rng(cfg: SweepConfig, idx: int) -> random.Random:
-    return random.Random(cfg.seed * 0x9E3779B1 + idx)
+def _case_rng(cfg: SweepConfig, idx: int) -> Random:
+    """Case idx's generator: the Mersenne Twister core that ``random.Random`` extends, seeded alike.
+
+    The draws call only ``getrandbits`` (through ``below``) and ``random()``,
+    which the core has, so they skip the Python layer of ``random.Random``.
+    """
+    return Random(cfg.seed * 0x9E3779B1 + idx)
 
 
 def _ops(cfg: SweepConfig):
@@ -115,8 +120,13 @@ def _ops(cfg: SweepConfig):
             yield i, k
 
 
-def _per_op(cfg: SweepConfig, where: str, props):
-    """(property, "i=I k=K where") for each failed comparison of the window's operators.
+def _elem(fmt: Callable, x) -> Callable[[], str]:
+    """The text ``elem='…'`` of x in fmt's grammar, built when called: only a failed check reads it."""
+    return lambda: f"elem={fmt(x)!r}"
+
+
+def _per_op(cfg: SweepConfig, where: Callable[[], str], props):
+    """(property, "i=I k=K " + where()) for each failed comparison of the window's operators.
 
     props(i, k) yields (property, got, want) triples, and one with got != want
     fails.  The operators come in ``_ops`` order, each one's triples in props' order.
@@ -124,7 +134,7 @@ def _per_op(cfg: SweepConfig, where: str, props):
     for i, k in _ops(cfg):
         for prop, got, want in props(i, k):
             if got != want:
-                yield prop, f"i={i} k={k} {where}"
+                yield prop, f"i={i} k={k} {where()}"
 
 
 # ----------------------------------------------------------------------
@@ -149,7 +159,7 @@ def _multisegment_space(cfg: SweepConfig) -> int | None:
 
 def _check_crystal_axioms(cfg: SweepConfig, m: Multisegment):
     cry = _affine(cfg.n).crystal
-    at = f"elem={format_multisegment(m)!r}"
+    at = _elem(format_multisegment, m)
     w = cry.weight(m)
     # the plain and the starred family obey the same axioms
     families = (
@@ -178,13 +188,13 @@ def _check_crystal_axioms(cfg: SweepConfig, m: Multisegment):
                 ("raise-string-length", steps, e0),
             ):
                 if got != want:
-                    yield family + prop, f"i={i} {at}"
+                    yield family + prop, f"i={i} {at()}"
 
     st = cry.star(m)
     if cry.star(st) != m:
-        yield "star-involution", at
+        yield "star-involution", at()
     if cry.weight(st) != w:
-        yield "star-weight", at
+        yield "star-weight", at()
     for i in cry.indices():
         eps, low, rai = reads["", i]
         for prop, got, want in (
@@ -194,10 +204,10 @@ def _check_crystal_axioms(cfg: SweepConfig, m: Multisegment):
             ("star-branch-free", cry.star_lowering(cry.star(rai), i) if eps > 0 else st, st),
         ):
             if got != want:
-                yield prop, f"i={i} {at}"
+                yield prop, f"i={i} {at()}"
 
 
-def cancel_in_random_order(word: list, rng: random.Random) -> list:
+def cancel_in_random_order(word: list, rng: Random) -> list:
     """Reference cancellation: delete random adjacent (+, -) pairs until none remain."""
     work = list(word)
     while True:
@@ -210,17 +220,20 @@ def cancel_in_random_order(word: list, rng: random.Random) -> list:
 
 def _check_reduce_confluence(cfg: SweepConfig, idx: int):
     rng = _case_rng(cfg, idx)
+    random = rng.random
     length = below(rng, 2 * cfg.max_ht + 5)
+    # below(rng, 2) draws 2-bit words and rejects 2 and 3, as randrange(2)
+    # does; getrandbits(1) would draw other signs from the same seed
     word = "".join("+-"[below(rng, 2)] for _ in range(length))
     # alternating counts, minus first; some stretches of equal signs are split
     # by a zero count of the other sign, so that zeros sit among the counts
     counts: list[int] = []
     for sign in word:
         parity = int(sign == "+")
-        if counts and (len(counts) - 1) % 2 == parity and rng.random() < 0.5:
+        if counts and (len(counts) - 1) & 1 == parity and random() < 0.5:
             counts[-1] += 1
             continue
-        if len(counts) % 2 != parity:
+        if len(counts) & 1 != parity:
             counts.append(0)
         counts.append(1)
     survivors = cancel_in_random_order(expand(counts), rng)
@@ -249,13 +262,13 @@ def _check_inverse_pairs(cfg: SweepConfig, c: ExtElement):
         yield "star-raise-of-lower", ext.star_raising(ext.star_lowering(c, i, k), i, k), c
         yield "star-lower-of-raise", ext.star_lowering(ext.star_raising(c, i, k), i, k), c
 
-    yield from _per_op(cfg, f"elem={format_ext_element(c)!r}", props)
+    yield from _per_op(cfg, _elem(format_ext_element, c), props)
 
 
 def _check_counters(cfg: SweepConfig, c: ExtElement):
     ext = _affine(cfg.n).ext
     cry = ext.crystal
-    text = format_ext_element(c)
+    at = _elem(format_ext_element, c)
 
     def props(i, k):
         sel = ext.branch_selector(c, i, k)
@@ -265,18 +278,18 @@ def _check_counters(cfg: SweepConfig, c: ExtElement):
         yield "star-lower-selector-step", ext.star_branch_selector(ext.star_lowering(c, i, k), i, k), ssel + 1
         yield "star-raise-selector-step", ext.star_branch_selector(ext.star_raising(c, i, k), i, k), ssel - 1
 
-    yield from _per_op(cfg, f"elem={text!r}", props)
+    yield from _per_op(cfg, at, props)
     if len(c) == 1:
         k0, b = c[0]
         for i in cry.indices():
             if ext.lowering(c, i, k0) != ext.inject(cry.lowering(b, i), k0):
-                yield "slot-embedding-lower", f"i={i} k={k0} elem={text!r}"
+                yield "slot-embedding-lower", f"i={i} k={k0} {at()}"
             if cry.epsilon(b, i) > 0 and ext.raising(c, i, k0) != ext.inject(cry.raising(b, i), k0):
-                yield "slot-embedding-raise", f"i={i} k={k0} elem={text!r}"
+                yield "slot-embedding-raise", f"i={i} k={k0} {at()}"
             if ext.star_lowering(c, i, k0) != ext.inject(cry.star_lowering(b, i), k0):
-                yield "slot-embedding-star-lower", f"i={i} k={k0} elem={text!r}"
+                yield "slot-embedding-star-lower", f"i={i} k={k0} {at()}"
             if cry.epsilon_star(b, i) > 0 and ext.star_raising(c, i, k0) != ext.inject(cry.star_raising(b, i), k0):
-                yield "slot-embedding-star-raise", f"i={i} k={k0} elem={text!r}"
+                yield "slot-embedding-star-raise", f"i={i} k={k0} {at()}"
 
 
 def _check_weights(cfg: SweepConfig, c: ExtElement):
@@ -297,7 +310,7 @@ def _check_weights(cfg: SweepConfig, c: ExtElement):
         yield "raise-weight-step", ext.weight(e), w - step
         yield "raise-height-step", ext.total_height(e), ht + (-1 if sel > 0 else 1)
 
-    yield from _per_op(cfg, f"elem={format_ext_element(c)!r}", props)
+    yield from _per_op(cfg, _elem(format_ext_element, c), props)
 
 
 def _check_star_identities(cfg: SweepConfig, c: ExtElement):
@@ -314,7 +327,7 @@ def _check_star_identities(cfg: SweepConfig, c: ExtElement):
         yield "flip-conjugates-lower", star_lowered, ext.star_flip(ext.lowering(flipped, i, -k))
         yield "flip-conjugates-raise", star_raised, ext.star_flip(ext.raising(flipped, i, -k))
 
-    yield from _per_op(cfg, f"elem={format_ext_element(c)!r}", props)
+    yield from _per_op(cfg, _elem(format_ext_element, c), props)
 
 
 def _check_star_flip(cfg: SweepConfig, c: ExtElement):
@@ -331,40 +344,40 @@ def _check_star_flip(cfg: SweepConfig, c: ExtElement):
 
 def _check_shift_commutation(cfg: SweepConfig, c: ExtElement):
     ext = _affine(cfg.n).ext
-    at = f"elem={format_ext_element(c)!r}"
+    at = _elem(format_ext_element, c)
     w = ext.weight(c)
     images = {(i, k): (ext.lowering(c, i, k), ext.raising(c, i, k)) for i, k in _ops(cfg)}
     for t in (-2, -1, 1, 2):
         moved = ext.shift(c, t)
         if ext.shift(moved, -t) != c:
-            yield "shift-inverse", f"t={t} {at}"
+            yield "shift-inverse", f"t={t} {at()}"
         if ext.weight(moved) != (-w if t % 2 else w):
-            yield "shift-weight", f"t={t} {at}"
+            yield "shift-weight", f"t={t} {at()}"
 
         def props(i, k):
             lowered, raised = images[i, k]
             yield "shift-commutes-lower", ext.shift(lowered, t), ext.lowering(moved, i, k + t)
             yield "shift-commutes-raise", ext.shift(raised, t), ext.raising(moved, i, k + t)
 
-        yield from _per_op(cfg, f"t={t} {at}", props)
+        yield from _per_op(cfg, lambda: f"t={t} {at()}", props)
 
 
 def _check_connectedness(cfg: SweepConfig, c: ExtElement):
     ext = _affine(cfg.n).ext
-    at = f"elem={format_ext_element(c)!r}"
+    at = _elem(format_ext_element, c)
     path = ext.path_to_highest(c)
     if len(path) != ext.total_height(c):
-        yield "path-length", at
+        yield "path-length", at()
     cur = c
     for i, k in path:
         cur = ext.raising(cur, i, k)
     if not cur.is_highest():
-        yield "path-reaches-highest", at
+        yield "path-reaches-highest", at()
     rebuilt = HIGHEST
     for i, k in reversed(path):
         rebuilt = ext.lowering(rebuilt, i, k)
     if rebuilt != c:
-        yield "path-replay", at
+        yield "path-replay", at()
 
 
 # ----------------------------------------------------------------------
@@ -416,7 +429,7 @@ def _check_cr_commutation(cfg: SweepConfig, c: ExtElement):
         yield "conversion-commutes-lower", model.lowering(lam, i, k), model.to_weight(ext.lowering(c, i, k))
         yield "conversion-commutes-raise", model.raising(lam, i, k), model.to_weight(ext.raising(c, i, k))
 
-    yield from _per_op(cfg, f"elem={format_ext_element(c)!r}", props)
+    yield from _per_op(cfg, _elem(format_ext_element, c), props)
 
 
 def _check_hl_inverse(cfg: SweepConfig, c: ExtElement):
@@ -427,17 +440,17 @@ def _check_hl_inverse(cfg: SweepConfig, c: ExtElement):
         yield "raise-of-lower", model.raising(model.lowering(lam, i, k), i, k), lam
         yield "lower-of-raise", model.lowering(model.raising(lam, i, k), i, k), lam
 
-    yield from _per_op(cfg, f"elem={format_hl_weight(lam)!r}", props)
+    yield from _per_op(cfg, _elem(format_hl_weight, lam), props)
 
 
 def _check_dual_commutation(cfg: SweepConfig, c: ExtElement):
     model = _affine(cfg.n)
     shift = model.dual_shift_weight
     lam = model.to_weight(c)
-    at = f"elem={format_hl_weight(lam)!r}"
+    at = _elem(format_hl_weight, lam)
     for t in (-1, 1):
         if model.to_weight(model.ext.shift(c, t)) != shift(lam, t):
-            yield "conversion-commutes-shift", f"t={t} {at}"
+            yield "conversion-commutes-shift", f"t={t} {at()}"
     moved = shift(lam, 1)
 
     def props(i, k):
