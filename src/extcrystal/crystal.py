@@ -4,13 +4,13 @@ Elements are immutable and hashable; the realization object itself carries the
 rank and all operator logic.  Raising operators return None when they
 annihilate an element, so None plays the role of the formal zero.
 
-Fused reads: the extended layer compares a counter of an element and then
-applies one operator of the same family, along the same index, to that same
-element.  ``plain_read`` and ``star_read`` return the counter together with a
-handle, and the ``*_with`` operators take that handle instead of reading the
-element again.  The defaults return no handle and call the operator itself,
-so a realization that only implements the operators and counters (such as
-``Sl2Crystal``) plugs in unchanged.
+Reads: a realization provides ``read(b, i, starred)``, one reduction of b's
+plain (or, when starred, starred) signature along i, as a flat tuple whose
+entry 0 is the counter, epsilon (or epsilon*), and two moves that take that
+tuple: ``lower_with(b, read)`` and ``raise_with(b, read)``.  The six
+operators are derived from these three, each as one read and one move, and
+the extended layer compares the counters of two reads and then moves through
+one of them, so no element is reduced twice.
 """
 
 from __future__ import annotations
@@ -35,48 +35,35 @@ class AbstractCrystal:
     def validate(self, b) -> None:
         """Reject elements that do not belong to this realization."""
 
-    def lowering(self, b, i: int):
+    def read(self, b, i: int, starred: bool) -> tuple:
+        """b's plain or starred reduction along i: a tuple whose entry 0 is epsilon or epsilon*."""
         raise NotImplementedError
+
+    def lower_with(self, b, read: tuple):
+        """Lowering of b in the family and along the index of read, which is read(b, ...)."""
+        raise NotImplementedError
+
+    def raise_with(self, b, read: tuple):
+        """Raising of b in the family and along the index of read; None when nothing can be raised."""
+        raise NotImplementedError
+
+    def lowering(self, b, i: int):
+        return self.lower_with(b, self.read(b, i, False))
 
     def raising(self, b, i: int):
-        """Inverse of lowering along i; None when nothing can be raised."""
-        raise NotImplementedError
+        return self.raise_with(b, self.read(b, i, False))
 
     def star_lowering(self, b, i: int):
-        raise NotImplementedError
+        return self.lower_with(b, self.read(b, i, True))
 
     def star_raising(self, b, i: int):
-        raise NotImplementedError
+        return self.raise_with(b, self.read(b, i, True))
 
     def epsilon(self, b, i: int) -> int:
-        raise NotImplementedError
+        return self.read(b, i, False)[0]
 
     def epsilon_star(self, b, i: int) -> int:
-        raise NotImplementedError
-
-    def plain_read(self, b, i: int):
-        """(epsilon(b, i), handle) for lower_with and raise_with on b along i."""
-        return self.epsilon(b, i), None
-
-    def star_read(self, b, i: int):
-        """(epsilon_star(b, i), handle) for star_lower_with and star_raise_with on b along i."""
-        return self.epsilon_star(b, i), None
-
-    def lower_with(self, b, i: int, handle):
-        """lowering(b, i), given the handle of plain_read(b, i)."""
-        return self.lowering(b, i)
-
-    def raise_with(self, b, i: int, handle):
-        """raising(b, i), given the handle of plain_read(b, i)."""
-        return self.raising(b, i)
-
-    def star_lower_with(self, b, i: int, handle):
-        """star_lowering(b, i), given the handle of star_read(b, i)."""
-        return self.star_lowering(b, i)
-
-    def star_raise_with(self, b, i: int, handle):
-        """star_raising(b, i), given the handle of star_read(b, i)."""
-        return self.star_raising(b, i)
+        return self.read(b, i, True)[0]
 
     def weight(self, b) -> RootLatticeElem:
         raise NotImplementedError

@@ -12,12 +12,12 @@ f*_{i,k} = e_{i,k-1} and e*_{i,k} = f_{i,k-1}, and are written as such.
 
 Each operator makes one pass over the slots to find its two slots and the
 range of the slot tuple they occupy.  It reads the upper slot with the
-realization's ``star_read`` and the lower one with ``plain_read``: each read
-is one reduction that gives the counter and a handle to it, and the chosen
-branch applies its operator through that handle (``lower_with``,
-``star_raise_with``, ...), so no slot is reduced twice.  A highest slot is
-not read, since its counters are 0 in every B(infinity); a branch that acts
-on it lowers the highest element through the realization's own operator.
+realization's starred ``read`` and the lower one with its plain ``read``:
+each read is one reduction whose entry 0 is the counter, and the chosen
+branch hands that read to ``lower_with`` or ``raise_with``, so no slot is
+reduced twice.  A highest slot is not read, since its counters are 0 in
+every B(infinity); a branch that acts on it lowers the highest element
+through the realization's own operator.
 The branch rewrites one of the two slots: its new entry takes the old one's
 place in the descending slot tuple, or enters it, in one slice-and-concat
 without re-sorting, and a raise that leaves the slot highest drops its entry.
@@ -83,8 +83,8 @@ def _from_slots(slots: tuple) -> ExtElement:
     return tuple.__new__(ExtElement, slots)
 
 
-# what _reads gives for a highest slot instead of reading it: counter 0, no handle
-_UNREAD = (0, None)
+# what _reads gives for a highest slot instead of reading it: counter 0
+_UNREAD = (0,)
 
 
 class ExtendedCrystal:
@@ -135,7 +135,7 @@ class ExtendedCrystal:
         two slots, hi and lo are their (slot, element) entries (None where
         highest), star is the starred read of hi's element and plain the
         plain read of lo's.  A highest slot is not read: its counters are 0
-        in every B(infinity).
+        in every B(infinity), and its read is _UNREAD.
         """
         at, end = 0, len(c)
         while at < end and c[at][0] > top:
@@ -143,32 +143,32 @@ class ExtendedCrystal:
         stop, hi, lo, star, plain = at, None, None, _UNREAD, _UNREAD
         if stop < end and c[stop][0] == top:
             hi = c[stop]
-            star = self.crystal.star_read(hi[1], i)
+            star = self.crystal.read(hi[1], i, True)
             stop += 1
         if stop < end and c[stop][0] == top - 1:
             lo = c[stop]
-            plain = self.crystal.plain_read(lo[1], i)
+            plain = self.crystal.read(lo[1], i, False)
             stop += 1
         return at, stop, hi, lo, star, plain
 
     def lowering(self, c: ExtElement, i: int, k: int) -> ExtElement:
         cry = self.crystal
-        at, stop, above, here, (x, above_read), (r, here_read) = self._reads(c, i, k + 1)
-        if r >= x:
-            b = cry.lowering(cry.highest, i) if here is None else cry.lower_with(here[1], i, here_read)
+        at, stop, above, here, above_read, here_read = self._reads(c, i, k + 1)
+        if here_read[0] >= above_read[0]:
+            b = cry.lowering(cry.highest, i) if here is None else cry.lower_with(here[1], here_read)
             return _from_slots(c[: stop - 1 if here else stop] + ((k, b),) + c[stop:])
-        raised = cry.star_raise_with(above[1], i, above_read)
+        raised = cry.raise_with(above[1], above_read)
         assert raised is not None, "negative branch selector guarantees a starred raise"
         return _from_slots(c[:at] + (((k + 1, raised),) if raised else ()) + c[at + 1 :])
 
     def raising(self, c: ExtElement, i: int, k: int) -> ExtElement:
         cry = self.crystal
-        at, stop, above, here, (x, above_read), (r, here_read) = self._reads(c, i, k + 1)
-        if r > x:
-            raised = cry.raise_with(here[1], i, here_read)
+        at, stop, above, here, above_read, here_read = self._reads(c, i, k + 1)
+        if here_read[0] > above_read[0]:
+            raised = cry.raise_with(here[1], here_read)
             assert raised is not None, "positive branch selector guarantees a raise"
             return _from_slots(c[: stop - 1] + (((k, raised),) if raised else ()) + c[stop:])
-        b = cry.star_lowering(cry.highest, i) if above is None else cry.star_lower_with(above[1], i, above_read)
+        b = cry.star_lowering(cry.highest, i) if above is None else cry.lower_with(above[1], above_read)
         return _from_slots(c[:at] + ((k + 1, b),) + c[at + 1 if above else at :])
 
     def star_lowering(self, c: ExtElement, i: int, k: int) -> ExtElement:

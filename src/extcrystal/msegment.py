@@ -199,10 +199,6 @@ def _word(positions: tuple[int, ...], step: int) -> tuple:
     return getter, min(positions), max(positions) + 1, positions, step
 
 
-# the reduction of a word that reads only zeros
-_NO_SURVIVORS = (0, 0, None, None)
-
-
 class MultisegmentCrystal(AbstractCrystal):
     """B(infinity) of type A_n realized on multisegments inside {1..n}.
 
@@ -227,6 +223,7 @@ class MultisegmentCrystal(AbstractCrystal):
         )
         self._plain = {i: _word(_plain_positions(n, i), 1) for i in self.indices()}
         self._starred = {i: _word(_starred_positions(i), 1 - i) for i in self.indices()}
+        self._words = (self._plain, self._starred)
 
     @property
     def highest(self) -> Multisegment:
@@ -246,10 +243,15 @@ class MultisegmentCrystal(AbstractCrystal):
         """parse_multisegment, but a segment past rank n is validate's ValueError, once the text has parsed."""
         return _parse(text, self.n, _segment)
 
-    def _read(self, words: dict, b: Multisegment, i: int):
-        """Reduce b's word from words along i; returns the reduction and the word's entry."""
+    def read(self, b: Multisegment, i: int, starred: bool) -> tuple:
+        """The reduction of b's plain or starred word along i, then the word's entry.
+
+        Entry 0 counts the surviving minus symbols: epsilon, the raising
+        string length along i, or, as the starred word is read right to left,
+        epsilon*, the surviving plus symbols of the starred signature.
+        """
         try:
-            word = words[i]
+            word = self._words[starred][i]
         except KeyError:
             raise ValueError(f"operator index {i} out of range for rank {self.n}") from None
         getter, low, end, _, _ = word
@@ -257,10 +259,10 @@ class MultisegmentCrystal(AbstractCrystal):
         if size >= end:
             if size > self._size:
                 self.validate(b)
-            return reduce_runs(getter(b)), word
+            return reduce_runs(getter(b)) + (word,)
         if size <= low:  # every position the word reads lies past the stored end
-            return _NO_SURVIVORS, word
-        return reduce_runs(getter(b + self._zeros[size:end])), word
+            return 0, 0, None, None, word
+        return reduce_runs(getter(b + self._zeros[size:end])) + (word,)
 
     def count_words(self, b: Multisegment, i: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
         """b's plain and starred words along i as alternating counts, in scan order.
@@ -276,22 +278,12 @@ class MultisegmentCrystal(AbstractCrystal):
         padded = b + self._zeros[len(b) :]
         return (*plain(padded), 0), (0, *starred(padded)[::-1])
 
-    def plain_read(self, b: Multisegment, i: int):
-        """epsilon(b, i) and, as the handle, the plain word's reduction and entry."""
-        read = self._read(self._plain, b, i)
-        return read[0][0], read
-
-    def star_read(self, b: Multisegment, i: int):
-        """epsilon_star(b, i) and, as the handle, the starred word's reduction and entry."""
-        read = self._read(self._starred, b, i)
-        return read[0][0], read
-
-    def lower_with(self, b: Multisegment, i: int, read) -> Multisegment:
+    def lower_with(self, b: Multisegment, read: tuple) -> Multisegment:
         """Move the leftmost surviving plus down the word, or add [i,i].
 
         Plain: [i+1,t] to [i,t]; starred: [t,i-1] to [t,i].
         """
-        (_, _, _, at), (_, _, _, positions, step) = read
+        _, _, _, at, (_, _, _, positions, step) = read
         mults = [*b[:]]
         if at is None:
             k = positions[-1]
@@ -304,12 +296,12 @@ class MultisegmentCrystal(AbstractCrystal):
         mults[k] += 1
         return tuple.__new__(Multisegment, mults) if mults[-1] else _of(mults)
 
-    def raise_with(self, b: Multisegment, i: int, read) -> Multisegment | None:
+    def raise_with(self, b: Multisegment, read: tuple) -> Multisegment | None:
         """Move the rightmost surviving minus up the word, deleting [i,i]; None if no minus.
 
         Plain: [i,t] to [i+1,t]; starred: [t,i] to [t,i-1].
         """
-        (_, _, at, _), (_, _, _, positions, step) = read
+        _, _, at, _, (_, _, _, positions, step) = read
         if at is None:
             return None
         j = positions[at]
@@ -321,29 +313,6 @@ class MultisegmentCrystal(AbstractCrystal):
                 mults += self._zeros[len(mults) : j + 1]
             mults[j] += 1
         return tuple.__new__(Multisegment, mults) if mults[-1] else _of(mults)
-
-    star_lower_with = lower_with
-    star_raise_with = raise_with
-
-    def lowering(self, b: Multisegment, i: int) -> Multisegment:
-        return self.lower_with(b, i, self._read(self._plain, b, i))
-
-    def raising(self, b: Multisegment, i: int) -> Multisegment | None:
-        return self.raise_with(b, i, self._read(self._plain, b, i))
-
-    def star_lowering(self, b: Multisegment, i: int) -> Multisegment:
-        return self.star_lower_with(b, i, self._read(self._starred, b, i))
-
-    def star_raising(self, b: Multisegment, i: int) -> Multisegment | None:
-        return self.star_raise_with(b, i, self._read(self._starred, b, i))
-
-    def epsilon(self, b: Multisegment, i: int) -> int:
-        """Number of surviving minus symbols; the raising string length along i."""
-        return self._read(self._plain, b, i)[0][0]
-
-    def epsilon_star(self, b: Multisegment, i: int) -> int:
-        """Number of surviving plus symbols of the starred signature along i."""
-        return self._read(self._starred, b, i)[0][0]
 
     def weight(self, b: Multisegment) -> RootLatticeElem:
         """Weight: minus the multiplicity with which each index is covered."""

@@ -28,30 +28,17 @@ class Sl2Crystal(AbstractCrystal):
         if type(b) is not int or b < 0:
             raise ValueError(f"expected a nonnegative integer, got {b!r}")
 
-    def _check_index(self, i: int) -> None:
+    def read(self, b: int, i: int, starred: bool) -> tuple[int]:
+        """Both epsilons equal the count, and both families move it alike."""
         if i != 1:
             raise ValueError(f"operator index {i} out of range for rank 1")
+        return (b,)
 
-    def lowering(self, b: int, i: int) -> int:
-        self._check_index(i)
+    def lower_with(self, b: int, read: tuple[int]) -> int:
         return b + 1
 
-    def raising(self, b: int, i: int) -> int | None:
-        self._check_index(i)
+    def raise_with(self, b: int, read: tuple[int]) -> int | None:
         return b - 1 if b > 0 else None
-
-    def star_lowering(self, b: int, i: int) -> int:
-        return self.lowering(b, i)
-
-    def star_raising(self, b: int, i: int) -> int | None:
-        return self.raising(b, i)
-
-    def epsilon(self, b: int, i: int) -> int:
-        self._check_index(i)
-        return b
-
-    def epsilon_star(self, b: int, i: int) -> int:
-        return self.epsilon(b, i)
 
     def weight(self, b: int) -> RootLatticeElem:
         return RootLatticeElem((-b,))

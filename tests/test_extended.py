@@ -455,7 +455,7 @@ def test_text_forms_of_rank_one_elements():
 
 
 def test_fused_operators_default_reads_on_rank_one():
-    # Sl2Crystal keeps AbstractCrystal's default reads: no handle, plain operators
+    # Sl2Crystal's read is the bare count, which both of its moves ignore
     ext = ExtendedCrystal(Sl2Crystal())
     window = (-2, 2)
     slots = range(window[0], window[1] + 1)
@@ -465,3 +465,12 @@ def test_fused_operators_default_reads_on_rank_one():
         if sum(counts) <= 3
     ]
     _assert_fused_operators_are_definitional(ext, elems, window)
+
+
+def test_no_realization_re_forks_the_derived_operators():
+    # a realization gives read, lower_with and raise_with; the six operators are AbstractCrystal's
+    derived = ("lowering", "raising", "star_lowering", "star_raising", "epsilon", "epsilon_star")
+    removed = ("plain_read", "star_read", "star_lower_with", "star_raise_with")
+    for cls in (MultisegmentCrystal, Sl2Crystal):
+        assert {"read", "lower_with", "raise_with"} <= set(vars(cls)), cls
+        assert not set(vars(cls)) & {*derived, *removed}, cls

@@ -317,12 +317,13 @@ def test_bilinear_finds_a_sign_error_in_the_left_form(monkeypatch):
 
 
 def _star_raise_fails_at_height_three(monkeypatch):
-    star_raise_with = MultisegmentCrystal.star_raise_with
+    raise_with = MultisegmentCrystal.raise_with
 
-    def bad(self, b, i, read):
-        return None if i == 2 and b.height() == 3 else star_raise_with(self, b, i, read)
+    def bad(self, b, read):
+        # a read ends with the entry of the word it reduced: here the starred word along 2
+        return None if read[-1] is self._starred[2] and b.height() == 3 else raise_with(self, b, read)
 
-    monkeypatch.setattr(MultisegmentCrystal, "star_raise_with", bad)
+    monkeypatch.setattr(MultisegmentCrystal, "raise_with", bad)
 
 
 def _left_form_skewed_at_slot_one(monkeypatch):
@@ -487,8 +488,8 @@ def _reduction_reads_five_counts(monkeypatch):
 
 
 def _rank_one_lowering_skips_three(monkeypatch):
-    lowering = Sl2Crystal.lowering
-    monkeypatch.setattr(Sl2Crystal, "lowering", lambda self, b, i: lowering(self, b, i) + (b == 2))
+    lower_with = Sl2Crystal.lower_with
+    monkeypatch.setattr(Sl2Crystal, "lower_with", lambda self, b, read: lower_with(self, b, read) + (b == 2))
 
 
 def _pairing_d_one_too_high_at_slot_two(monkeypatch):
