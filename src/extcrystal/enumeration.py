@@ -9,6 +9,7 @@ from typing import Iterator
 
 from .extended import ExtElement, ExtendedCrystal, _from_slots
 from .msegment import Multisegment, Segment, _index
+from .rootdata import check_rank
 
 
 def all_segments(n: int) -> list[Segment]:
@@ -108,16 +109,17 @@ def below(rng: Random, n: int) -> int:
 
     k-bit words, k = n.bit_length(), are redrawn until one is below n, so
     ``below(rng, 1)`` still takes a word and ``below(rng, 2)`` takes 2-bit
-    words and rejects 2 and 3, where ``getrandbits(1)`` would take one bit.
-    Every seeded draw here and in ``verify`` goes through it or rng.random(),
-    both methods of the Mersenne Twister core ``_random.Random`` that
-    ``random.Random`` extends: Python keeps random()'s stream across
-    versions, but promises nothing for randrange, randint and choice.
+    words and rejects 2 and 3, where ``getrandbits(1)`` would take one bit;
+    an empty range is refused before a word is taken, as randrange(0) is.
+    Every seeded draw here and in ``verify`` follows this rule, inline in one
+    frame per case where it is hot, or calls rng.random(): both are methods of
+    the Mersenne Twister core ``_random.Random`` that ``random.Random`` extends,
+    whose random() stream Python keeps across versions, unlike randrange's.
     """
-    k = n.bit_length()
-    r = rng.getrandbits(k)
-    while r >= n:
-        r = rng.getrandbits(k)
+    if n < 1:
+        raise ValueError(f"empty range for below({n})")
+    while (r := rng.getrandbits(n.bit_length())) >= n:
+        pass
     return r
 
 
@@ -130,22 +132,23 @@ def _draw_table(n: int) -> tuple[tuple[tuple[int, int], ...], ...]:
     rank; a budget above n reads row n.
     """
     pool = [(_index(a, b), b - a + 1) for a in range(1, n + 1) for b in range(a, n + 1)]
-    return tuple(tuple(s for s in pool if s[1] <= h) for h in range(max(n, 0) + 1))
+    return tuple(tuple(s for s in pool if s[1] <= h) for h in range(n + 1))
 
 
-def _draw(rng: Random, n: int, max_ht: int) -> tuple[Multisegment, int]:
-    """A random multisegment and its height; see random_multisegment."""
-    budget = start = below(rng, max_ht + 1)
-    table = _draw_table(n)
-    top = len(table) - 1
+def _draw(getrandbits, random, table, max_ht: int) -> tuple[Multisegment, int]:
+    """A random multisegment and its height from one generator's bound methods and _draw_table(n)."""
+    while (budget := getrandbits((max_ht + 1).bit_length())) > max_ht:
+        pass
+    start, top = budget, len(table) - 1
     mults = [0] * (top * (top + 1) // 2)
     end = 0  # one past the last position drawn: the multiplicities end there
-    random = rng.random
     while True:
-        fits = table[min(budget, top)]
+        fits = table[budget if budget < top else top]
         if not fits or random() < 0.2:
             break
-        j, height = fits[below(rng, len(fits))]
+        while (pick := getrandbits(len(fits).bit_length())) >= len(fits):
+            pass
+        j, height = fits[pick]
         mults[j] += 1
         if j >= end:
             end = j + 1
@@ -156,24 +159,31 @@ def _draw(rng: Random, n: int, max_ht: int) -> tuple[Multisegment, int]:
 
 def random_multisegment(rng: Random, n: int, max_ht: int) -> Multisegment:
     """Draw segments that fit the budget left, each step stopping with chance 0.2."""
-    return _draw(rng, n, max_ht)[0]
+    check_rank(n)
+    _check_bounds((0, 0), max_ht)  # the multisegments are the elements of one slot
+    return _draw(rng.getrandbits, rng.random, _draw_table(n), max_ht)[0]
 
 
 def random_ext_element(rng: Random, ext: ExtendedCrystal, window: tuple[int, int], max_ht: int) -> ExtElement:
-    """Fill the window's slots from the lowest up out of one random height budget.
+    """Fill the window's slots from the lowest up out of one random height budget."""
+    _check_bounds(window, max_ht)
+    return _draw_element(rng.getrandbits, rng.random, ext.n, window, max_ht)
 
-    The slots are distinct and hold no empty multisegment by construction,
-    so the element is built in descending slot order without a check.
-    """
-    slots = []
-    budget = below(rng, max_ht + 1)
+
+def _draw_element(getrandbits, random, n: int, window: tuple[int, int], max_ht: int) -> ExtElement:
+    """random_ext_element's draw from one generator's bound methods, on bounds already checked."""
+    table = _draw_table(n)
+    while (budget := getrandbits((max_ht + 1).bit_length())) > max_ht:
+        pass
+    slots = ()
     for k in range(window[0], window[1] + 1):
         if budget <= 0:
             break
-        take = below(rng, budget + 1)
+        while (take := getrandbits((budget + 1).bit_length())) > budget:
+            pass
         if take:
-            m, height = _draw(rng, ext.n, take)
+            m, height = _draw(getrandbits, random, table, take)
             if height:
-                slots.append((k, m))
+                slots = ((k, m),) + slots
                 budget -= height
-    return _from_slots(tuple(reversed(slots)))
+    return _from_slots(slots)  # distinct slots, none empty, in descending order: nothing to check

@@ -53,10 +53,10 @@ from typing import Callable, NamedTuple
 from .affine import AffineModel, HLNode, HLWeight, format_hl_weight
 from .enumeration import (
     _check_bounds,
+    _draw_element,
     below,
     count_ext_elements,
     iter_ext_elements,
-    random_ext_element,
     random_multisegment,
 )
 from .exploration import explore
@@ -107,8 +107,8 @@ def _affine(n: int) -> AffineModel:
 def _case_rng(cfg: SweepConfig, idx: int) -> Random:
     """Case idx's generator: the Mersenne Twister core that ``random.Random`` extends, seeded alike.
 
-    The draws call only ``getrandbits`` (through ``below``) and ``random()``,
-    which the core has, so they skip the Python layer of ``random.Random``.
+    The draws take ``getrandbits`` words by ``below``'s rule, which refuses an empty range, in one
+    frame per case where it is hot, and call ``random()``: both are core methods, so no Python layer runs.
     """
     return Random(cfg.seed * 0x9E3779B1 + idx)
 
@@ -220,11 +220,15 @@ def cancel_in_random_order(word: list, rng: Random) -> list:
 
 def _check_reduce_confluence(cfg: SweepConfig, idx: int):
     rng = _case_rng(cfg, idx)
-    random = rng.random
-    length = below(rng, 2 * cfg.max_ht + 5)
-    # below(rng, 2) draws 2-bit words and rejects 2 and 3, as randrange(2)
+    getrandbits, random = rng.getrandbits, rng.random
+    while (length := getrandbits((2 * cfg.max_ht + 5).bit_length())) >= 2 * cfg.max_ht + 5:
+        pass
+    # below's rule for range(2): 2-bit words, 2 and 3 rejected, as randrange(2)
     # does; getrandbits(1) would draw other signs from the same seed
-    word = "".join("+-"[below(rng, 2)] for _ in range(length))
+    word = ""
+    while len(word) < length:
+        if (sign := getrandbits(2)) < 2:
+            word += "+-"[sign]
     # alternating counts, minus first; some stretches of equal signs are split
     # by a zero count of the other sign, so that zeros sit among the counts
     counts: list[int] = []
@@ -538,17 +542,18 @@ def _check_duality_datum(cfg: SweepConfig, item: tuple[int, int, int]):
         yield "duality-datum", f"i={i} j={j} k={k}"
 
 
-def _random_query(cfg: SweepConfig, idx: int):
-    rng = _case_rng(cfg, idx)
-    c = random_ext_element(rng, _affine(cfg.n).ext, cfg.window, cfg.max_ht)
-    i = 1 + below(rng, cfg.n)
-    k = cfg.window[0] - 1 + below(rng, cfg.window[1] - cfg.window[0] + 3)
-    return c, i, k, rng
-
-
 def _draw_shifted_query(cfg: SweepConfig, idx: int) -> tuple[ExtElement, int, int, int]:
-    c, i, k, rng = _random_query(cfg, idx)
-    return c, i, k, below(rng, 7) - 3
+    rng = _case_rng(cfg, idx)
+    getrandbits, n, (lo, hi) = rng.getrandbits, cfg.n, cfg.window
+    c = _draw_element(getrandbits, rng.random, n, cfg.window, cfg.max_ht)
+    # below's rule for range(n), range(hi - lo + 3) and range(7), in this frame
+    while (i := getrandbits(n.bit_length())) >= n:
+        pass
+    while (k := getrandbits((hi - lo + 3).bit_length())) >= hi - lo + 3:
+        pass
+    while (t := getrandbits(3)) == 7:
+        pass
+    return c, 1 + i, lo - 1 + k, t - 3
 
 
 def _unshifted(query: tuple[ExtElement, int, int, int]) -> tuple[ExtElement, int, int]:

@@ -145,7 +145,7 @@ def reference_ext_element(rng, ext, window, max_ht):
 
 
 def reference_query(rng, ext, window, max_ht):
-    """The (c, i, k) of verify's random pairing query, drawn as verify._random_query draws it."""
+    """The (c, i, k) of verify's random pairing query, drawn as verify._draw_shifted_query draws it before the shift."""
     c = reference_ext_element(rng, ext, window, max_ht)
     i = rng.randrange(1, ext.n + 1)
     k = rng.randrange(window[0] - 1, window[1] + 2)

@@ -1,12 +1,13 @@
-"""Seeded draws take their words through ``below``, and draw what the standard library's helpers drew."""
+"""Seeded draws take their words by ``below``'s rule, draw what the standard library's helpers drew, and refuse empty ranges."""
 
 import hashlib
 import random
+from _random import Random
 
 import pytest
 
 import extcrystal.verify as verify
-from extcrystal.enumeration import _draw, below, random_ext_element, random_multisegment
+from extcrystal.enumeration import _draw, _draw_table, below, random_ext_element, random_multisegment
 from extcrystal.extended import format_ext_element
 from extcrystal.msegment import format_multisegment
 from extcrystal.signature import reduce_runs
@@ -23,6 +24,58 @@ def test_below_is_randrange_value_for_value_and_word_for_word():
         mine, twin = random.Random(seed), random.Random(seed)
         assert [below(mine, n) for n in _BOUNDS] == [twin.randrange(n) for n in _BOUNDS], seed
         assert mine.getstate() == twin.getstate(), seed
+
+
+class _Bounded:
+    """A generator that fails after 100 words: a draw that would loop fails instead of hanging."""
+
+    def __init__(self, seed):
+        self._rng = random.Random(seed)
+        self.words = 0
+
+    def getrandbits(self, k):
+        self.words += 1
+        if self.words > 100:
+            raise RuntimeError("more than 100 words drawn")
+        return self._rng.getrandbits(k)
+
+    def random(self):
+        return self._rng.random()
+
+
+@pytest.mark.parametrize("n", [0, -1, -(2**70)])
+def test_below_refuses_an_empty_range_before_taking_a_word(n):
+    rng = _Bounded(1)
+    with pytest.raises(ValueError, match=r"^empty range for below\(-?\d+\)$"):
+        below(rng, n)
+    assert rng.words == 0
+    for real in (Random(1), random.Random(1)):
+        state = real.getstate()
+        with pytest.raises(ValueError, match="empty range"):
+            below(real, n)
+        assert real.getstate() == state
+
+
+def test_draws_refuse_bad_bounds_before_taking_a_word():
+    ext = _affine(3).ext
+    refused = [
+        (lambda rng: random_multisegment(rng, 3, -1), "height bound must be non-negative"),
+        (lambda rng: random_ext_element(rng, ext, (0, 1), -2), "height bound must be non-negative"),
+        (lambda rng: random_ext_element(rng, ext, (1, 0), 3), "empty slot window 1..0"),
+        (lambda rng: random_multisegment(rng, 65, 3), "rank must be an integer between 1 and 64, got 65"),
+        (lambda rng: random_multisegment(rng, 0, 3), "rank must be an integer between 1 and 64, got 0"),
+    ]
+    for draw, message in refused:
+        rng = _Bounded(1)
+        with pytest.raises(ValueError) as caught:
+            draw(rng)
+        assert str(caught.value) == message
+        assert rng.words == 0, message
+    # the bounds next to the refused ones still draw, each from a single word
+    for draw in (lambda rng: random_multisegment(rng, 3, 0), lambda rng: random_ext_element(rng, ext, (1, 1), 0)):
+        rng = _Bounded(1)
+        assert not draw(rng)
+        assert rng.words == 1
 
 
 def _stdlib_twin(cfg, idx):
@@ -89,8 +142,10 @@ def test_every_drawn_case_is_as_recorded(monkeypatch):
 _CONFIGS = [
     SweepConfig(n=3, window=(-1, 0), max_ht=3, seed=1),
     SweepConfig(n=8, window=(-2, 2), max_ht=40, seed=1),
+    # budgets above the rank, several slots filled, and a window that runs out with budget left
+    SweepConfig(n=2, window=(-3, 3), max_ht=9, seed=5),
 ]
-_IDS = ["n3-ht3", "n8-ht40"]
+_IDS = ["n3-ht3", "n8-ht40", "n2-wide"]
 
 
 def _twins(cfg, idx):
@@ -101,7 +156,7 @@ def _twins(cfg, idx):
 def test_multisegment_draws_match_the_reference(cfg):
     for idx in range(2000):
         rng, twin = _twins(cfg, idx)
-        assert _draw(rng, cfg.n, cfg.max_ht) == reference_draw(twin, cfg.n, cfg.max_ht), idx
+        assert _draw(rng.getrandbits, rng.random, _draw_table(cfg.n), cfg.max_ht) == reference_draw(twin, cfg.n, cfg.max_ht), idx
         assert rng.getstate() == twin.getstate()[1], idx
         rng, twin = _twins(cfg, idx)
         assert random_multisegment(rng, cfg.n, cfg.max_ht) == reference_draw(twin, cfg.n, cfg.max_ht)[0], idx
