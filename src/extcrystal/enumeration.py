@@ -111,10 +111,11 @@ def below(rng: Random, n: int) -> int:
     ``below(rng, 1)`` still takes a word and ``below(rng, 2)`` takes 2-bit
     words and rejects 2 and 3, where ``getrandbits(1)`` would take one bit;
     an empty range is refused before a word is taken, as randrange(0) is.
-    Every seeded draw here and in ``verify`` follows this rule, inline in one
-    frame per case where it is hot, or calls rng.random(): both are methods of
-    the Mersenne Twister core ``_random.Random`` that ``random.Random`` extends,
-    whose random() stream Python keeps across versions, unlike randrange's.
+    Every seeded draw here and in ``verify`` calls it, or applies its rule
+    inline in a per-slot, per-segment or per-sign loop whose range cannot be
+    empty, or calls rng.random(): both are methods of the Mersenne Twister core
+    ``_random.Random`` that ``random.Random`` extends, whose random() stream
+    Python keeps across versions, unlike randrange's.
     """
     if n < 1:
         raise ValueError(f"empty range for below({n})")
@@ -129,14 +130,20 @@ def _draw_table(n: int) -> tuple[tuple[tuple[int, int], ...], ...]:
 
     Segments come in ``all_segments`` order, so a draw from row h picks what
     a draw from the segments that fit a budget of h picks.  A constant of the
-    rank; a budget above n reads row n.
+    rank; a budget above n reads row n.  A rank outside 1..64 is refused here,
+    on every call, so no draw can take words from an empty range(n).
     """
+    check_rank(n)
     pool = [(_index(a, b), b - a + 1) for a in range(1, n + 1) for b in range(a, n + 1)]
     return tuple(tuple(s for s in pool if s[1] <= h) for h in range(n + 1))
 
 
 def _draw(getrandbits, random, table, max_ht: int) -> tuple[Multisegment, int]:
-    """A random multisegment and its height from one generator's bound methods and _draw_table(n)."""
+    """A random multisegment and its height from one generator's bound methods and _draw_table(n).
+
+    Its words follow ``below``'s rule inline, as the per-slot take of
+    _draw_element does: the ranges are max_ht + 1 and len(fits), never empty.
+    """
     while (budget := getrandbits((max_ht + 1).bit_length())) > max_ht:
         pass
     start, top = budget, len(table) - 1
@@ -159,7 +166,6 @@ def _draw(getrandbits, random, table, max_ht: int) -> tuple[Multisegment, int]:
 
 def random_multisegment(rng: Random, n: int, max_ht: int) -> Multisegment:
     """Draw segments that fit the budget left, each step stopping with chance 0.2."""
-    check_rank(n)
     _check_bounds((0, 0), max_ht)  # the multisegments are the elements of one slot
     return _draw(rng.getrandbits, rng.random, _draw_table(n), max_ht)[0]
 
@@ -167,14 +173,14 @@ def random_multisegment(rng: Random, n: int, max_ht: int) -> Multisegment:
 def random_ext_element(rng: Random, ext: ExtendedCrystal, window: tuple[int, int], max_ht: int) -> ExtElement:
     """Fill the window's slots from the lowest up out of one random height budget."""
     _check_bounds(window, max_ht)
-    return _draw_element(rng.getrandbits, rng.random, ext.n, window, max_ht)
+    return _draw_element(rng, ext.n, window, max_ht)
 
 
-def _draw_element(getrandbits, random, n: int, window: tuple[int, int], max_ht: int) -> ExtElement:
-    """random_ext_element's draw from one generator's bound methods, on bounds already checked."""
+def _draw_element(rng: Random, n: int, window: tuple[int, int], max_ht: int) -> ExtElement:
+    """random_ext_element's draw on bounds already checked; _draw_table refuses a bad rank first."""
     table = _draw_table(n)
-    while (budget := getrandbits((max_ht + 1).bit_length())) > max_ht:
-        pass
+    budget = below(rng, max_ht + 1)
+    getrandbits, random = rng.getrandbits, rng.random
     slots = ()
     for k in range(window[0], window[1] + 1):
         if budget <= 0:

@@ -107,8 +107,8 @@ def _affine(n: int) -> AffineModel:
 def _case_rng(cfg: SweepConfig, idx: int) -> Random:
     """Case idx's generator: the Mersenne Twister core that ``random.Random`` extends, seeded alike.
 
-    The draws take ``getrandbits`` words by ``below``'s rule, which refuses an empty range, in one
-    frame per case where it is hot, and call ``random()``: both are core methods, so no Python layer runs.
+    The draws take ``getrandbits`` words through ``below``, which refuses an empty range, or by its
+    rule inline in their per-slot loops, and call ``random()``: core methods, so no Python layer runs.
     """
     return Random(cfg.seed * 0x9E3779B1 + idx)
 
@@ -221,9 +221,8 @@ def cancel_in_random_order(word: list, rng: Random) -> list:
 def _check_reduce_confluence(cfg: SweepConfig, idx: int):
     rng = _case_rng(cfg, idx)
     getrandbits, random = rng.getrandbits, rng.random
-    while (length := getrandbits((2 * cfg.max_ht + 5).bit_length())) >= 2 * cfg.max_ht + 5:
-        pass
-    # below's rule for range(2): 2-bit words, 2 and 3 rejected, as randrange(2)
+    length = below(rng, 2 * cfg.max_ht + 5)
+    # below's rule for range(2), one sign per loop: 2-bit words, 2 and 3 rejected, as randrange(2)
     # does; getrandbits(1) would draw other signs from the same seed
     word = ""
     while len(word) < length:
@@ -544,16 +543,9 @@ def _check_duality_datum(cfg: SweepConfig, item: tuple[int, int, int]):
 
 def _draw_shifted_query(cfg: SweepConfig, idx: int) -> tuple[ExtElement, int, int, int]:
     rng = _case_rng(cfg, idx)
-    getrandbits, n, (lo, hi) = rng.getrandbits, cfg.n, cfg.window
-    c = _draw_element(getrandbits, rng.random, n, cfg.window, cfg.max_ht)
-    # below's rule for range(n), range(hi - lo + 3) and range(7), in this frame
-    while (i := getrandbits(n.bit_length())) >= n:
-        pass
-    while (k := getrandbits((hi - lo + 3).bit_length())) >= hi - lo + 3:
-        pass
-    while (t := getrandbits(3)) == 7:
-        pass
-    return c, 1 + i, lo - 1 + k, t - 3
+    lo, hi = cfg.window
+    c = _draw_element(rng, cfg.n, cfg.window, cfg.max_ht)  # refuses a bad rank before any word
+    return c, 1 + below(rng, cfg.n), lo - 1 + below(rng, hi - lo + 3), below(rng, 7) - 3
 
 
 def _unshifted(query: tuple[ExtElement, int, int, int]) -> tuple[ExtElement, int, int]:

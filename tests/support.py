@@ -4,6 +4,8 @@ It also keeps the package's seeded draws as first written, with the
 standard library's randint, randrange and choice, as references.
 """
 
+import random
+
 from extcrystal.affine import HLWeight
 from extcrystal.enumeration import all_segments
 from extcrystal.extended import ExtElement
@@ -150,3 +152,20 @@ def reference_query(rng, ext, window, max_ht):
     i = rng.randrange(1, ext.n + 1)
     k = rng.randrange(window[0] - 1, window[1] + 2)
     return c, i, k
+
+
+class BoundedRng:
+    """A generator that fails after 100 words: a draw that would loop fails instead of hanging."""
+
+    def __init__(self, seed):
+        self._rng = random.Random(seed)
+        self.words = 0
+
+    def getrandbits(self, k):
+        self.words += 1
+        if self.words > 100:
+            raise RuntimeError("more than 100 words drawn")
+        return self._rng.getrandbits(k)
+
+    def random(self):
+        return self._rng.random()

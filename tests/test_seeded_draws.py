@@ -12,7 +12,7 @@ from extcrystal.extended import format_ext_element
 from extcrystal.msegment import format_multisegment
 from extcrystal.signature import reduce_runs
 from extcrystal.verify import SweepConfig, _affine, _case_rng, _draw_shifted_query
-from support import reference_draw, reference_ext_element, reference_query
+from support import BoundedRng, reference_draw, reference_ext_element, reference_query
 from test_verify import _FROZEN_CFG
 
 _BOUNDS = (*range(1, 71), 2**40, 10**20)
@@ -26,26 +26,9 @@ def test_below_is_randrange_value_for_value_and_word_for_word():
         assert mine.getstate() == twin.getstate(), seed
 
 
-class _Bounded:
-    """A generator that fails after 100 words: a draw that would loop fails instead of hanging."""
-
-    def __init__(self, seed):
-        self._rng = random.Random(seed)
-        self.words = 0
-
-    def getrandbits(self, k):
-        self.words += 1
-        if self.words > 100:
-            raise RuntimeError("more than 100 words drawn")
-        return self._rng.getrandbits(k)
-
-    def random(self):
-        return self._rng.random()
-
-
 @pytest.mark.parametrize("n", [0, -1, -(2**70)])
 def test_below_refuses_an_empty_range_before_taking_a_word(n):
-    rng = _Bounded(1)
+    rng = BoundedRng(1)
     with pytest.raises(ValueError, match=r"^empty range for below\(-?\d+\)$"):
         below(rng, n)
     assert rng.words == 0
@@ -66,14 +49,14 @@ def test_draws_refuse_bad_bounds_before_taking_a_word():
         (lambda rng: random_multisegment(rng, 0, 3), "rank must be an integer between 1 and 64, got 0"),
     ]
     for draw, message in refused:
-        rng = _Bounded(1)
+        rng = BoundedRng(1)
         with pytest.raises(ValueError) as caught:
             draw(rng)
         assert str(caught.value) == message
         assert rng.words == 0, message
     # the bounds next to the refused ones still draw, each from a single word
     for draw in (lambda rng: random_multisegment(rng, 3, 0), lambda rng: random_ext_element(rng, ext, (1, 1), 0)):
-        rng = _Bounded(1)
+        rng = BoundedRng(1)
         assert not draw(rng)
         assert rng.words == 1
 

@@ -18,7 +18,7 @@ from extcrystal.msegment import MultisegmentCrystal
 from extcrystal.signature import reduce_runs
 from extcrystal.sl2 import Sl2Crystal
 from extcrystal.verify import SweepConfig, _items_sig_seq, base_suite_names, run_all, run_suite
-from support import add_node, remove_node
+from support import BoundedRng, add_node, remove_node
 
 EXT_MEMBERS = (
     "inverse-pairs",
@@ -69,10 +69,17 @@ def test_config_refuses_a_negative_case_count():
     assert run_suite("crystal-axioms", cfg) == []
 
 
-def test_bad_rank_surfaces_on_use():
+def test_bad_rank_surfaces_on_use(monkeypatch):
     cfg = SweepConfig(n=0, window=(0, 0), max_ht=1)
     with pytest.raises(ValueError):
         run_suite("inverse-pairs", cfg)
+    # the seeded suites refuse the rank before a case takes a word; a case
+    # generator that fails after 100 words turns a draw that loops into a failure
+    monkeypatch.setattr(verify, "_case_rng", lambda cfg, idx: BoundedRng(idx))
+    for name in ("crystal-axioms", "bilinear", "shift-covariance"):
+        for n in (0, -1):
+            with pytest.raises(ValueError, match=f"^rank must be an integer between 1 and 64, got {n}$"):
+                run_suite(name, cfg._replace(n=n))
 
 
 def test_registry_names():
