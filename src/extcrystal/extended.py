@@ -10,19 +10,15 @@ k or by starred raising on slot k+1, and raising takes the opposite
 branches.  The starred operators are the plain ones one slot down,
 f*_{i,k} = e_{i,k-1} and e*_{i,k} = f_{i,k-1}, and are written as such.
 
-Each operator makes one pass over the slots to find its two slots and the
-range of the slot tuple they occupy.  It reads the upper slot with the
-realization's starred ``read`` and the lower one with its plain ``read``:
-each read is one reduction whose entry 0 is the counter, and the chosen
-branch hands that read to ``lower_with`` or ``raise_with``, so no slot is
-reduced twice.  A highest slot is not read, since its counters are 0 in
-every B(infinity); a branch that acts on it lowers the highest element
-through the realization's own operator.
-The branch rewrites one of the two slots: its new entry takes the old one's
-place in the descending slot tuple, or enters it, in one slice-and-concat
-without re-sorting, and a raise that leaves the slot highest drops its entry.
-An ``ExtElement`` built from outside input is sorted instead, and its slot
-indices are checked to be distinct integers.
+Every operator is one step along (i, k) in a direction d, 1 for lowering
+and -1 for raising.  One pass finds slots k+1 and k; each non-highest one
+is reduced once, slot k+1 by the realization's starred ``read`` and slot k
+by its plain one.  Slot k moves in direction d when epsilon - epsilon* +
+(d > 0) > 0, else slot k+1 moves in direction -d, through its read.  A
+highest slot (counters 0) is lowered by the realization's own operator
+unread.  Only the moved slot's entry is rewritten, in one slice-and-concat.
+``ExtElement`` sorts outside input instead, and refuses a slot index that is
+not an int, as the operators refuse such a k and ``shift`` such a t.
 
 Slot weights alternate in sign with the slot index, so lowering along (i, k)
 moves the total weight by (-1)^(k+1) alpha_i.
@@ -35,6 +31,13 @@ from .parsing import INT, ParseError
 from .rootdata import RootLatticeElem
 
 
+def _slot_index(k: int) -> int:
+    """k, refused with a ValueError unless it is an int (a bool is not)."""
+    if type(k) is not int:
+        raise ValueError(f"slot index must be an integer, got {k!r}")
+    return k
+
+
 class ExtElement(tuple):
     """Finitely supported slot assignment: the tuple of its (slot, element) pairs.
 
@@ -45,11 +48,7 @@ class ExtElement(tuple):
     __slots__ = ()
 
     def __new__(cls, slots=()) -> "ExtElement":
-        canon = list(slots)
-        for k, _ in canon:
-            if type(k) is not int:
-                raise ValueError(f"slot index must be an integer, got {k!r}")
-        canon.sort(key=lambda kv: -kv[0])
+        canon = sorted(slots, key=lambda kv: -_slot_index(kv[0]))
         if len({k for k, _ in canon}) != len(canon):
             raise ValueError(f"duplicate slot index in {[k for k, _ in canon]}")
         # the highest element is the only falsy one (see AbstractCrystal)
@@ -83,8 +82,10 @@ def _from_slots(slots: tuple) -> ExtElement:
     return tuple.__new__(ExtElement, slots)
 
 
-# what _reads gives for a highest slot instead of reading it: counter 0
+# what _step takes for a highest slot's read instead of reading it: counter 0
 _UNREAD = (0,)
+# why a raise that _step chose cannot fail, for slot k and for slot k+1
+_RAISE_FAILED = ("positive branch selector guarantees a raise", "negative branch selector guarantees a starred raise")
 
 
 class ExtendedCrystal:
@@ -128,54 +129,44 @@ class ExtendedCrystal:
         """Starred epsilon at slot k minus epsilon at slot k-1."""
         return self.epsilon_star(c, i, k) - self.epsilon(c, i, k - 1)
 
-    def _reads(self, c: ExtElement, i: int, top: int):
-        """One pass over c for the operators along (i, top - 1), on slots top and top - 1.
-
-        Returns (at, stop, hi, lo, star, plain): c[at:stop] holds those
-        two slots, hi and lo are their (slot, element) entries (None where
-        highest), star is the starred read of hi's element and plain the
-        plain read of lo's.  A highest slot is not read: its counters are 0
-        in every B(infinity), and its read is _UNREAD.
-        """
+    def _step(self, c: ExtElement, i: int, k: int, d: int) -> ExtElement:
+        """c after the operator along (i, k): lowering for d = 1, raising for d = -1; see the module docstring."""
+        if type(k) is not int:  # _slot_index's check, inline on the hot path
+            _slot_index(k)
+        cry = self.crystal
         at, end = 0, len(c)
-        while at < end and c[at][0] > top:
+        while at < end and c[at][0] > k + 1:
             at += 1
-        stop, hi, lo, star, plain = at, None, None, _UNREAD, _UNREAD
-        if stop < end and c[stop][0] == top:
-            hi = c[stop]
-            star = self.crystal.read(hi[1], i, True)
-            stop += 1
-        if stop < end and c[stop][0] == top - 1:
-            lo = c[stop]
-            plain = self.crystal.read(lo[1], i, False)
-            stop += 1
-        return at, stop, hi, lo, star, plain
+        # c[at:mid] holds slot k+1's entry and c[mid:stop] slot k's
+        mid = at + (at < end and c[at][0] == k + 1)
+        stop = mid + (mid < end and c[mid][0] == k)
+        star = cry.read(c[at][1], i, True) if mid > at else _UNREAD
+        plain = cry.read(c[mid][1], i, False) if stop > mid else _UNREAD
+        up = plain[0] - star[0] + (d > 0) <= 0  # slot k+1 moves, in direction -d
+        if up:
+            lo, hi, read, d = at, mid, star, -d
+        else:
+            lo, hi, read = mid, stop, plain
+        if lo == hi:  # a highest slot, which only a lowering moves
+            b = (cry.star_lowering if up else cry.lowering)(cry.highest, i)
+        elif d > 0:
+            b = cry.lower_with(c[lo][1], read)
+        else:
+            b = cry.raise_with(c[lo][1], read)
+            assert b is not None, _RAISE_FAILED[up]
+        return _from_slots(c[:lo] + (((k + up, b),) if b else ()) + c[hi:])
 
     def lowering(self, c: ExtElement, i: int, k: int) -> ExtElement:
-        cry = self.crystal
-        at, stop, above, here, above_read, here_read = self._reads(c, i, k + 1)
-        if here_read[0] >= above_read[0]:
-            b = cry.lowering(cry.highest, i) if here is None else cry.lower_with(here[1], here_read)
-            return _from_slots(c[: stop - 1 if here else stop] + ((k, b),) + c[stop:])
-        raised = cry.raise_with(above[1], above_read)
-        assert raised is not None, "negative branch selector guarantees a starred raise"
-        return _from_slots(c[:at] + (((k + 1, raised),) if raised else ()) + c[at + 1 :])
+        return self._step(c, i, k, 1)
 
     def raising(self, c: ExtElement, i: int, k: int) -> ExtElement:
-        cry = self.crystal
-        at, stop, above, here, above_read, here_read = self._reads(c, i, k + 1)
-        if here_read[0] > above_read[0]:
-            raised = cry.raise_with(here[1], here_read)
-            assert raised is not None, "positive branch selector guarantees a raise"
-            return _from_slots(c[: stop - 1] + (((k, raised),) if raised else ()) + c[stop:])
-        b = cry.star_lowering(cry.highest, i) if above is None else cry.lower_with(above[1], above_read)
-        return _from_slots(c[:at] + ((k + 1, b),) + c[at + 1 if above else at :])
+        return self._step(c, i, k, -1)
 
     def star_lowering(self, c: ExtElement, i: int, k: int) -> ExtElement:
-        return self.raising(c, i, k - 1)
+        return self.raising(c, i, _slot_index(k) - 1)
 
     def star_raising(self, c: ExtElement, i: int, k: int) -> ExtElement:
-        return self.lowering(c, i, k - 1)
+        return self.lowering(c, i, _slot_index(k) - 1)
 
     def weight(self, c: ExtElement) -> RootLatticeElem:
         total = self.lattice.zero()
@@ -197,6 +188,7 @@ class ExtendedCrystal:
 
     def shift(self, c: ExtElement, t: int) -> ExtElement:
         """Move every slot up by t, which keeps their order."""
+        t = _slot_index(t)
         return _from_slots(tuple((k + t, b) for k, b in c))
 
     def path_to_highest(self, c: ExtElement) -> list[tuple[int, int]]:

@@ -6,6 +6,7 @@ import random
 
 import pytest
 
+from extcrystal.crystal import AbstractCrystal
 from extcrystal.enumeration import (
     count_ext_elements,
     iter_ext_elements,
@@ -474,3 +475,67 @@ def test_no_realization_re_forks_the_derived_operators():
     for cls in (MultisegmentCrystal, Sl2Crystal):
         assert {"read", "lower_with", "raise_with"} <= set(vars(cls)), cls
         assert not set(vars(cls)) & {*derived, *removed}, cls
+
+
+def test_operators_and_shift_refuse_a_slot_index_that_is_not_an_int():
+    one = parse_ext_element("0:[1]", EXT3)
+    names = ("lowering", "raising", "star_lowering", "star_raising")
+    for bad in (0.5, True, False, "0", None):
+        calls = [lambda name=name: getattr(EXT3, name)(c, 1, bad) for name in names for c in (HIGHEST, one)]
+        for call in calls + [lambda: EXT3.shift(one, bad), lambda: EXT3.shift(HIGHEST, bad)]:
+            with pytest.raises(ValueError) as err:
+                call()
+            assert str(err.value) == f"slot index must be an integer, got {bad!r}"
+    assert EXT3.shift(one, -(10**20)).support() == (-(10**20),)
+    assert format_ext_element(EXT3.star_raising(HIGHEST, 1, 1)) == "0:[1]"
+
+
+class _Counting(AbstractCrystal):
+    """A realization that delegates to another and logs every read and move asked of it."""
+
+    def __init__(self, inner):
+        self.inner, self.n, self.lattice, self.log = inner, inner.n, inner.lattice, []
+
+    @property
+    def highest(self):
+        return self.inner.highest
+
+    def validate(self, b):
+        self.inner.validate(b)
+
+    def read(self, b, i, starred):
+        self.log.append(("read", b, starred))
+        return self.inner.read(b, i, starred)
+
+    def lower_with(self, b, read):
+        self.log.append(("move", b, read))
+        return self.inner.lower_with(b, read)
+
+    def raise_with(self, b, read):
+        self.log.append(("move", b, read))
+        return self.inner.raise_with(b, read)
+
+
+def test_each_extended_operator_reads_each_slot_at_most_once_and_moves_once():
+    window = (-1, 1)
+    slots = range(window[0], window[1] + 1)
+    rank_one = [dict(zip(slots, counts)) for counts in itertools.product(range(3), repeat=3) if sum(counts) <= 2]
+    rank_three = [dict(c) for c in iter_ext_elements(ExtendedCrystal(MultisegmentCrystal(3)), window, 2)]
+    for inner, mappings in ((MultisegmentCrystal(3), rank_three), (Sl2Crystal(), rank_one)):
+        counting = _Counting(inner)
+        ext, plain_ext = ExtendedCrystal(counting), ExtendedCrystal(inner)
+        calls = 0
+        for c in map(ext.element, mappings):
+            for i, k, name in itertools.product(inner.indices(), range(-2, 2), ("lowering", "raising")):
+                for op, low in ((name, k), (f"star_{name}", k - 1)):
+                    counting.log.clear()
+                    assert getattr(ext, op)(c, i, k) == getattr(plain_ext, op)(c, i, k)
+                    reads = [entry for entry in counting.log if entry[0] == "read"]
+                    moves = [entry for entry in counting.log if entry[0] == "move"]
+                    assert len(reads) <= 2 and len(moves) == 1, (op, i, k, c, counting.log)
+                    # slot low is read plainly and slot low + 1 starred, each at most once
+                    for starred, slot in ((False, low), (True, low + 1)):
+                        slot_reads = [b for _, b, s in reads if s is starred]
+                        assert slot_reads in ([], [ext.slot(c, slot)]), (op, i, k, c, counting.log)
+                    calls += 1
+        assert calls == len(mappings) * inner.n * 4 * 4
